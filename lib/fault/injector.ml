@@ -95,36 +95,41 @@ let create spec ~asid =
 
 (* Target randoms come from the class's own gap stream (gap, r1, r2, gap,
    ...), so the schedule AND the targets of one class are independent of
-   every other class and of the polling stride. *)
+   every other class and of the polling stride.  A stream-less injector
+   answers without allocating: the fault-free serve path polls it on
+   every INTERP. *)
 let due t ~step =
-  let out = ref [] in
-  List.iter
-    (fun a ->
-      while a.a_next <= step do
-        out :=
-          {
-            f_class = a.a_class;
-            f_step = a.a_next;
-            f_r1 = Prng.next_int a.a_rng;
-            f_r2 = Prng.next_int a.a_rng;
-          }
-          :: !out;
-        a.a_next <- sat_add a.a_next (gap a.a_rng a.a_rate)
-      done)
-    t.arrivals;
-  let rec take () =
-    match t.pending with
-    | (s, c) :: rest when s <= step ->
-        t.pending <- rest;
-        out :=
-          { f_class = c; f_step = s; f_r1 = Prng.next_int t.draw;
-            f_r2 = Prng.next_int t.draw }
-          :: !out;
-        take ()
-    | _ -> ()
-  in
-  take ();
-  (* firing order is by step, stable across classes *)
-  List.stable_sort
-    (fun a b -> compare a.f_step b.f_step)
-    (List.rev !out)
+  match (t.arrivals, t.pending) with
+  | [], [] -> []
+  | _ ->
+      let out = ref [] in
+      List.iter
+        (fun a ->
+          while a.a_next <= step do
+            out :=
+              {
+                f_class = a.a_class;
+                f_step = a.a_next;
+                f_r1 = Prng.next_int a.a_rng;
+                f_r2 = Prng.next_int a.a_rng;
+              }
+              :: !out;
+            a.a_next <- sat_add a.a_next (gap a.a_rng a.a_rate)
+          done)
+        t.arrivals;
+      let rec take () =
+        match t.pending with
+        | (s, c) :: rest when s <= step ->
+            t.pending <- rest;
+            out :=
+              { f_class = c; f_step = s; f_r1 = Prng.next_int t.draw;
+                f_r2 = Prng.next_int t.draw }
+              :: !out;
+            take ()
+        | _ -> ()
+      in
+      take ();
+      (* firing order is by step, stable across classes *)
+      List.stable_sort
+        (fun a b -> compare a.f_step b.f_step)
+        (List.rev !out)

@@ -130,6 +130,40 @@ let arch_fingerprint ~(layout : Layout.t) m =
    for a downgraded (run_for-sliced) machine. *)
 let interp_cycles_per_dir = 64
 
+(* Carry a translating machine's architectural state over to a fresh
+   pure-interpretation machine of the same program: stacks, frames, data
+   and the decode position.  [m_old] must be suspended at a slice
+   boundary, which for a Translating machine rests on an INTERP word. *)
+let graft_interp ~(layout : Layout.t) m_old m_new =
+  let dir_addr, dctx, sp_pops =
+    match Machine.pc m_old with
+    | Machine.Short a -> (
+        let w = Machine.peek m_old a in
+        match SF.op_of_int (SF.unpack_op w) with
+        | SF.Interp_imm -> (SF.unpack_operand w, SF.unpack_ctx w, 0)
+        | SF.Interp_stk ->
+            let sp = Machine.reg m_old R.sp in
+            (Machine.peek m_old (sp - 1), Machine.peek m_old (sp - 2), 2)
+        | _ -> assert false)
+    | Machine.Long _ -> assert false
+  in
+  let sp = Machine.reg m_old R.sp - sp_pops in
+  Machine.set_reg m_new R.sp sp;
+  Machine.set_reg m_new R.rsp (Machine.reg m_old R.rsp);
+  Machine.set_reg m_new R.fp (Machine.reg m_old R.fp);
+  Machine.set_reg m_new R.dtop (Machine.reg m_old R.dtop);
+  Machine.set_reg m_new R.ctx (Machine.reg m_old R.ctx);
+  Machine.set_reg m_new R.dpc dir_addr;
+  Machine.set_reg m_new R.dctx dctx;
+  let copy_range base limit =
+    for a = base to limit - 1 do
+      Machine.poke m_new a (Machine.peek m_old a)
+    done
+  in
+  copy_range layout.Layout.op_stack_base sp;
+  copy_range layout.Layout.ret_stack_base (Machine.reg m_old R.rsp);
+  copy_range layout.Layout.data_base (Machine.reg m_old R.dtop)
+
 let run_encoded ?(timing = Timing.paper) ?fuel ?(layout = Layout.default)
     ?backend ?(trace_capacity = 65536) ~policy ~quantum ~config ~fconfig
     (programs : (string * Codec.encoded) list) =
@@ -368,37 +402,9 @@ let run_encoded ?(timing = Timing.paper) ?fuel ?(layout = Layout.default)
   in
   let downgrade p =
     let m_old = p.machine in
-    (* slice boundaries of a Translating machine rest on an INTERP word *)
-    let dir_addr, dctx, sp_pops =
-      match Machine.pc m_old with
-      | Machine.Short a -> (
-          let w = Machine.peek m_old a in
-          match SF.op_of_int (SF.unpack_op w) with
-          | SF.Interp_imm -> (SF.unpack_operand w, SF.unpack_ctx w, 0)
-          | SF.Interp_stk ->
-              let sp = Machine.reg m_old R.sp in
-              (Machine.peek m_old (sp - 1), Machine.peek m_old (sp - 2), 2)
-          | _ -> assert false)
-      | Machine.Long _ -> assert false
-    in
     (* the downgraded interpreter keeps the mix's execution backend *)
     let m_new = U.prepare_interp ~timing ?fuel ~layout ?backend p.encoded in
-    let sp = Machine.reg m_old R.sp - sp_pops in
-    Machine.set_reg m_new R.sp sp;
-    Machine.set_reg m_new R.rsp (Machine.reg m_old R.rsp);
-    Machine.set_reg m_new R.fp (Machine.reg m_old R.fp);
-    Machine.set_reg m_new R.dtop (Machine.reg m_old R.dtop);
-    Machine.set_reg m_new R.ctx (Machine.reg m_old R.ctx);
-    Machine.set_reg m_new R.dpc dir_addr;
-    Machine.set_reg m_new R.dctx dctx;
-    let copy_range base limit =
-      for a = base to limit - 1 do
-        Machine.poke m_new a (Machine.peek m_old a)
-      done
-    in
-    copy_range layout.Layout.op_stack_base sp;
-    copy_range layout.Layout.ret_stack_base (Machine.reg m_old R.rsp);
-    copy_range layout.Layout.data_base (Machine.reg m_old R.dtop);
+    graft_interp ~layout m_old m_new;
     p.out_prefix <- p.out_prefix ^ Machine.output m_old;
     p.base_cycles <- p.base_cycles + (Machine.stats m_old).Machine.cycles;
     Machine.recycle m_old;

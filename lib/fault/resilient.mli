@@ -132,6 +132,18 @@ val run :
   result
 (** {!run_encoded} after encoding each program with [kind]. *)
 
+val interp_cycles_per_dir : int
+(** Cycles one DIR instruction of pure interpretation is worth: the
+    factor that turns a DIR-step quantum into the cycle budget a
+    downgraded (run_for-sliced) machine is given per slice. *)
+
+val graft_interp : layout:Uhm_psder.Layout.t -> Machine.t -> Machine.t -> unit
+(** [graft_interp ~layout m_old m_new] carries the architectural state
+    of [m_old] — a translating machine suspended at a slice boundary, on
+    an INTERP word — into [m_new], a fresh {!Uhm_core.Uhm.prepare_interp}
+    machine of the same program: stack, frame and data registers and
+    regions, and the DIR decode position.  The watchdog downgrade. *)
+
 val arch_fingerprint : layout:Uhm_psder.Layout.t -> Machine.t -> int
 (** The fingerprint behind [pr_arch_hash], usable on any machine laid
     out with [layout]. *)

@@ -23,7 +23,6 @@ type process = {
   mutable p_dtb_hits : int;
   mutable p_dtb_misses : int;
   mutable p_dtb_evictions : int;
-  mutable last_snapshot : Machine.snapshot option;
 }
 
 let process ~asid ~name ~total_dir_steps ?translation_hook machine =
@@ -43,7 +42,6 @@ let process ~asid ~name ~total_dir_steps ?translation_hook machine =
     p_dtb_hits = 0;
     p_dtb_misses = 0;
     p_dtb_evictions = 0;
-    last_snapshot = None;
   }
 
 type report = {
@@ -85,13 +83,11 @@ let run ?trace ~policy ~quantum ~dtb processes =
   if processes = [] then invalid_arg "Scheduler.run: no processes";
   if quantum < 1 then invalid_arg "Scheduler.run: quantum must be >= 1";
   let procs = Array.of_list processes in
-  let n = Array.length procs in
   Array.iteri
     (fun i p ->
       if p.asid <> i then
         invalid_arg "Scheduler.run: process ASIDs must be 0..n-1 in order")
     procs;
-  ignore n;
   let tell at_cycle kind =
     match trace with
     | Some tr -> Trace.record tr ~at_cycle kind
@@ -142,7 +138,6 @@ let run ?trace ~policy ~quantum ~dtb processes =
         p.p_dtb_hits <- p.p_dtb_hits + (Dtb.hits dtb - h0);
         p.p_dtb_misses <- p.p_dtb_misses + (Dtb.misses dtb - m0);
         p.p_dtb_evictions <- p.p_dtb_evictions + (Dtb.evictions dtb - e0);
-        p.last_snapshot <- Some (Machine.snapshot p.machine);
         (match outcome with
         | Machine.Yielded -> tell !clock (Trace.Quantum_expiry { asid = p.asid })
         | Machine.Done status ->

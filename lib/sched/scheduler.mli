@@ -39,8 +39,6 @@ type process = {
   mutable p_dtb_evictions : int; (** evictions {e performed during} this
                                      program's slices (the victims may have
                                      belonged to anyone) *)
-  mutable last_snapshot : Machine.snapshot option;
-      (** resumption state captured at the end of every slice *)
 }
 
 val process :

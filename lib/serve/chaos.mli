@@ -1,6 +1,6 @@
-(** Fault-tolerant serving: {!Serve.run}'s open-arrival loop with PR 4's
-    fault machinery threaded through every in-service ASID slot, plus a
-    service-level robustness policy.
+(** Fault-tolerant serving: the open-arrival loop of {!Serve.run} with
+    the {!Uhm_fault.Resilient} fault machinery threaded through every
+    in-service ASID slot, plus a service-level robustness policy.
 
     Three layers ride on top of the plain service:
 
@@ -37,11 +37,15 @@
       quarantines can retire a job {!Serve.Failed} even though it never
       produced a wrong answer.
 
-    The headline pins, enforced in [test/test_chaos.ml]: under {!zero}
-    (no faults, no deadline, no brownout) a run is {e cycle- and
-    trace-identical} to {!Serve.run}; and at every grid point, every
-    job retired [Completed] has final state equal to its fault-free solo
-    run. *)
+    There is one loop, not two: {!Serve.run} and {!run} drive the same
+    slicing kernel, and a plain service run is that kernel under
+    {!zero}.  So a zero-config run is {e cycle- and trace-identical} to
+    {!Serve.run} by construction; [test/test_serve.ml] pins the numbers
+    both produce to literal goldens.  The invariant left to enforce, in
+    [test/test_chaos.ml], is the recovery one: at every grid point,
+    every job retired [Completed] has final state equal to its
+    fault-free solo run.  The policy records below are the kernel's own,
+    hence the type equations. *)
 
 module Machine := Uhm_machine.Machine
 module Dtb := Uhm_core.Dtb
@@ -49,7 +53,7 @@ module Scheduler := Uhm_sched.Scheduler
 module Resilient := Uhm_fault.Resilient
 
 (** The staged-degradation controller's knobs. *)
-type brownout = {
+type brownout = Kernel.brownout = {
   bo_window : int;
       (** sliding window, in cycles, over which detections are counted *)
   bo_hi_detections : int;
@@ -69,9 +73,9 @@ type brownout = {
 
 val default_brownout : brownout
 
-type config = {
+type config = Kernel.config = {
   c_fault : Resilient.config;
-      (** the PR 4 machinery: injector spec, guards, checkpoint cadence,
+      (** the fault machinery: injector spec, guards, checkpoint cadence,
           per-translation retry/backoff, watchdog *)
   c_job_retry_limit : int;
       (** voided attempts a job may retry before [Failed] *)
@@ -82,8 +86,9 @@ type config = {
 }
 
 val zero : config
-(** No faults, no deadline, no brownout: byte-identical to {!Serve.run}
-    (retry limit 2 and backoff 4096 are present but unreachable). *)
+(** No faults, no deadline, no brownout: the configuration {!Serve.run}
+    runs the kernel under (retry limit 2 and backoff 4096 are present but
+    unreachable). *)
 
 type job_report = {
   cj_id : int;
@@ -122,14 +127,18 @@ type chaos_summary = {
 
 type result = {
   cv_serve : Serve.result;
-      (** the service-level result, same shape as {!Serve.run}'s — under
-          {!zero} equal to it field for field, trace included *)
+      (** the service-level result; under {!zero} it is what
+          {!Serve.run} returns, trace included *)
   cv_fconfig : config;
   cv_reports : job_report list;  (** in arrival order, shed included *)
   cv_summary : chaos_summary;
 }
 
-type solo_ref = { sr_status : Machine.status; sr_output : string; sr_arch_hash : int }
+type solo_ref = Kernel.solo_ref = {
+  sr_status : Machine.status;
+  sr_output : string;
+  sr_arch_hash : int;
+}
 
 val solo_reference :
   ?timing:Uhm_machine.Timing.t ->

@@ -47,11 +47,17 @@ let load_cost ~mean_steps ~jobs (policy, quantum, _) =
   let slices = max 1 (total / max 1 quantum) in
   total + match policy with Dtb.Flush_on_switch -> slices * 64 | _ -> 0
 
-(* encode the template pool once, in parallel, as in the mix grid *)
-let load_encodeds ?domains ~kind programs =
-  Sweep.map ?domains
-    (fun (name, p) -> (name, Codec.encode kind p, U.dir_steps_memoized p))
-    programs
+(* The template pool, encoded once in parallel as in the mix grid, and
+   the mean reference DIR steps per template that the cost hints use. *)
+let encode_pool ?domains ~kind programs =
+  let encodeds =
+    Sweep.map ?domains
+      (fun (name, p) -> (name, Codec.encode kind p, U.dir_steps_memoized p))
+      programs
+  in
+  ( List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
+    / List.length encodeds,
+    List.map (fun (n, e, _) -> (n, e)) encodeds )
 
 let load_cell_of ~trace_capacity ?scheduler ?backend ?shape:(sh = Open_poisson)
     ?admission ?economy ?cell_fuel ?weights ~seed ~jobs ~slots ~config templates
@@ -70,34 +76,12 @@ let load_cell_of ~trace_capacity ?scheduler ?backend ?shape:(sh = Open_poisson)
         ?economy ~policy ~quantum ~config ~slots ~templates ~arrivals ();
   }
 
-let load_grid ?domains ?scheduler ?quanta ?(trace_capacity = 4096) ?backend
-    ?shape ?admission ?economy ?cell_fuel ?weights ~seed ~jobs ~slots ~kind
-    ~policies ~rates ~config programs =
-  if programs = [] then invalid_arg "Experiment.load_grid: no programs";
-  let encodeds = load_encodeds ?domains ~kind programs in
-  let mean_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-    / List.length encodeds
-  in
-  let templates = List.map (fun (n, e, _) -> (n, e)) encodeds in
-  let cells = load_axes ?quanta ~rates ~policies () in
-  Sweep.map ?domains
-    ~cost:(load_cost ~mean_steps ~jobs)
-    (load_cell_of ~trace_capacity ?scheduler ?backend ?shape ?admission
-       ?economy ?cell_fuel ?weights ~seed ~jobs ~slots ~config templates)
-    cells
-
 let load_grid_slots ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
     ?backend ?shape ?admission ?economy ?supervision ?cached ?cell_hook
     ?cell_fuel ?weights ?(poison = []) ~seed ~jobs ~slots ~kind ~policies
     ~rates ~config programs =
   if programs = [] then invalid_arg "Experiment.load_grid_slots: no programs";
-  let encodeds = load_encodeds ?domains ~kind programs in
-  let mean_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-    / List.length encodeds
-  in
-  let templates = List.map (fun (n, e, _) -> (n, e)) encodeds in
+  let mean_steps, templates = encode_pool ?domains ~kind programs in
   let cells =
     List.mapi (fun i c -> (i, c)) (load_axes ?quanta ~rates ~policies ())
   in
@@ -216,25 +200,6 @@ let resilience_cell_of ~trace_capacity ?scheduler ?backend
         ();
   }
 
-let resilience_grid ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
-    ?backend ?shape ?admission ?economy ?cell_fuel ?weights ?retry_limit
-    ?backoff ?checkpoint_every ?deadline ?brownout ?(fault_seed = 4242) ~seed
-    ~jobs ~slots ~kind ~policies ~fault_rates ~rates ~config programs =
-  if programs = [] then invalid_arg "Experiment.resilience_grid: no programs";
-  let encodeds = load_encodeds ?domains ~kind programs in
-  let mean_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-    / List.length encodeds
-  in
-  let templates = List.map (fun (n, e, _) -> (n, e)) encodeds in
-  let cells = resilience_axes ?quanta ~rates ~fault_rates ~policies () in
-  Sweep.map ?domains
-    ~cost:(resilience_cost ~mean_steps ~jobs)
-    (resilience_cell_of ~trace_capacity ?scheduler ?backend ?shape ?admission
-       ?economy ?cell_fuel ?weights ?retry_limit ?backoff ?checkpoint_every
-       ?deadline ?brownout ~fault_seed ~seed ~jobs ~slots ~config templates)
-    cells
-
 let resilience_grid_slots ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
     ?backend ?shape ?admission ?economy ?supervision ?cached ?cell_hook
     ?cell_fuel ?weights ?retry_limit ?backoff ?checkpoint_every ?deadline
@@ -242,12 +207,7 @@ let resilience_grid_slots ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
     ~policies ~fault_rates ~rates ~config programs =
   if programs = [] then
     invalid_arg "Experiment.resilience_grid_slots: no programs";
-  let encodeds = load_encodeds ?domains ~kind programs in
-  let mean_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-    / List.length encodeds
-  in
-  let templates = List.map (fun (n, e, _) -> (n, e)) encodeds in
+  let mean_steps, templates = encode_pool ?domains ~kind programs in
   let cells =
     List.mapi (fun i c -> (i, c))
       (resilience_axes ?quanta ~rates ~fault_rates ~policies ())

@@ -5,8 +5,8 @@
     Cells are independent full simulations (each builds its own DTB,
     arrival stream and machines), so the grid parallelises like any
     other sweep and the result list is byte-identical at any domain
-    count; under campaign supervision ({!load_grid_slots}) it gets
-    journaled kill/resume for free.  The output — latency percentiles
+    count; campaign supervision ({!load_grid_slots}) gives it journaled
+    kill/resume for free.  The output — latency percentiles
     and throughput per offered load — is the latency-vs-load curve, the
     system's first saturation study. *)
 
@@ -49,33 +49,6 @@ val load_axes :
     (default [[64]]), then rates — so each policy's latency curve is a
     contiguous run of cells. *)
 
-val load_grid :
-  ?domains:int ->
-  ?scheduler:Scheduler.policy ->
-  ?quanta:int list ->
-  ?trace_capacity:int ->
-  ?backend:Uhm_machine.Machine.backend ->
-  ?shape:shape ->
-  ?admission:Serve.admission ->
-  ?economy:Serve.economy ->
-  ?cell_fuel:int ->
-  ?weights:float list ->
-  seed:int ->
-  jobs:int ->
-  slots:int ->
-  kind:Uhm_encoding.Kind.t ->
-  policies:Dtb.policy list ->
-  rates:float list ->
-  config:Dtb.config ->
-  (string * Uhm_dir.Program.t) list ->
-  load_cell list
-(** One serve run per {!load_axes} cell over the given template pool
-    (encoded once, in parallel, like the mix grid's pre-pass).  [shape]
-    defaults to [Open_poisson]; [trace_capacity] to a small ring (4096)
-    since grids keep every cell's trace alive; [cell_fuel] bounds each
-    job's machine so a wedged guest cannot hang a cell; [weights] skews
-    the template pick per {!Arrival.generate} (heavy-tailed pools). *)
-
 val load_grid_slots :
   ?domains:int ->
   ?scheduler:Scheduler.policy ->
@@ -100,24 +73,28 @@ val load_grid_slots :
   config:Dtb.config ->
   (string * Uhm_dir.Program.t) list ->
   load_cell Sweep.slot list
-(** {!load_grid} under campaign supervision: a failing cell is retried
-    and then quarantined instead of aborting the grid, and
-    [cached]/[cell_hook] plug in a {!Uhm_campaign} journal.  Under
-    supervision a cell in which any {e retired} job did not halt fails
-    (and is quarantined) — shed jobs are normal service, not failure.
-    [poison] is the quarantine-path testing aid, as in the mix grid.
-    Completed slots are byte-identical to the corresponding {!load_grid}
-    cells. *)
+(** One serve run per {!load_axes} cell over the given template pool
+    (encoded once, in parallel, like the mix grid's pre-pass), under
+    campaign supervision: a failing cell is retried and then quarantined
+    instead of aborting the grid, and [cached]/[cell_hook] plug in a
+    {!Uhm_campaign} journal.  A cell in which any {e retired} job did not
+    halt fails (and is quarantined) — shed jobs are normal service, not
+    failure.  [shape] defaults to [Open_poisson]; [trace_capacity] to a
+    small ring (4096) since grids keep every cell's trace alive;
+    [cell_fuel] bounds each job's machine so a wedged guest cannot hang
+    a cell; [weights] skews the template pick per {!Arrival.generate}
+    (heavy-tailed pools); [poison] is the quarantine-path testing aid, as
+    in the mix grid.  Completed slots are byte-identical at any domain
+    count. *)
 
 (** {1 The resilience grid}
 
     Fault rate x offered load x policy, each cell one complete
     {!Chaos.run}: the same independent-cell discipline as the load grid,
     so the grid parallelises on the sweep pool, is byte-identical at any
-    domain count, and (in the [_slots] form) gets journaled kill/resume
-    under campaign supervision.  The output is the degradation surface:
-    SLO attainment, goodput and tail latency as functions of the
-    injected fault rate. *)
+    domain count, and gets journaled kill/resume under campaign
+    supervision.  The output is the degradation surface: SLO attainment,
+    goodput and tail latency as functions of the injected fault rate. *)
 
 type resilience_cell = {
   rc_policy : Dtb.policy;
@@ -163,40 +140,6 @@ val resilience_axes :
     (default [[64]]), then fault rates, then offered-load rates — so
     each (policy, fault-rate) degradation curve is a contiguous run. *)
 
-val resilience_grid :
-  ?domains:int ->
-  ?scheduler:Scheduler.policy ->
-  ?quanta:int list ->
-  ?trace_capacity:int ->
-  ?backend:Uhm_machine.Machine.backend ->
-  ?shape:shape ->
-  ?admission:Serve.admission ->
-  ?economy:Serve.economy ->
-  ?cell_fuel:int ->
-  ?weights:float list ->
-  ?retry_limit:int ->
-  ?backoff:int ->
-  ?checkpoint_every:int ->
-  ?deadline:int ->
-  ?brownout:Chaos.brownout ->
-  ?fault_seed:int ->
-  seed:int ->
-  jobs:int ->
-  slots:int ->
-  kind:Uhm_encoding.Kind.t ->
-  policies:Dtb.policy list ->
-  fault_rates:float list ->
-  rates:float list ->
-  config:Dtb.config ->
-  (string * Uhm_dir.Program.t) list ->
-  resilience_cell list
-(** One {!Chaos.run} per {!resilience_axes} cell, every cell's policy
-    built by {!resilience_fconfig} from the cell's fault rate (same
-    [fault_seed], default 4242, for every cell: columns differ only in
-    rate).  [cell_fuel] matters more here than in the load grid — a
-    corrupted attempt can loop, and must trap out rather than hold its
-    slot indefinitely. *)
-
 val resilience_grid_slots :
   ?domains:int ->
   ?scheduler:Scheduler.policy ->
@@ -228,8 +171,13 @@ val resilience_grid_slots :
   config:Dtb.config ->
   (string * Uhm_dir.Program.t) list ->
   resilience_cell Sweep.slot list
-(** {!resilience_grid} under campaign supervision.  The supervised
-    failure condition is the no-wrong-answers invariant itself: a cell
+(** One {!Chaos.run} per {!resilience_axes} cell under campaign
+    supervision, every cell's policy built by {!resilience_fconfig} from
+    the cell's fault rate (same [fault_seed], default 4242, for every
+    cell: columns differ only in rate).  [cell_fuel] matters more here
+    than in the load grid — a corrupted attempt can loop, and must trap
+    out rather than hold its slot indefinitely.  The supervised failure
+    condition is the no-wrong-answers invariant itself: a cell
     in which any accepted completion's end state differs from its
     fault-free solo run is retried and then quarantined.  [Failed] jobs
     (exhausted retries) are the designed outcome, not a cell failure.

@@ -1,0 +1,1176 @@
+(* The one open-arrival slicing kernel behind Serve.run and Chaos.run.
+
+   Jobs arrive over virtual time, wait in a bounded admission queue, are
+   bound to recycled ASID slots sharing one DTB, and are sliced at INTERP
+   boundaries until they retire.  Every attempt carries the fault
+   machinery of Uhm_fault.Resilient (Injector / Guard /
+   invalidate-retranslate / checkpoint rollback / watchdog downgrade),
+   and the service runs its robustness policy around it: job deadlines,
+   bounded retry with exponential backoff after a voided attempt, and a
+   staged brownout controller.
+
+   Serve.run is this kernel at [zero]; Chaos.run is this kernel plus the
+   fold of its per-job state into reports and a chaos summary.  The
+   zero-config identity between the two therefore holds by construction.
+   Under [zero] no fault can fire, verification stays disarmed and
+   neither deadlines nor brownout exist, so every chaos branch below is
+   dead and the run is the plain service.
+
+   The slice body mirrors Uhm_sched.Scheduler.run statement for statement
+   (pick order, switch_to/trace sequencing, clock arithmetic).  That is
+   not incidental: in the closed-system limit — all arrivals at cycle 0,
+   as many slots as jobs — a zero-config run must reproduce the
+   scheduler's cycle counts and trace rollups bit for bit, which
+   test/test_serve.ml pins against Mix. *)
+
+module Machine = Uhm_machine.Machine
+module Timing = Uhm_machine.Timing
+module R = Uhm_machine.Host_isa.Regs
+module Dtb = Uhm_core.Dtb
+module U = Uhm_core.Uhm
+module Codec = Uhm_encoding.Codec
+module Layout = Uhm_psder.Layout
+module Scheduler = Uhm_sched.Scheduler
+module Trace = Uhm_sched.Trace
+module Mix = Uhm_sched.Mix
+module Injector = Uhm_fault.Injector
+module Guard = Uhm_fault.Guard
+module Resilient = Uhm_fault.Resilient
+
+(* -- The service's records (documented in serve.mli) ------------------------ *)
+
+type admission = { queue_capacity : int; shed_above : int option }
+
+let default_admission = { queue_capacity = 64; shed_above = None }
+
+type economy = { evict_min_idle : int; evict_watermark : float }
+
+let default_economy = { evict_min_idle = 256; evict_watermark = 0.75 }
+
+type job_status = Completed of Machine.status | Shed | Failed of int
+
+type job = {
+  j_id : int;
+  j_template : int;
+  j_name : string;
+  j_arrival : int;
+  j_admit : int;
+  j_finish : int;
+  j_asid : int;
+  j_cycles : int;
+  j_queue_delay : int;
+  j_sojourn : int;
+  j_solo_cycles : int;
+  j_slowdown : float;
+  j_status : job_status;
+}
+
+type summary = {
+  s_jobs : int;
+  s_completed : int;
+  s_failed : int;
+  s_shed : int;
+  s_total_cycles : int;
+  s_throughput : float;
+  s_p50 : int;
+  s_p95 : int;
+  s_p99 : int;
+  s_qd_p50 : int;
+  s_qd_p95 : int;
+  s_qd_p99 : int;
+  s_mean_slowdown : float;
+  s_max_depth : int;
+  s_evictions : int;
+  s_cold_evictions : int;
+  s_switches : int;
+  s_flushes : int;
+  s_hit_ratio : float;
+}
+
+type result = {
+  sv_policy : Dtb.policy;
+  sv_scheduler : Scheduler.policy;
+  sv_quantum : int;
+  sv_config : Dtb.config;
+  sv_slots : int;
+  sv_jobs : job list;
+  sv_summary : summary;
+  sv_trace : Trace.t;
+}
+
+let summarize ~njobs ~total_cycles ~max_depth ~evictions ~cold_evictions
+    ~switches ~flushes ~hit_ratio job_list =
+  let retired =
+    List.filter
+      (fun j ->
+        match j.j_status with
+        | Completed _ | Failed _ -> true
+        | Shed -> false)
+      job_list
+  in
+  let completed =
+    List.length
+      (List.filter (fun j -> j.j_status = Completed Machine.Halted) retired)
+  in
+  let shed = List.length job_list - List.length retired in
+  let p50, p95, p99 =
+    Percentile.summary (List.map (fun j -> j.j_sojourn) retired)
+  in
+  let qd_p50, qd_p95, qd_p99 =
+    Percentile.summary (List.map (fun j -> j.j_queue_delay) retired)
+  in
+  let mean_slowdown =
+    match retired with
+    | [] -> 0.
+    | _ ->
+        List.fold_left (fun a j -> a +. j.j_slowdown) 0. retired
+        /. float_of_int (List.length retired)
+  in
+  {
+    s_jobs = njobs;
+    s_completed = completed;
+    s_failed = List.length retired - completed;
+    s_shed = shed;
+    s_total_cycles = total_cycles;
+    s_throughput =
+      (if total_cycles = 0 then 0.
+       else float_of_int completed /. float_of_int total_cycles *. 1e6);
+    s_p50 = p50;
+    s_p95 = p95;
+    s_p99 = p99;
+    s_qd_p50 = qd_p50;
+    s_qd_p95 = qd_p95;
+    s_qd_p99 = qd_p99;
+    s_mean_slowdown = mean_slowdown;
+    s_max_depth = max_depth;
+    s_evictions = evictions;
+    s_cold_evictions = cold_evictions;
+    s_switches = switches;
+    s_flushes = flushes;
+    s_hit_ratio = hit_ratio;
+  }
+
+(* SLO attainment: the exact deadline metric over a finished job list.
+   Only jobs that completed with a clean halt can meet the bound; shed
+   and failed jobs count against attainment's denominator only through
+   their absence from it (they are reported separately). *)
+let slo ~bound jobs =
+  let completed =
+    List.filter (fun j -> j.j_status = Completed Machine.Halted) jobs
+  in
+  let met = List.filter (fun j -> j.j_sojourn <= bound) completed in
+  let n_completed = List.length completed and n_met = List.length met in
+  ( n_met,
+    n_completed,
+    if n_completed = 0 then 0.
+    else float_of_int n_met /. float_of_int n_completed )
+
+(* -- The fault and robustness policy (documented in chaos.mli) -------------- *)
+
+type brownout = {
+  bo_window : int;
+  bo_hi_detections : int;
+  bo_hi_wait : int;
+  bo_shed_above : int;
+  bo_hysteresis : int;
+  bo_quarantine : int;
+}
+
+let default_brownout =
+  {
+    bo_window = 200_000;
+    bo_hi_detections = 8;
+    bo_hi_wait = 400_000;
+    bo_shed_above = 4;
+    bo_hysteresis = 100_000;
+    bo_quarantine = 250_000;
+  }
+
+type config = {
+  c_fault : Resilient.config;
+  c_job_retry_limit : int;
+  c_job_backoff : int;
+  c_deadline : int option;
+  c_brownout : brownout option;
+}
+
+let zero =
+  {
+    c_fault = Resilient.zero;
+    c_job_retry_limit = 2;
+    c_job_backoff = 4096;
+    c_deadline = None;
+    c_brownout = None;
+  }
+
+type solo_ref = { sr_status : Machine.status; sr_output : string; sr_arch_hash : int }
+
+(* The fault-free solo run of one template: the reference every accepted
+   completion is verified against ("never a wrong answer" made literal).
+   Run through the same Resilient machinery at the never-preempt quantum,
+   so status, output and arch fingerprint come from the identical
+   execution semantics as the in-service attempt. *)
+let solo_reference ?timing ?fuel ?layout ?backend ~config (name, encoded) =
+  let r =
+    Resilient.run_encoded ?timing ?fuel ?layout ?backend ~trace_capacity:16
+      ~policy:Dtb.Flush_on_switch ~quantum:Mix.solo_quantum ~config
+      ~fconfig:Resilient.zero
+      [ (name, encoded) ]
+  in
+  match r.Resilient.rr_programs with
+  | [ p ] ->
+      {
+        sr_status = p.Resilient.pr_status;
+        sr_output = p.Resilient.pr_output;
+        sr_arch_hash = p.Resilient.pr_arch_hash;
+      }
+  | _ -> assert false
+
+(* -- The kernel -------------------------------------------------------------- *)
+
+type mode = Translating | Downgraded
+
+(* Per-job bookkeeping that survives across attempts. *)
+type jstate = {
+  js_id : int;
+  js_template : int;
+  js_name : string;
+  js_encoded : Codec.encoded;
+  js_arrival : int;
+  mutable js_attempts : int;
+  mutable js_first_admit : int;
+  mutable js_cycles : int;
+  mutable js_injected : int;
+  mutable js_detected : int;
+  mutable js_retries : int;
+  mutable js_rollbacks : int;
+  mutable js_downgraded : bool;
+  mutable js_interp_admit : bool;
+  mutable js_output : string;
+  mutable js_arch_hash : int;
+  mutable js_state_ok : bool;
+}
+
+(* One attempt of one job bound to an ASID slot, with the Resilient proc
+   state it runs under. *)
+type tenant = {
+  t_js : jstate;
+  t_asid : int;
+  t_interp0 : bool; (* admitted in pure-interpretation mode (stage 2) *)
+  t_total_dir_steps : int;
+  inj : Injector.t;
+  guard : Guard.t;
+  retries : (int, int) Hashtbl.t;
+  watchdog : int Queue.t;
+  mutable machine : Machine.t;
+  mutable mode : mode;
+  mutable translating : int option;
+  mutable doomed : bool;
+  mutable ck : Machine.checkpoint option;
+  mutable ck_step : int;
+  mutable outstanding : int list;
+  mutable downgrade_pending : bool;
+  mutable finished : Machine.status option;
+  mutable out_prefix : string;
+  mutable base_cycles : int;
+  mutable injected : int;
+  mutable detected : int;
+  mutable retried : int;
+  mutable rolled_back : int;
+}
+
+(* A finished run: the service-level result plus the per-job state and
+   policy counters that Chaos.run folds into its reports. *)
+type outcome = {
+  k_result : result;
+  k_jobs : jstate array;
+  k_job_retries : int;
+  k_interp_admits : int;
+  k_quarantines : int;
+  k_deadline_misses : int;
+}
+
+let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
+    ?(trace_capacity = 65536) ?(scheduler = Scheduler.Round_robin)
+    ?(admission = default_admission) ?economy ~policy ~quantum ~config
+    ~fconfig ~slots ~templates ~arrivals () =
+  if templates = [] then invalid_arg "Serve.run: no templates";
+  if quantum < 1 then invalid_arg "Serve.run: quantum must be >= 1";
+  if slots < 1 then invalid_arg "Serve.run: slots must be >= 1";
+  if admission.queue_capacity < 1 then
+    invalid_arg "Serve.run: queue capacity must be >= 1";
+  if fconfig.c_job_retry_limit < 0 then
+    invalid_arg "Chaos.run: job retry limit must be >= 0";
+  if fconfig.c_job_backoff < 0 then
+    invalid_arg "Chaos.run: job backoff must be >= 0";
+  (match fconfig.c_deadline with
+  | Some d when d < 1 -> invalid_arg "Chaos.run: deadline must be >= 1"
+  | _ -> ());
+  let fc = fconfig.c_fault in
+  let mem_faults = Injector.can_inject fc.Resilient.injector Injector.Mem_word in
+  if mem_faults && fc.Resilient.checkpoint_every = None then
+    invalid_arg "Chaos.run: Mem_word faults require checkpoint_every";
+  (* injector polling and end-state verification (and thus job retry)
+     only arm when faults can actually fire: the zero-config run must be
+     branch-for-branch the plain service, and pay nothing per INTERP for
+     a silent injector *)
+  let verify = not (Injector.is_zero fc.Resilient.injector) in
+  let tmpl = Array.of_list templates in
+  let arr = Array.of_list arrivals in
+  let njobs = Array.length arr in
+  Array.iteri
+    (fun i (a : Arrival.arrival) ->
+      if a.Arrival.template < 0 || a.Arrival.template >= Array.length tmpl
+      then invalid_arg "Serve.run: template index out of range";
+      if i > 0 && a.Arrival.at < arr.(i - 1).Arrival.at then
+        invalid_arg "Serve.run: arrivals out of order")
+    arr;
+  let buffer_base = layout.Layout.dtb_buffer_base + 1 in
+  let dtb = Dtb.create_shared ~policy ~programs:slots config ~buffer_base in
+  let buffer_words = Dtb.buffer_words dtb in
+  let trace = Trace.create ~capacity:trace_capacity () in
+  let tell at kind = Trace.record trace ~at_cycle:at kind in
+  let t_dtb = timing.Timing.t_dtb
+  and t_guard = timing.Timing.t_guard
+  and t2 = timing.Timing.t2 in
+  let jobs : job option array = Array.make njobs None in
+  let jstates =
+    Array.mapi
+      (fun i (a : Arrival.arrival) ->
+        let name, encoded = tmpl.(a.Arrival.template) in
+        {
+          js_id = i;
+          js_template = a.Arrival.template;
+          js_name = name;
+          js_encoded = encoded;
+          js_arrival = a.Arrival.at;
+          js_attempts = 0;
+          js_first_admit = -1;
+          js_cycles = 0;
+          js_injected = 0;
+          js_detected = 0;
+          js_retries = 0;
+          js_rollbacks = 0;
+          js_downgraded = false;
+          js_interp_admit = false;
+          js_output = "";
+          js_arch_hash = 0;
+          js_state_ok = true;
+        })
+      arr
+  in
+  let queue : int Queue.t = Queue.create () in
+  let active : tenant option array = Array.make slots None in
+  let used = Array.make slots false in
+  let next = ref 0 in
+  let clock = ref 0 in
+  let switches = ref 0 in
+  let flushes0 = Dtb.flushes dtb in
+  let last_index = ref (-1) in
+  let max_depth = ref 0 in
+  let evictions = ref 0 in
+  let cold_evictions = ref 0 in
+  (* ASID-qualified keys exist exactly when several slots share the tag
+     array; with one slot (or Flush_on_switch) keys are raw DIR addrs *)
+  let tagged_keys = policy <> Dtb.Flush_on_switch && slots > 1 in
+  (* chaos-policy state *)
+  let pending_retries : (int * int) list ref = ref [] in
+  let insert_retry at id =
+    let rec ins = function
+      | [] -> [ (at, id) ]
+      | (a, j) :: rest when (a, j) <= (at, id) -> (a, j) :: ins rest
+      | rest -> (at, id) :: rest
+    in
+    pending_retries := ins !pending_retries
+  in
+  let stage = ref 0 in
+  let bo_window : (int * int) Queue.t = Queue.create () in
+  let calm_since = ref (-1) in
+  let quarantined_until = Array.make slots 0 in
+  let job_retries_n = ref 0 in
+  let interp_admits_n = ref 0 in
+  let quarantines_n = ref 0 in
+  let deadline_misses_n = ref 0 in
+  let bo_note at slot =
+    match fconfig.c_brownout with
+    | None -> ()
+    | Some _ -> Queue.push (at, slot) bo_window
+  in
+  (* mid-slice virtual time, as in Scheduler.run's translation tap: clock
+     at slice start plus what the current tenant has run since *)
+  let slice_c0 = ref 0 in
+  let vtime t =
+    !clock + t.base_cycles + (Machine.stats t.machine).Machine.cycles
+    - !slice_c0
+  in
+  let tell_v t kind = Trace.record trace ~at_cycle:(vtime t) kind in
+  let solo_cache : (int, solo_ref) Hashtbl.t = Hashtbl.create 8 in
+  let solo_of tidx =
+    match Hashtbl.find_opt solo_cache tidx with
+    | Some r -> r
+    | None ->
+        let r = solo_reference ~timing ?fuel ~layout ?backend ~config tmpl.(tidx) in
+        Hashtbl.add solo_cache tidx r;
+        r
+  in
+
+  (* Pull every arrival the virtual clock has reached into the admission
+     queue, shedding per the admission-control config (and harder while
+     brownout is at stage 1+).  Event timestamps are the arrival cycles:
+     that is when the queue actually changed. *)
+  let ingest () =
+    while !next < njobs && arr.(!next).Arrival.at <= !clock do
+      let id = !next in
+      let a = arr.(id) in
+      let depth = Queue.length queue in
+      let shed =
+        depth >= admission.queue_capacity
+        || (match admission.shed_above with
+           | Some threshold -> depth >= threshold
+           | None -> false)
+        ||
+        match fconfig.c_brownout with
+        | Some b when !stage >= 1 -> depth >= b.bo_shed_above
+        | _ -> false
+      in
+      if shed then begin
+        tell a.Arrival.at (Trace.Job_shed { job = id; depth });
+        let name, _ = tmpl.(a.Arrival.template) in
+        jobs.(id) <-
+          Some
+            {
+              j_id = id;
+              j_template = a.Arrival.template;
+              j_name = name;
+              j_arrival = a.Arrival.at;
+              j_admit = -1;
+              j_finish = -1;
+              j_asid = -1;
+              j_cycles = 0;
+              j_queue_delay = 0;
+              j_sojourn = 0;
+              j_solo_cycles = 0;
+              j_slowdown = 0.;
+              j_status = Shed;
+            }
+      end
+      else begin
+        Queue.push id queue;
+        let depth = depth + 1 in
+        if depth > !max_depth then max_depth := depth;
+        tell a.Arrival.at (Trace.Job_queued { job = id; depth })
+      end;
+      incr next
+    done
+  in
+
+  (* Drop a slot's translations, counting an eviction if any went.  With
+     ASID-qualified keys a targeted invalidation suffices; with raw keys
+     the slot's entries only survive while it is still current (no
+     flushing switch intervened), and a whole-buffer flush is the only
+     tool. *)
+  let drop_slot s =
+    let entries =
+      if tagged_keys then Dtb.invalidate_asid dtb ~asid:s
+      else if Dtb.current_asid dtb = s && Dtb.resident_entries dtb > 0
+      then begin
+        let e = Dtb.resident_entries dtb in
+        Dtb.flush dtb;
+        e
+      end
+      else 0
+    in
+    if entries > 0 then incr evictions;
+    entries
+  in
+
+  (* Recycling hygiene: a slot's previous tenant must not leak
+     translations to the next one. *)
+  let scrub_slot s =
+    if used.(s) then begin
+      let entries = drop_slot s in
+      if entries > 0 then
+        tell !clock (Trace.Asid_evicted { asid = s; entries; cold = false })
+    end
+  in
+
+  let free_slot () =
+    let rec scan s =
+      if s = slots then None
+      else if active.(s) = None && quarantined_until.(s) <= !clock then Some s
+      else scan (s + 1)
+    in
+    scan 0
+  in
+
+  let recovery_event t ~step =
+    Queue.push step t.watchdog;
+    while
+      (not (Queue.is_empty t.watchdog))
+      && Queue.peek t.watchdog < step - fc.Resilient.watchdog_window
+    do
+      ignore (Queue.pop t.watchdog)
+    done;
+    if Queue.length t.watchdog >= fc.Resilient.watchdog_threshold then
+      t.downgrade_pending <- true
+  in
+
+  (* One attempt's machinery: Resilient.run_encoded's make_proc, with the
+     slot as the trace/DTB ASID and the injector stream derived from
+     (job, attempt).  A re-run is a fresh machine with a monotonic step
+     counter starting at 0, so it must be a fresh stream — and deriving
+     per attempt also means a retry does not deterministically re-suffer
+     the exact fault schedule that voided the previous attempt.  A
+     stage-2 admission runs as pure interpretation and needs no hooks. *)
+  let make_tenant ~slot ~interp0 (js : jstate) ~attempt =
+    let self = ref None in
+    let t_of () = match !self with Some t -> t | None -> assert false in
+    let machine, mode =
+      if interp0 then
+        (U.prepare_interp ~timing ?fuel ~layout ?backend js.js_encoded, Downgraded)
+      else begin
+        let apply_fault m (f : Injector.fault) =
+          let t = t_of () in
+          let applied =
+            match f.Injector.f_class with
+            | Injector.Dtb_tag ->
+                Dtb.corrupt_resident_tag dtb ~pick:f.Injector.f_r1
+                  ~flip:f.Injector.f_r2
+                <> None
+            | Injector.Psder_word ->
+                let addr = buffer_base + (f.Injector.f_r1 mod buffer_words) in
+                Machine.poke m addr
+                  (Machine.peek m addr lxor (1 lsl (f.Injector.f_r2 mod 16)));
+                true
+            | Injector.Translator ->
+                t.doomed <- true;
+                true
+            | Injector.Mem_word ->
+                let base = layout.Layout.data_base in
+                let dtop = Machine.reg m R.dtop in
+                if dtop <= base then false
+                else begin
+                  let addr = base + (f.Injector.f_r1 mod (dtop - base)) in
+                  Machine.poke m addr
+                    (Machine.peek m addr lxor (1 lsl (f.Injector.f_r2 mod 31)));
+                  t.outstanding <- addr :: t.outstanding;
+                  true
+                end
+          in
+          if applied then begin
+            t.injected <- t.injected + 1;
+            tell_v t
+              (Trace.Fault_injected
+                 { asid = t.t_asid;
+                   fclass = Injector.class_name f.Injector.f_class })
+          end
+        in
+        let start_translation m ~translator_entry ~dir_addr ~dctx =
+          let t = t_of () in
+          tell_v t (Trace.Translation { asid = t.t_asid; dir_addr });
+          if fc.Resilient.guards then begin
+            Guard.begin_install t.guard;
+            Machine.add_cycles m t_guard
+          end;
+          t.translating <- Some dir_addr;
+          Dtb.begin_translation dtb ~tag:dir_addr;
+          Machine.set_reg m R.dpc dir_addr;
+          Machine.set_reg m R.dctx dctx;
+          Machine.set_pc m (Machine.Long translator_entry)
+        in
+        let detect m ~translator_entry ~dir_addr ~dctx ~fclass ~checked_words =
+          let t = t_of () in
+          Machine.add_cycles m (t_guard * max 1 checked_words);
+          t.detected <- t.detected + 1;
+          tell_v t (Trace.Fault_detected { asid = t.t_asid; fclass });
+          bo_note (vtime t) t.t_asid;
+          let step = (Machine.stats m).Machine.interp_count in
+          recovery_event t ~step;
+          let attempts =
+            1 + Option.value ~default:0 (Hashtbl.find_opt t.retries dir_addr)
+          in
+          Hashtbl.replace t.retries dir_addr attempts;
+          if attempts > fc.Resilient.retry_limit then t.downgrade_pending <- true;
+          Machine.add_cycles m
+            (fc.Resilient.backoff_cycles * (1 lsl min (attempts - 1) 6));
+          t.retried <- t.retried + 1;
+          tell_v t
+            (Trace.Recovery_retry { asid = t.t_asid; dir_addr; attempt = attempts });
+          ignore (Dtb.invalidate dtb ~tag:dir_addr);
+          start_translation m ~translator_entry ~dir_addr ~dctx
+        in
+        (* the hot path: with the injector silent and guards off (every
+           zero-config run) a hit costs what the plain INTERP hook's does *)
+        let make_interp ~translator_entry m ~dir_addr ~dctx =
+          if verify then begin
+            match
+              Injector.due (t_of ()).inj
+                ~step:(Machine.stats m).Machine.interp_count
+            with
+            | [] -> ()
+            | faults -> List.iter (apply_fault m) faults
+          end;
+          Machine.add_cycles m t_dtb;
+          match Dtb.lookup dtb ~tag:dir_addr with
+          | `Hit buffer_addr ->
+              if not fc.Resilient.guards then
+                Machine.set_pc m (Machine.Short buffer_addr)
+              else begin
+                let t = t_of () in
+                match
+                  Guard.check t.guard ~peek:(Machine.peek m) ~dir_addr
+                    ~start_addr:buffer_addr
+                with
+                | `Ok words ->
+                    Machine.add_cycles m (t_guard * words);
+                    Machine.set_pc m (Machine.Short buffer_addr)
+                | `Mismatch | `Unguarded ->
+                    Guard.drop t.guard ~start_addr:buffer_addr;
+                    detect m ~translator_entry ~dir_addr ~dctx ~fclass:"dtb-tag"
+                      ~checked_words:1
+                | `Corrupt words ->
+                    Guard.drop t.guard ~start_addr:buffer_addr;
+                    detect m ~translator_entry ~dir_addr ~dctx
+                      ~fclass:"psder-word" ~checked_words:words
+              end
+          | `Miss -> start_translation m ~translator_entry ~dir_addr ~dctx
+        in
+        let on_emit ~addr ~word =
+          if fc.Resilient.guards then Guard.on_emit (t_of ()).guard ~addr ~word
+        in
+        let on_end_translation ~start_addr =
+          let t = t_of () in
+          let dir_addr =
+            match t.translating with Some d -> d | None -> assert false
+          in
+          t.translating <- None;
+          if t.doomed then begin
+            t.doomed <- false;
+            ignore (Dtb.invalidate dtb ~tag:dir_addr);
+            Guard.abandon t.guard;
+            Guard.drop t.guard ~start_addr
+          end
+          else if fc.Resilient.guards then
+            Guard.finish_install t.guard ~dir_addr ~start_addr
+        in
+        let machine, _translator_entry =
+          U.prepare_dtb_custom ~timing ?fuel ~layout ?backend ~on_emit
+            ~on_end_translation ~make_interp ~dtb js.js_encoded
+        in
+        (machine, Translating)
+      end
+    in
+    let t =
+      {
+        t_js = js;
+        t_asid = slot;
+        t_interp0 = interp0;
+        t_total_dir_steps = U.dir_steps_memoized js.js_encoded.Codec.program;
+        inj =
+          Injector.create fc.Resilient.injector
+            ~asid:((js.js_id * 131) + (attempt - 1));
+        guard = Guard.create ();
+        retries = Hashtbl.create 16;
+        watchdog = Queue.create ();
+        machine;
+        mode;
+        translating = None;
+        doomed = false;
+        ck = None;
+        ck_step = 0;
+        outstanding = [];
+        downgrade_pending = false;
+        finished = None;
+        out_prefix = "";
+        base_cycles = 0;
+        injected = 0;
+        detected = 0;
+        retried = 0;
+        rolled_back = 0;
+      }
+    in
+    self := Some t;
+    t
+  in
+
+  let take_checkpoint t =
+    let ck = Machine.checkpoint t.machine in
+    Machine.add_cycles t.machine (t2 * Machine.checkpoint_pages ck);
+    t.ck <- Some ck;
+    t.ck_step <- (Machine.stats t.machine).Machine.interp_count
+  in
+
+  let scrub_and_rollback t =
+    if t.outstanding <> [] then begin
+      let m = t.machine in
+      let step = (Machine.stats m).Machine.interp_count in
+      List.iter
+        (fun _ ->
+          t.detected <- t.detected + 1;
+          tell_v t
+            (Trace.Fault_detected
+               { asid = t.t_asid;
+                 fclass = Injector.class_name Injector.Mem_word });
+          bo_note (vtime t) t.t_asid;
+          recovery_event t ~step)
+        t.outstanding;
+      let ck = match t.ck with Some ck -> ck | None -> assert false in
+      Machine.restore m ck;
+      Machine.add_cycles m (t2 * Machine.checkpoint_pages ck);
+      if tagged_keys then ignore (Dtb.invalidate_asid dtb ~asid:t.t_asid)
+      else Dtb.flush dtb;
+      Guard.clear t.guard;
+      t.outstanding <- [];
+      t.finished <- None;
+      t.rolled_back <- t.rolled_back + 1;
+      tell_v t
+        (Trace.Rollback { asid = t.t_asid; pages = Machine.checkpoint_pages ck })
+    end
+  in
+
+  let downgrade t =
+    let m_old = t.machine in
+    let m_new = U.prepare_interp ~timing ?fuel ~layout ?backend t.t_js.js_encoded in
+    Resilient.graft_interp ~layout m_old m_new;
+    t.out_prefix <- t.out_prefix ^ Machine.output m_old;
+    t.base_cycles <- t.base_cycles + (Machine.stats m_old).Machine.cycles;
+    Machine.recycle m_old;
+    t.machine <- m_new;
+    t.mode <- Downgraded;
+    t.downgrade_pending <- false;
+    t.ck <- None;
+    tell_v t (Trace.Downgrade { asid = t.t_asid })
+  in
+
+  (* Fold one finished (or voided) attempt's machinery stats into the
+     job's cross-attempt accumulators. *)
+  let absorb t =
+    let js = t.t_js in
+    let stats = Machine.stats t.machine in
+    js.js_cycles <- js.js_cycles + t.base_cycles + stats.Machine.cycles;
+    js.js_injected <- js.js_injected + t.injected;
+    js.js_detected <- js.js_detected + t.detected;
+    js.js_retries <- js.js_retries + t.retried;
+    js.js_rollbacks <- js.js_rollbacks + t.rolled_back;
+    if t.mode = Downgraded && not t.t_interp0 then js.js_downgraded <- true
+  in
+
+  (* The job record of a retired job, completed or failed, against the
+     memoised solo run. *)
+  let finish s (js : jstate) status =
+    let solo = Mix.solo_cycles ~timing ?fuel ~config js.js_encoded in
+    let sojourn = !clock - js.js_arrival in
+    jobs.(js.js_id) <-
+      Some
+        {
+          j_id = js.js_id;
+          j_template = js.js_template;
+          j_name = js.js_name;
+          j_arrival = js.js_arrival;
+          j_admit = js.js_first_admit;
+          j_finish = !clock;
+          j_asid = s;
+          j_cycles = js.js_cycles;
+          j_queue_delay = js.js_first_admit - js.js_arrival;
+          j_sojourn = sojourn;
+          j_solo_cycles = solo;
+          j_slowdown =
+            (if solo = 0 then 1. else float_of_int sojourn /. float_of_int solo);
+          j_status = status;
+        };
+    sojourn
+  in
+
+  (* A voided attempt: the job's answer cannot be trusted (end-state
+     mismatch) or its slot was quarantined out from under it.  Charge the
+     per-job retry budget and either schedule the re-run after an
+     exponential backoff or fail the job for good — the distinct [Failed]
+     outcome, never a wrong answer. *)
+  let void_attempt s t =
+    absorb t;
+    let js = t.t_js in
+    if js.js_attempts > fconfig.c_job_retry_limit then begin
+      tell !clock
+        (Trace.Job_failed { job = js.js_id; asid = s; attempts = js.js_attempts });
+      ignore (finish s js (Failed js.js_attempts))
+    end
+    else begin
+      incr job_retries_n;
+      let delay =
+        fconfig.c_job_backoff * (1 lsl min (js.js_attempts - 1) 6)
+      in
+      tell !clock
+        (Trace.Job_retry
+           { job = js.js_id; asid = s; attempt = js.js_attempts + 1 });
+      insert_retry (!clock + delay) js.js_id
+    end;
+    Machine.recycle t.machine;
+    active.(s) <- None
+  in
+
+  let retire s t status =
+    let js = t.t_js in
+    (* a fault-crashed machine can have garbage stack registers; a
+       fingerprint that cannot even be computed is a mismatch, not a
+       driver crash *)
+    let output, hash, intact =
+      try
+        ( t.out_prefix ^ Machine.output t.machine,
+          Resilient.arch_fingerprint ~layout t.machine,
+          true )
+      with
+      | (Out_of_memory | Stack_overflow) as e -> raise e
+      | _ when verify -> ("", 0, false)
+    in
+    js.js_output <- output;
+    js.js_arch_hash <- hash;
+    let ok =
+      intact
+      && ((not verify)
+         ||
+         let sr = solo_of js.js_template in
+         status = sr.sr_status
+         && String.equal output sr.sr_output
+         && hash = sr.sr_arch_hash)
+    in
+    js.js_state_ok <- ok;
+    if ok then begin
+      absorb t;
+      let sojourn = finish s js (Completed status) in
+      (match fconfig.c_deadline with
+      | Some bound when status = Machine.Halted && sojourn > bound ->
+          incr deadline_misses_n;
+          tell !clock
+            (Trace.Deadline_miss { job = js.js_id; asid = s; by = sojourn - bound })
+      | _ -> ());
+      Machine.recycle t.machine;
+      active.(s) <- None
+    end
+    else begin
+      (* the attempt ran to completion but its end state is not the
+         fault-free answer: a service-level detection, distinct from the
+         machinery's per-class detections *)
+      js.js_detected <- js.js_detected + 1;
+      tell !clock (Trace.Fault_detected { asid = s; fclass = "end-state" });
+      bo_note !clock s;
+      void_attempt s t
+    end
+  in
+
+  let admit_to s id =
+    let js = jstates.(id) in
+    scrub_slot s;
+    js.js_attempts <- js.js_attempts + 1;
+    if js.js_first_admit < 0 then js.js_first_admit <- !clock;
+    let interp0 =
+      match fconfig.c_brownout with Some _ -> !stage >= 2 | None -> false
+    in
+    let t = make_tenant ~slot:s ~interp0 js ~attempt:js.js_attempts in
+    active.(s) <- Some t;
+    used.(s) <- true;
+    tell !clock
+      (Trace.Job_admitted
+         { job = id; asid = s; wait = !clock - js.js_arrival;
+           depth = Queue.length queue });
+    if interp0 then begin
+      js.js_interp_admit <- true;
+      incr interp_admits_n;
+      tell !clock (Trace.Interp_admit { job = id; asid = s })
+    end
+  in
+
+  let admit () =
+    let continue = ref true in
+    while !continue do
+      (* a job whose backoff has expired re-enters ahead of fresh
+         arrivals: it has already waited at least one service attempt *)
+      let retry_ready =
+        match !pending_retries with
+        | (at, _) :: _ when at <= !clock -> true
+        | _ -> false
+      in
+      match (retry_ready, Queue.is_empty queue, free_slot ()) with
+      | true, _, Some s ->
+          let id = snd (List.hd !pending_retries) in
+          pending_retries := List.tl !pending_retries;
+          admit_to s id
+      | false, false, Some s ->
+          let id = Queue.pop queue in
+          admit_to s id
+      | _ -> continue := false
+    done
+  in
+
+  (* The cold-ASID economy: while the directory is crowded, invalidate
+     the idlest sufficiently-idle slot (largest footprint breaks ties) to
+     hand its capacity to the tenants actually translating. *)
+  let evict_cold () =
+    match economy with
+    | None -> ()
+    | Some _ when not tagged_keys -> ()
+    | Some e ->
+        let tag_capacity = config.Dtb.sets * config.Dtb.assoc in
+        let crowded () =
+          float_of_int (Dtb.resident_entries dtb)
+          >= e.evict_watermark *. float_of_int tag_capacity
+        in
+        let continue = ref true in
+        while !continue && crowded () do
+          let now = Dtb.use_clock dtb in
+          let best = ref None in
+          for s = 0 to slots - 1 do
+            let idle = now - Dtb.asid_last_use dtb ~asid:s in
+            if idle >= e.evict_min_idle then begin
+              let footprint = Dtb.asid_footprint dtb ~asid:s in
+              if footprint > 0 then
+                match !best with
+                | Some (_, bi, bf) when bi > idle || (bi = idle && bf >= footprint)
+                  ->
+                    ()
+                | _ -> best := Some (s, idle, footprint)
+            end
+          done;
+          match !best with
+          | None -> continue := false
+          | Some (s, _, _) ->
+              let entries = Dtb.invalidate_asid dtb ~asid:s in
+              incr evictions;
+              incr cold_evictions;
+              tell !clock (Trace.Asid_evicted { asid = s; entries; cold = true })
+        done
+  in
+
+  (* Brownout stage 3: take the slot with the most recent detections out
+     of service.  Its current attempt (if any) is voided into the retry
+     path, its resident translations are flushed, and the slot sits out
+     [bo_quarantine] cycles. *)
+  let quarantine_poisoned (b : brownout) =
+    let per_slot = Array.make slots 0 in
+    Queue.iter
+      (fun (_, s) ->
+        if s >= 0 && s < slots then per_slot.(s) <- per_slot.(s) + 1)
+      bo_window;
+    let best = ref (-1) and bestc = ref 0 in
+    for s = 0 to slots - 1 do
+      if per_slot.(s) > !bestc && quarantined_until.(s) <= !clock then begin
+        best := s;
+        bestc := per_slot.(s)
+      end
+    done;
+    if !best >= 0 then begin
+      let s = !best in
+      (match active.(s) with Some t -> void_attempt s t | None -> ());
+      let entries = drop_slot s in
+      quarantined_until.(s) <- !clock + b.bo_quarantine;
+      incr quarantines_n;
+      tell !clock
+        (Trace.Slot_quarantined { asid = s; entries; until = quarantined_until.(s) })
+    end
+  in
+
+  (* The controller: watch guard-failure rate over a sliding cycle window
+     and head-of-queue delay; escalate a stage at a time while either is
+     hot, de-escalate only after both have been calm for a full
+     hysteresis period (and re-arm the period per stage shed). *)
+  let brownout_tick () =
+    match fconfig.c_brownout with
+    | None -> ()
+    | Some b ->
+        while
+          (not (Queue.is_empty bo_window))
+          && fst (Queue.peek bo_window) < !clock - b.bo_window
+        do
+          ignore (Queue.pop bo_window)
+        done;
+        let detections = Queue.length bo_window in
+        let head_wait =
+          match Queue.peek_opt queue with
+          | Some id -> !clock - arr.(id).Arrival.at
+          | None -> 0
+        in
+        let hot =
+          detections >= b.bo_hi_detections || head_wait >= b.bo_hi_wait
+        in
+        if hot then begin
+          calm_since := -1;
+          if !stage < 3 then begin
+            let from_stage = !stage in
+            stage := !stage + 1;
+            tell !clock (Trace.Brownout { from_stage; to_stage = !stage });
+            if !stage = 3 then quarantine_poisoned b
+          end
+        end
+        else if !calm_since < 0 then calm_since := !clock
+        else if !clock - !calm_since >= b.bo_hysteresis && !stage > 0 then begin
+          let from_stage = !stage in
+          stage := !stage - 1;
+          tell !clock (Trace.Brownout { from_stage; to_stage = !stage });
+          calm_since := !clock
+        end
+  in
+
+  let pick () =
+    match scheduler with
+    | Scheduler.Round_robin ->
+        let rec scan k =
+          if k = slots then None
+          else
+            let i = (!last_index + 1 + k) mod slots in
+            if active.(i) <> None then Some i else scan (k + 1)
+        in
+        scan 0
+    | Scheduler.Shortest_remaining ->
+        let best = ref None in
+        Array.iteri
+          (fun i t ->
+            match t with
+            | None -> ()
+            | Some t ->
+                let remaining =
+                  max 0
+                    (t.t_total_dir_steps
+                    - (Machine.stats t.machine).Machine.interp_count)
+                in
+                (match !best with
+                | Some (_, r) when r <= remaining -> ()
+                | _ -> best := Some (i, remaining)))
+          active;
+        Option.map fst !best
+  in
+
+  let slice i =
+    let t = match active.(i) with Some t -> t | None -> assert false in
+    if i <> !last_index then begin
+      let from_asid = if !last_index < 0 then None else Some !last_index in
+      let before = Dtb.flushes dtb in
+      Dtb.switch_to dtb ~asid:i;
+      incr switches;
+      tell !clock (Trace.Switch { from_asid; to_asid = i });
+      if Dtb.flushes dtb > before then tell !clock (Trace.Dtb_flush { asid = i })
+    end;
+    last_index := i;
+    let c0 = t.base_cycles + (Machine.stats t.machine).Machine.cycles in
+    slice_c0 := c0;
+    if mem_faults && t.mode = Translating && t.ck = None then take_checkpoint t;
+    let outcome =
+      (* guards-off (or mid-install) corruption can make the machine
+         execute garbage and die with a host exception rather than a
+         guest trap; with faults armed that is just another voided
+         attempt, not a driver crash.  Without faults the exception
+         propagates — a zero-config crash is a real bug. *)
+      try
+        match t.mode with
+        | Translating -> Machine.run_dir_quantum t.machine ~quantum
+        | Downgraded ->
+            let budget =
+              if quantum > max_int / Resilient.interp_cycles_per_dir then max_int
+              else quantum * Resilient.interp_cycles_per_dir
+            in
+            Machine.run_for t.machine ~budget
+      with
+      | (Out_of_memory | Stack_overflow) as e -> raise e
+      | e when verify ->
+          let msg =
+            match e with
+            | Invalid_argument m | Failure m -> m
+            | e -> Printexc.to_string e
+          in
+          Machine.Done (Machine.Trapped ("machine crash: " ^ msg))
+    in
+    (match outcome with
+    | Machine.Done status -> t.finished <- Some status
+    | Machine.Yielded -> ());
+    (* a machine can stop mid-install (fuel, or fault corruption); close
+       the shared directory's open translation before any flush or
+       invalidate below *)
+    (match t.translating with
+    | Some _ ->
+        Dtb.abort_translation dtb;
+        if fc.Resilient.guards then Guard.abandon t.guard;
+        t.translating <- None;
+        t.doomed <- false
+    | None -> ());
+    if t.mode = Translating then begin
+      scrub_and_rollback t;
+      if t.finished = None then
+        if t.downgrade_pending then downgrade t
+        else if mem_faults then
+          match fc.Resilient.checkpoint_every with
+          | Some every
+            when (Machine.stats t.machine).Machine.interp_count - t.ck_step
+                 >= every ->
+              take_checkpoint t
+          | _ -> ()
+    end;
+    let now = t.base_cycles + (Machine.stats t.machine).Machine.cycles in
+    clock := !clock + (now - c0);
+    match t.finished with
+    | Some status ->
+        tell !clock
+          (Trace.Completion { asid = i; ok = status = Machine.Halted });
+        retire i t status
+    | None -> tell !clock (Trace.Quantum_expiry { asid = i })
+  in
+
+  let running = ref true in
+  while !running do
+    ingest ();
+    brownout_tick ();
+    admit ();
+    evict_cold ();
+    match pick () with
+    | Some i -> slice i
+    | None -> (
+        (* nothing resident: jump the clock to the next event that can
+           make progress — an arrival, a retry coming off backoff, or a
+           quarantined slot coming back while work is waiting *)
+        let candidates =
+          (if !next < njobs then [ arr.(!next).Arrival.at ] else [])
+          (* a retry already due that [admit] could not place (every
+             slot quarantined) must not pin the clock in place — the
+             quarantine expiries below are the real jump target, and
+             when a due retry is unplaceable all slots are quarantined
+             past the clock, so that list is never empty *)
+          @ (match !pending_retries with
+            | (at, _) :: _ when at > !clock -> [ at ]
+            | _ -> [])
+          @
+          if Queue.is_empty queue && !pending_retries = [] then []
+          else
+            Array.to_list quarantined_until
+            |> List.filter (fun u -> u > !clock)
+        in
+        match candidates with
+        | [] -> running := false
+        | l -> clock := max !clock (List.fold_left min max_int l))
+  done;
+
+  let job_list =
+    Array.to_list jobs
+    |> List.map (function Some j -> j | None -> assert false)
+  in
+  let summary =
+    summarize ~njobs ~total_cycles:!clock ~max_depth:!max_depth
+      ~evictions:!evictions ~cold_evictions:!cold_evictions
+      ~switches:!switches
+      ~flushes:(Dtb.flushes dtb - flushes0)
+      ~hit_ratio:(Dtb.hit_ratio dtb) job_list
+  in
+  {
+    k_result =
+      {
+        sv_policy = policy;
+        sv_scheduler = scheduler;
+        sv_quantum = quantum;
+        sv_config = config;
+        sv_slots = slots;
+        sv_jobs = job_list;
+        sv_summary = summary;
+        sv_trace = trace;
+      };
+    k_jobs = jstates;
+    k_job_retries = !job_retries_n;
+    k_interp_admits = !interp_admits_n;
+    k_quarantines = !quarantines_n;
+    k_deadline_misses = !deadline_misses_n;
+  }

@@ -1,491 +1,14 @@
 (* The open-arrival serve driver; see serve.mli.
 
-   The slice body below mirrors Uhm_sched.Scheduler.run statement for
-   statement (pick order, switch_to/trace sequencing, clock arithmetic,
-   per-slice stat attribution).  That is not incidental: the closed-system
-   pin — all arrivals at cycle 0, as many slots as jobs — must reproduce
-   the PR 3 scheduler's cycle counts and trace rollups bit for bit, so any
-   divergence here is a regression against the Mix goldens. *)
+   There is no loop here: a plain service run is Kernel.run, the one
+   slicing kernel shared with Chaos.run, under the zero fault config.
+   The records and [slo] are the kernel's own. *)
 
-module Machine = Uhm_machine.Machine
-module Dtb = Uhm_core.Dtb
-module U = Uhm_core.Uhm
-module Codec = Uhm_encoding.Codec
-module Layout = Uhm_psder.Layout
-module Scheduler = Uhm_sched.Scheduler
-module Trace = Uhm_sched.Trace
-module Mix = Uhm_sched.Mix
+include Kernel
 
-type admission = { queue_capacity : int; shed_above : int option }
-
-let default_admission = { queue_capacity = 64; shed_above = None }
-
-type economy = { evict_min_idle : int; evict_watermark : float }
-
-let default_economy = { evict_min_idle = 256; evict_watermark = 0.75 }
-
-type job_status = Completed of Machine.status | Shed | Failed of int
-
-type job = {
-  j_id : int;
-  j_template : int;
-  j_name : string;
-  j_arrival : int;
-  j_admit : int;
-  j_finish : int;
-  j_asid : int;
-  j_cycles : int;
-  j_queue_delay : int;
-  j_sojourn : int;
-  j_solo_cycles : int;
-  j_slowdown : float;
-  j_status : job_status;
-}
-
-type summary = {
-  s_jobs : int;
-  s_completed : int;
-  s_failed : int;
-  s_shed : int;
-  s_total_cycles : int;
-  s_throughput : float;
-  s_p50 : int;
-  s_p95 : int;
-  s_p99 : int;
-  s_qd_p50 : int;
-  s_qd_p95 : int;
-  s_qd_p99 : int;
-  s_mean_slowdown : float;
-  s_max_depth : int;
-  s_evictions : int;
-  s_cold_evictions : int;
-  s_switches : int;
-  s_flushes : int;
-  s_hit_ratio : float;
-}
-
-type result = {
-  sv_policy : Dtb.policy;
-  sv_scheduler : Scheduler.policy;
-  sv_quantum : int;
-  sv_config : Dtb.config;
-  sv_slots : int;
-  sv_jobs : job list;
-  sv_summary : summary;
-  sv_trace : Trace.t;
-}
-
-(* The summary arithmetic, shared with the chaos driver (Chaos.run builds
-   the same record from its own loop): keeping it in one place is part of
-   the zero-fault identity pin. *)
-let summarize ~njobs ~total_cycles ~max_depth ~evictions ~cold_evictions
-    ~switches ~flushes ~hit_ratio job_list =
-  let retired =
-    List.filter
-      (fun j ->
-        match j.j_status with
-        | Completed _ | Failed _ -> true
-        | Shed -> false)
-      job_list
-  in
-  let completed =
-    List.length
-      (List.filter (fun j -> j.j_status = Completed Machine.Halted) retired)
-  in
-  let shed = List.length job_list - List.length retired in
-  let p50, p95, p99 =
-    Percentile.summary (List.map (fun j -> j.j_sojourn) retired)
-  in
-  let qd_p50, qd_p95, qd_p99 =
-    Percentile.summary (List.map (fun j -> j.j_queue_delay) retired)
-  in
-  let mean_slowdown =
-    match retired with
-    | [] -> 0.
-    | _ ->
-        List.fold_left (fun a j -> a +. j.j_slowdown) 0. retired
-        /. float_of_int (List.length retired)
-  in
-  {
-    s_jobs = njobs;
-    s_completed = completed;
-    s_failed = List.length retired - completed;
-    s_shed = shed;
-    s_total_cycles = total_cycles;
-    s_throughput =
-      (if total_cycles = 0 then 0.
-       else float_of_int completed /. float_of_int total_cycles *. 1e6);
-    s_p50 = p50;
-    s_p95 = p95;
-    s_p99 = p99;
-    s_qd_p50 = qd_p50;
-    s_qd_p95 = qd_p95;
-    s_qd_p99 = qd_p99;
-    s_mean_slowdown = mean_slowdown;
-    s_max_depth = max_depth;
-    s_evictions = evictions;
-    s_cold_evictions = cold_evictions;
-    s_switches = switches;
-    s_flushes = flushes;
-    s_hit_ratio = hit_ratio;
-  }
-
-(* SLO attainment: the exact deadline metric over a finished job list.
-   Only jobs that completed with a clean halt can meet the bound; shed
-   and failed jobs count against attainment's denominator only through
-   their absence from it (they are reported separately). *)
-let slo ~bound jobs =
-  let completed =
-    List.filter (fun j -> j.j_status = Completed Machine.Halted) jobs
-  in
-  let met = List.filter (fun j -> j.j_sojourn <= bound) completed in
-  let n_completed = List.length completed and n_met = List.length met in
-  ( n_met,
-    n_completed,
-    if n_completed = 0 then 0.
-    else float_of_int n_met /. float_of_int n_completed )
-
-(* One admitted job bound to an ASID slot. *)
-type tenant = {
-  t_job : int;
-  t_template : int;
-  t_name : string;
-  t_encoded : Codec.encoded;
-  t_machine : Machine.t;
-  t_total_dir_steps : int;
-  t_hook : (dir_addr:int -> unit) ref;
-  t_arrival : int;
-  t_admit : int;
-  mutable t_slices : int;
-  mutable t_hits : int;
-  mutable t_misses : int;
-  mutable t_evictions : int;
-}
-
-let run ?timing ?fuel ?(layout = Layout.default) ?backend
-    ?(trace_capacity = 65536) ?(scheduler = Scheduler.Round_robin)
-    ?(admission = default_admission) ?economy ~policy ~quantum ~config ~slots
-    ~templates ~arrivals () =
-  if templates = [] then invalid_arg "Serve.run: no templates";
-  if quantum < 1 then invalid_arg "Serve.run: quantum must be >= 1";
-  if slots < 1 then invalid_arg "Serve.run: slots must be >= 1";
-  if admission.queue_capacity < 1 then
-    invalid_arg "Serve.run: queue capacity must be >= 1";
-  let tmpl = Array.of_list templates in
-  let arr = Array.of_list arrivals in
-  let njobs = Array.length arr in
-  Array.iteri
-    (fun i (a : Arrival.arrival) ->
-      if a.Arrival.template < 0 || a.Arrival.template >= Array.length tmpl
-      then invalid_arg "Serve.run: template index out of range";
-      if i > 0 && a.Arrival.at < arr.(i - 1).Arrival.at then
-        invalid_arg "Serve.run: arrivals out of order")
-    arr;
-  let dtb =
-    Dtb.create_shared ~policy ~programs:slots config
-      ~buffer_base:(layout.Layout.dtb_buffer_base + 1)
-  in
-  let trace = Trace.create ~capacity:trace_capacity () in
-  let tell at kind = Trace.record trace ~at_cycle:at kind in
-  let jobs : job option array = Array.make njobs None in
-  let queue : int Queue.t = Queue.create () in
-  let active : tenant option array = Array.make slots None in
-  let used = Array.make slots false in
-  let next = ref 0 in
-  let clock = ref 0 in
-  let switches = ref 0 in
-  let flushes0 = Dtb.flushes dtb in
-  let last_index = ref (-1) in
-  let max_depth = ref 0 in
-  let evictions = ref 0 in
-  let cold_evictions = ref 0 in
-  (* ASID-qualified keys exist exactly when several slots share the tag
-     array; with one slot (or Flush_on_switch) keys are raw DIR addrs *)
-  let tagged_keys = policy <> Dtb.Flush_on_switch && slots > 1 in
-
-  let shed_job id (a : Arrival.arrival) =
-    let name, _ = tmpl.(a.Arrival.template) in
-    jobs.(id) <-
-      Some
-        {
-          j_id = id;
-          j_template = a.Arrival.template;
-          j_name = name;
-          j_arrival = a.Arrival.at;
-          j_admit = -1;
-          j_finish = -1;
-          j_asid = -1;
-          j_cycles = 0;
-          j_queue_delay = 0;
-          j_sojourn = 0;
-          j_solo_cycles = 0;
-          j_slowdown = 0.;
-          j_status = Shed;
-        }
-  in
-
-  (* Pull every arrival the virtual clock has reached into the admission
-     queue, shedding per the admission-control config.  Event timestamps
-     are the arrival cycles: that is when the queue actually changed. *)
-  let ingest () =
-    while !next < njobs && arr.(!next).Arrival.at <= !clock do
-      let id = !next in
-      let a = arr.(id) in
-      let depth = Queue.length queue in
-      let shed =
-        depth >= admission.queue_capacity
-        ||
-        match admission.shed_above with
-        | Some threshold -> depth >= threshold
-        | None -> false
-      in
-      if shed then begin
-        tell a.Arrival.at (Trace.Job_shed { job = id; depth });
-        shed_job id a
-      end
-      else begin
-        Queue.push id queue;
-        let depth = depth + 1 in
-        if depth > !max_depth then max_depth := depth;
-        tell a.Arrival.at (Trace.Job_queued { job = id; depth })
-      end;
-      incr next
-    done
-  in
-
-  (* Recycling hygiene: a slot's previous tenant must not leak
-     translations to the next one.  With ASID-qualified keys a targeted
-     invalidation suffices; with raw keys the hazard only exists when no
-     flushing switch can intervene — the slot is still current — and a
-     whole-buffer flush is the only tool. *)
-  let scrub_slot s =
-    if used.(s) then
-      if tagged_keys then begin
-        let entries = Dtb.invalidate_asid dtb ~asid:s in
-        if entries > 0 then begin
-          incr evictions;
-          tell !clock (Trace.Asid_evicted { asid = s; entries; cold = false })
-        end
-      end
-      else if Dtb.current_asid dtb = s && Dtb.resident_entries dtb > 0 then begin
-        let entries = Dtb.resident_entries dtb in
-        Dtb.flush dtb;
-        incr evictions;
-        tell !clock (Trace.Asid_evicted { asid = s; entries; cold = false })
-      end
-  in
-
-  let free_slot () =
-    let rec scan s =
-      if s = slots then None else if active.(s) = None then Some s else scan (s + 1)
-    in
-    scan 0
-  in
-
-  let admit () =
-    let continue = ref true in
-    while !continue do
-      match (Queue.is_empty queue, free_slot ()) with
-      | false, Some s ->
-          let id = Queue.pop queue in
-          let a = arr.(id) in
-          scrub_slot s;
-          let name, encoded = tmpl.(a.Arrival.template) in
-          let hook = ref (fun ~dir_addr:_ -> ()) in
-          let machine =
-            U.prepare_dtb_shared ?timing ?fuel ~layout ?backend
-              ~on_translation:(fun ~dir_addr -> !hook ~dir_addr)
-              ~dtb encoded
-          in
-          active.(s) <-
-            Some
-              {
-                t_job = id;
-                t_template = a.Arrival.template;
-                t_name = name;
-                t_encoded = encoded;
-                t_machine = machine;
-                t_total_dir_steps =
-                  U.dir_steps_memoized encoded.Codec.program;
-                t_hook = hook;
-                t_arrival = a.Arrival.at;
-                t_admit = !clock;
-                t_slices = 0;
-                t_hits = 0;
-                t_misses = 0;
-                t_evictions = 0;
-              };
-          used.(s) <- true;
-          tell !clock
-            (Trace.Job_admitted
-               { job = id; asid = s; wait = !clock - a.Arrival.at;
-                 depth = Queue.length queue })
-      | _ -> continue := false
-    done
-  in
-
-  (* The cold-ASID economy: while the directory is crowded, invalidate
-     the idlest sufficiently-idle slot (largest footprint breaks ties) to
-     hand its capacity to the tenants actually translating. *)
-  let evict_cold () =
-    match economy with
-    | None -> ()
-    | Some e when not tagged_keys -> ignore e
-    | Some e ->
-        let tag_capacity = config.Dtb.sets * config.Dtb.assoc in
-        let crowded () =
-          float_of_int (Dtb.resident_entries dtb)
-          >= e.evict_watermark *. float_of_int tag_capacity
-        in
-        let continue = ref true in
-        while !continue && crowded () do
-          let now = Dtb.use_clock dtb in
-          let best = ref None in
-          for s = 0 to slots - 1 do
-            let idle = now - Dtb.asid_last_use dtb ~asid:s in
-            if idle >= e.evict_min_idle then begin
-              let footprint = Dtb.asid_footprint dtb ~asid:s in
-              if footprint > 0 then
-                match !best with
-                | Some (_, bi, bf) when bi > idle || (bi = idle && bf >= footprint)
-                  ->
-                    ()
-                | _ -> best := Some (s, idle, footprint)
-            end
-          done;
-          match !best with
-          | None -> continue := false
-          | Some (s, _, _) ->
-              let entries = Dtb.invalidate_asid dtb ~asid:s in
-              incr evictions;
-              incr cold_evictions;
-              tell !clock (Trace.Asid_evicted { asid = s; entries; cold = true })
-        done
-  in
-
-  let pick () =
-    match scheduler with
-    | Scheduler.Round_robin ->
-        let rec scan k =
-          if k = slots then None
-          else
-            let i = (!last_index + 1 + k) mod slots in
-            if active.(i) <> None then Some i else scan (k + 1)
-        in
-        scan 0
-    | Scheduler.Shortest_remaining ->
-        let best = ref None in
-        Array.iteri
-          (fun i t ->
-            match t with
-            | None -> ()
-            | Some t ->
-                let remaining =
-                  max 0
-                    (t.t_total_dir_steps
-                    - (Machine.stats t.t_machine).Machine.interp_count)
-                in
-                (match !best with
-                | Some (_, r) when r <= remaining -> ()
-                | _ -> best := Some (i, remaining)))
-          active;
-        Option.map fst !best
-  in
-
-  let retire i (t : tenant) status =
-    let stats = Machine.stats t.t_machine in
-    let solo = Mix.solo_cycles ?timing ?fuel ~config t.t_encoded in
-    let sojourn = !clock - t.t_arrival in
-    jobs.(t.t_job) <-
-      Some
-        {
-          j_id = t.t_job;
-          j_template = t.t_template;
-          j_name = t.t_name;
-          j_arrival = t.t_arrival;
-          j_admit = t.t_admit;
-          j_finish = !clock;
-          j_asid = i;
-          j_cycles = stats.Machine.cycles;
-          j_queue_delay = t.t_admit - t.t_arrival;
-          j_sojourn = sojourn;
-          j_solo_cycles = solo;
-          j_slowdown =
-            (if solo = 0 then 1. else float_of_int sojourn /. float_of_int solo);
-          j_status = Completed status;
-        };
-    Machine.recycle t.t_machine;
-    active.(i) <- None
-  in
-
-  let slice i =
-    let t = match active.(i) with Some t -> t | None -> assert false in
-    if i <> !last_index then begin
-      let from_asid = if !last_index < 0 then None else Some !last_index in
-      let before = Dtb.flushes dtb in
-      Dtb.switch_to dtb ~asid:i;
-      incr switches;
-      tell !clock (Trace.Switch { from_asid; to_asid = i });
-      if Dtb.flushes dtb > before then tell !clock (Trace.Dtb_flush { asid = i })
-    end;
-    last_index := i;
-    let stats = Machine.stats t.t_machine in
-    let c0 = stats.Machine.cycles in
-    let h0 = Dtb.hits dtb
-    and m0 = Dtb.misses dtb
-    and e0 = Dtb.evictions dtb in
-    (t.t_hook :=
-       fun ~dir_addr ->
-         tell
-           (!clock + (Machine.stats t.t_machine).Machine.cycles - c0)
-           (Trace.Translation { asid = i; dir_addr }));
-    let outcome = Machine.run_dir_quantum t.t_machine ~quantum in
-    (t.t_hook := fun ~dir_addr:_ -> ());
-    clock := !clock + (stats.Machine.cycles - c0);
-    t.t_slices <- t.t_slices + 1;
-    t.t_hits <- t.t_hits + (Dtb.hits dtb - h0);
-    t.t_misses <- t.t_misses + (Dtb.misses dtb - m0);
-    t.t_evictions <- t.t_evictions + (Dtb.evictions dtb - e0);
-    match outcome with
-    | Machine.Yielded -> tell !clock (Trace.Quantum_expiry { asid = i })
-    | Machine.Done status ->
-        tell !clock
-          (Trace.Completion { asid = i; ok = status = Machine.Halted });
-        retire i t status
-  in
-
-  let running = ref true in
-  while !running do
-    ingest ();
-    admit ();
-    evict_cold ();
-    match pick () with
-    | Some i -> slice i
-    | None ->
-        (* nothing resident: either jump the clock to the next arrival or
-           the stream is exhausted and we are done *)
-        if !next < njobs then clock := max !clock arr.(!next).Arrival.at
-        else running := false
-  done;
-
-  let job_list =
-    Array.to_list jobs
-    |> List.map (function Some j -> j | None -> assert false)
-  in
-  let summary =
-    summarize ~njobs ~total_cycles:!clock ~max_depth:!max_depth
-      ~evictions:!evictions ~cold_evictions:!cold_evictions
-      ~switches:!switches
-      ~flushes:(Dtb.flushes dtb - flushes0)
-      ~hit_ratio:(Dtb.hit_ratio dtb) job_list
-  in
-  {
-    sv_policy = policy;
-    sv_scheduler = scheduler;
-    sv_quantum = quantum;
-    sv_config = config;
-    sv_slots = slots;
-    sv_jobs = job_list;
-    sv_summary = summary;
-    sv_trace = trace;
-  }
+let run ?timing ?fuel ?layout ?backend ?trace_capacity ?scheduler ?admission
+    ?economy ~policy ~quantum ~config ~slots ~templates ~arrivals () =
+  (Kernel.run ?timing ?fuel ?layout ?backend ?trace_capacity ?scheduler
+     ?admission ?economy ~policy ~quantum ~config ~fconfig:Kernel.zero ~slots
+     ~templates ~arrivals ())
+    .k_result

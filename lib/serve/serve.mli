@@ -4,23 +4,30 @@
     Where {!Uhm_sched.Mix} runs a {e closed} set of programs to
     completion, this layer serves an {e open} stream: jobs arrive over
     virtual time (see {!Arrival}), wait in a bounded admission queue,
-    are bound to an ASID slot when one frees up, run under the PR 3
-    scheduler disciplines against the shared DTB, and retire.  Thousands
-    of jobs thus flow through a handful of architectural ASIDs — the
-    slot space is the DTB's namespace ([Partitioned] caps it at the set
-    count), so slots are recycled, and recycling is exactly why the
-    eviction economy exists: under [Tagged]/[Partitioned] sharing a
-    recycled slot's stale translations would falsely hit for the new
-    tenant, so the slot is invalidated at reassignment; optionally, cold
-    slots are also evicted early (idle-time and footprint scoring) to
-    return directory capacity to the tenants that are actually running.
+    are bound to an ASID slot when one frees up, run under the
+    {!Uhm_sched.Scheduler} disciplines against the shared DTB, and
+    retire.  Thousands of jobs thus flow through a handful of
+    architectural ASIDs — the slot space is the DTB's namespace
+    ([Partitioned] caps it at the set count), so slots are recycled, and
+    recycling is exactly why the eviction economy exists: under
+    [Tagged]/[Partitioned] sharing a recycled slot's stale translations
+    would falsely hit for the new tenant, so the slot is invalidated at
+    reassignment; optionally, cold slots are also evicted early
+    (idle-time and footprint scoring) to return directory capacity to
+    the tenants that are actually running.
+
+    {!run} is the library's one slicing kernel — the loop {!Chaos.run}
+    drives — under {!Chaos.zero}: no faults, no deadline, no brownout.
+    A zero-config chaos run therefore equals a plain run by
+    construction.  The records below are that kernel's own, hence the
+    type equations.
 
     Everything is deterministic in the seed: the driver is serial, one
     virtual clock, and in the closed-system limit (all arrivals at cycle
     0, as many slots as jobs, no economy) it reproduces
     {!Uhm_sched.Scheduler.run}'s dispatch sequence, cycle counts and
     trace rollups bit for bit — the regression anchor that pins the open
-    system to the PR 3 goldens. *)
+    system to the scheduler's goldens. *)
 
 module Dtb := Uhm_core.Dtb
 module Machine := Uhm_machine.Machine
@@ -28,7 +35,7 @@ module Scheduler := Uhm_sched.Scheduler
 module Trace := Uhm_sched.Trace
 
 (** Admission control for the bounded queue. *)
-type admission = {
+type admission = Kernel.admission = {
   queue_capacity : int;
       (** drop-tail bound: an arrival finding this many jobs queued is
           shed *)
@@ -42,7 +49,7 @@ val default_admission : admission
 (** Capacity 64, no shedding threshold. *)
 
 (** The cold-ASID eviction economy.  Disabled unless given to {!run}. *)
-type economy = {
+type economy = Kernel.economy = {
   evict_min_idle : int;
       (** only slots idle for at least this many DTB recency-clock ticks
           are candidates *)
@@ -54,11 +61,11 @@ type economy = {
 val default_economy : economy
 (** Watermark 0.75, minimum idle 256 ticks. *)
 
-type job_status =
+type job_status = Kernel.job_status =
   | Completed of Machine.status  (** ran to retirement (however it ended) *)
   | Shed                         (** refused by admission control *)
   | Failed of int
-      (** chaos mode only: every attempt (the int) was voided — by a
+      (** {!Chaos.run} only: every attempt (the int) was voided — by a
           detected fault, or by a stage-3 brownout quarantining the
           slot out from under it — and the per-job retry budget ran
           out; the service reports the failure rather than a corrupted
@@ -67,7 +74,7 @@ type job_status =
           without ever producing a wrong answer itself.  Plain {!run}
           never produces this. *)
 
-type job = {
+type job = Kernel.job = {
   j_id : int;            (** arrival order, 0-based *)
   j_template : int;      (** index into the template pool *)
   j_name : string;       (** template name *)
@@ -83,7 +90,7 @@ type job = {
   j_status : job_status;
 }
 
-type summary = {
+type summary = Kernel.summary = {
   s_jobs : int;            (** arrivals offered *)
   s_completed : int;       (** jobs that retired with [Machine.Halted] *)
   s_failed : int;          (** jobs that retired any other way
@@ -106,7 +113,7 @@ type summary = {
   s_hit_ratio : float;     (** DTB, whole run *)
 }
 
-type result = {
+type result = Kernel.result = {
   sv_policy : Dtb.policy;
   sv_scheduler : Scheduler.policy;
   sv_quantum : int;
@@ -139,27 +146,12 @@ val run :
     [policy].  Arrivals are ingested and admissions performed at
     scheduling points (slice boundaries and idle jumps), so the service
     is quantum-granular in virtual time and fully deterministic.  Each
-    admitted job gets a fresh machine ({!Uhm_core.Uhm.prepare_dtb_shared});
+    admitted job gets a fresh machine ({!Uhm_core.Uhm.prepare_dtb_custom});
     machines are recycled at retirement.  [quantum] must be >= 1;
     [slots] >= 1 (and <= [config.sets] under [Partitioned], which the
     underlying {!Dtb.create_shared} enforces).  Raises
     [Invalid_argument] on empty [templates], an out-of-range template
     index, or arrivals out of order. *)
-
-val summarize :
-  njobs:int ->
-  total_cycles:int ->
-  max_depth:int ->
-  evictions:int ->
-  cold_evictions:int ->
-  switches:int ->
-  flushes:int ->
-  hit_ratio:float ->
-  job list ->
-  summary
-(** The summary arithmetic over a finished job list — shared with
-    {!Chaos.run} so the zero-fault configuration's summary is the same
-    record by construction, not by parallel reimplementation. *)
 
 val slo : bound:int -> job list -> int * int * float
 (** [slo ~bound jobs] is [(met, completed, attainment)]: of the jobs

@@ -1,6 +1,5 @@
-(* Tests for fault-tolerant serving: the zero-config differential pin
-   against the plain service (cycle- and trace-identical, QCheck'd over
-   policies, schedulers, quanta, seeds and slot counts), exhaustive
+(* Tests for fault-tolerant serving: the zero config lands on the plain
+   service's pinned numbers with a quiet chaos layer, exhaustive
    outcome classification with pinned seeded counts (met-SLO / late /
    retried-then-ok / failed / shed), exact trace rollups for the new
    event kinds, a directed brownout staging run, the end-state recovery
@@ -38,73 +37,27 @@ let mixed_templates () =
         (n, Codec.encode Kind.Huffman (Uhm_ftn.Suite.compile (Uhm_ftn.Suite.find n))))
       [ "ftn_euclid"; "ftn_fib" ]
 
-(* -- Tentpole: zero-config identity with the plain service ------------------ *)
+(* -- Zero config: the plain service, and a quiet chaos layer ---------------- *)
 
-(* Chaos.run under Chaos.zero must be byte-identical to Serve.run: same
-   job records, same summary, same event trace.  Trace.t holds
-   hashtables, so the trace is compared through its exact observables. *)
-let check_zero_identity ~policy ~scheduler ~quantum ~slots ~seed ~jobs
-    ?admission ?economy () =
-  let templates = mixed_templates () in
-  let arrivals =
-    Arrival.generate ~seed ~templates:(List.length templates) ~jobs
-      (Arrival.Poisson { rate = 1500.0 })
-  in
-  let plain =
-    Serve.run ~scheduler ?admission ?economy ~policy ~quantum
-      ~config:small_config ~slots ~templates ~arrivals ()
-  in
-  let chaos =
-    Chaos.run ~scheduler ?admission ?economy ~policy ~quantum
-      ~config:small_config ~fconfig:Chaos.zero ~slots ~templates ~arrivals ()
-  in
-  let c = chaos.Chaos.cv_serve in
-  check_bool "jobs identical" true (plain.Serve.sv_jobs = c.Serve.sv_jobs);
-  check_bool "summary identical" true
-    (plain.Serve.sv_summary = c.Serve.sv_summary);
-  check_int "events recorded" (Trace.recorded plain.Serve.sv_trace)
-    (Trace.recorded c.Serve.sv_trace);
-  check_bool "event window identical" true
-    (Trace.events plain.Serve.sv_trace = Trace.events c.Serve.sv_trace);
-  check_bool "tallies identical" true
-    (Trace.tallies plain.Serve.sv_trace = Trace.tallies c.Serve.sv_trace);
-  (* and the chaos layer itself stayed quiet *)
-  let s = chaos.Chaos.cv_summary in
-  check_int "no failures" 0 s.Chaos.cs_failed_jobs;
-  check_int "no job retries" 0 s.Chaos.cs_job_retries;
-  check_int "no injections" 0 s.Chaos.cs_injected;
-  check_int "no quarantines" 0 s.Chaos.cs_quarantines;
-  check_int "no brownout" 0 s.Chaos.cs_brownout_transitions;
-  Alcotest.(check (float 1e-9)) "attainment 1.0" 1.0 s.Chaos.cs_attainment
-
+(* Chaos.run under Chaos.zero drives the same kernel as Serve.run, so it
+   must land on the plain service's pinned numbers (the goldens in
+   test_serve.ml) — and the chaos layer itself must stay quiet. *)
 let test_zero_identity_directed () =
-  check_zero_identity ~policy:Dtb.Tagged ~scheduler:Scheduler.Round_robin
-    ~quantum:24 ~slots:3 ~seed:5 ~jobs:120 ();
-  check_zero_identity ~policy:Dtb.Flush_on_switch
-    ~scheduler:Scheduler.Round_robin ~quantum:8 ~slots:1 ~seed:9 ~jobs:80 ();
-  check_zero_identity ~policy:Dtb.Partitioned
-    ~scheduler:Scheduler.Shortest_remaining ~quantum:48 ~slots:4 ~seed:2
-    ~jobs:100
-    ~admission:{ Serve.queue_capacity = 8; shed_above = Some 6 }
-    ~economy:Serve.default_economy ()
-
-let qcheck_zero_identity =
-  QCheck.Test.make ~count:12 ~name:"chaos zero = serve (policies/quanta/seeds)"
-    QCheck.(
-      quad (int_range 0 2) (int_range 1 64) (int_range 0 1000) (int_range 1 4))
-    (fun (p, quantum, seed, slots) ->
-      let policy =
-        match p with
-        | 0 -> Dtb.Flush_on_switch
-        | 1 -> Dtb.Tagged
-        | _ -> Dtb.Partitioned
+  Test_serve.each_served_case
+    (fun ~policy ~scheduler ~admission ~economy ~quantum ~config ~slots
+         ~templates ~arrivals ->
+      let r =
+        Chaos.run ~scheduler ?admission ?economy ~policy ~quantum ~config
+          ~fconfig:Chaos.zero ~slots ~templates ~arrivals ()
       in
-      let scheduler =
-        if seed mod 2 = 0 then Scheduler.Round_robin
-        else Scheduler.Shortest_remaining
-      in
-      check_zero_identity ~policy ~scheduler ~quantum ~slots ~seed ~jobs:60 ();
-      true)
+      let s = r.Chaos.cv_summary in
+      check_int "no failures" 0 s.Chaos.cs_failed_jobs;
+      check_int "no job retries" 0 s.Chaos.cs_job_retries;
+      check_int "no injections" 0 s.Chaos.cs_injected;
+      check_int "no quarantines" 0 s.Chaos.cs_quarantines;
+      check_int "no brownout" 0 s.Chaos.cs_brownout_transitions;
+      Alcotest.(check (float 1e-9)) "attainment 1.0" 1.0 s.Chaos.cs_attainment;
+      r.Chaos.cv_serve)
 
 (* -- Tentpole: exhaustive outcome classification ---------------------------- *)
 
@@ -515,7 +468,6 @@ let suite =
     [
       Alcotest.test_case "zero-config identity (directed)" `Quick
         test_zero_identity_directed;
-      QCheck_alcotest.to_alcotest qcheck_zero_identity;
       Alcotest.test_case "outcome classification (pinned)" `Quick
         test_outcome_classification;
       Alcotest.test_case "new trace kinds roll up exactly" `Quick

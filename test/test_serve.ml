@@ -2,7 +2,8 @@
    goldens, the exact nearest-rank percentile estimator against a sort
    oracle, seeded arrival-process statistics, the closed-system limit
    that pins the serve driver to Mix's cycle counts and trace rollups
-   bit for bit, determinism of large seeded runs at any domain count,
+   bit for bit, literal goldens for the open service's numbers,
+   determinism of large seeded runs at any domain count,
    admission-queue behaviour, the eviction economy, and the dropped-
    event surfacing in Chrome exports. *)
 
@@ -298,6 +299,81 @@ let test_closed_pin_solo_quantum () =
   check_closed_pin ~policy:Dtb.Tagged ~scheduler:Scheduler.Round_robin
     ~quantum:Mix.solo_quantum
 
+(* -- The served numbers, pinned --------------------------------------------- *)
+
+(* Literal goldens for the open service, recorded from the serve driver
+   as it stood before Serve.run and Chaos.run shared one kernel: three
+   sharing policies x RR/SRTF, plus one run with a shedding threshold and
+   the cold-ASID economy.  The pool is light (118k-320k solo cycles per
+   template) and the offered load sits past the knee, so queueing, slot
+   recycling and (under flush) switch flushes all show in the numbers.
+   Each row pins (total cycles, p99 sojourn, switches, flushes, ASID
+   evictions, trace events recorded, shed, cold evictions). *)
+let served_goldens =
+  let rr = Scheduler.Round_robin and srtf = Scheduler.Shortest_remaining in
+  [
+    ("flush/rr", Dtb.Flush_on_switch, rr, false,
+     (6609930, 5017127, 3471, 3491, 21, 85219, 0, 0));
+    ("flush/srtf", Dtb.Flush_on_switch, srtf, false,
+     (5834424, 5362282, 7, 25, 19, 66990, 0, 0));
+    ("tagged/rr", Dtb.Tagged, rr, false,
+     (6585123, 4992377, 3471, 0, 21, 81350, 0, 0));
+    ("tagged/srtf", Dtb.Tagged, srtf, false,
+     (5834424, 5362282, 7, 0, 19, 66984, 0, 0));
+    ("partitioned/rr", Dtb.Partitioned, rr, false,
+     (7389833, 5743866, 3471, 0, 21, 92958, 0, 0));
+    ("partitioned/srtf", Dtb.Partitioned, srtf, false,
+     (7360510, 6888368, 7, 0, 21, 89098, 0, 0));
+    ("partitioned/srtf/shed+economy", Dtb.Partitioned, srtf, true,
+     (3559923, 3087781, 7, 0, 9, 42316, 13, 2));
+  ]
+
+(* Run [serve] once per golden row, over the pinned pool and arrivals:
+   24 Poisson jobs at 20 per Mcycle, quantum 24, 3 slots. *)
+let each_served_case serve =
+  let templates =
+    List.map
+      (fun n -> (n, Codec.encode Kind.Huffman (compile n)))
+      [ "fact_iter"; "flat_straightline"; "string_out" ]
+  in
+  let arrivals =
+    Arrival.generate ~seed:5 ~templates:3 ~jobs:24
+      (Arrival.Poisson { rate = 20.0 })
+  in
+  List.iter
+    (fun (name, policy, scheduler, shed, golden) ->
+      let admission, economy =
+        if shed then
+          ( Some { Serve.queue_capacity = 8; shed_above = Some 3 },
+            Some Serve.default_economy )
+        else (None, None)
+      in
+      let r : Serve.result =
+        serve ~policy ~scheduler ~admission ~economy ~quantum:24
+          ~config:small_config ~slots:3 ~templates ~arrivals
+      in
+      let total, p99, switches, flushes, evictions, recorded, shed, cold =
+        golden
+      in
+      let s = r.Serve.sv_summary in
+      check_int (name ^ " total cycles") total s.Serve.s_total_cycles;
+      check_int (name ^ " p99") p99 s.Serve.s_p99;
+      check_int (name ^ " switches") switches s.Serve.s_switches;
+      check_int (name ^ " flushes") flushes s.Serve.s_flushes;
+      check_int (name ^ " evictions") evictions s.Serve.s_evictions;
+      check_int (name ^ " events recorded") recorded
+        (Trace.recorded r.Serve.sv_trace);
+      check_int (name ^ " shed") shed s.Serve.s_shed;
+      check_int (name ^ " cold evictions") cold s.Serve.s_cold_evictions)
+    served_goldens
+
+let test_served_goldens () =
+  each_served_case
+    (fun ~policy ~scheduler ~admission ~economy ~quantum ~config ~slots
+         ~templates ~arrivals ->
+      Serve.run ~scheduler ?admission ?economy ~policy ~quantum ~config ~slots
+        ~templates ~arrivals ())
+
 (* -- Tentpole: open-system behaviour ---------------------------------------- *)
 
 let open_templates () =
@@ -374,10 +450,13 @@ let test_load_grid_domain_independence () =
     List.map (fun n -> (n, compile n)) [ "fact_iter"; "gcd" ]
   in
   let go domains =
-    Experiment.load_grid ~domains ~seed:3 ~jobs:120 ~slots:4
+    Experiment.load_grid_slots ~domains ~seed:3 ~jobs:120 ~slots:4
       ~kind:Kind.Huffman
       ~policies:[ Dtb.Flush_on_switch; Dtb.Tagged ]
       ~rates:[ 1000.0; 4000.0 ] ~config:small_config programs
+    |> List.map (function
+         | Uhm_core.Sweep.Completed c -> c
+         | Uhm_core.Sweep.Quarantined _ -> Alcotest.fail "cell quarantined")
   in
   let one = go 1 and four = go 4 in
   check_int "cell count" 4 (List.length one);
@@ -547,6 +626,8 @@ let suite =
       Alcotest.test_case "closed-system pin, srtf" `Quick test_closed_pin_srtf;
       Alcotest.test_case "closed-system pin, solo quantum" `Quick
         test_closed_pin_solo_quantum;
+      Alcotest.test_case "served numbers pinned (goldens)" `Quick
+        test_served_goldens;
       Alcotest.test_case "open run accounting" `Quick test_open_run_accounting;
       Alcotest.test_case "1200-job run deterministic" `Quick
         test_determinism_large_run;
