@@ -24,6 +24,7 @@ module Sweep = Uhm_core.Sweep
 module Machine = Uhm_machine.Machine
 module Asm = Uhm_machine.Asm
 module Campaign = Uhm_campaign.Campaign
+module Scheduler = Uhm_sched.Scheduler
 
 (* -- campaign plumbing shared by mix and faults ------------------------------- *)
 
@@ -51,6 +52,52 @@ let cell_fuel_arg =
                  machine in a cell gets $(docv) cycles of fuel; a cell \
                  that exhausts it fails and is quarantined after the \
                  retry budget, instead of wedging the campaign.")
+
+(* -- flags shared by the multiprogramming subcommands -------------------------- *)
+
+let policy_conv =
+  let parse = function
+    | "flush" -> Ok Dtb.Flush_on_switch
+    | "tagged" -> Ok Dtb.Tagged
+    | "partitioned" -> Ok Dtb.Partitioned
+    | s -> Error (`Msg (Printf.sprintf "unknown policy %s" s))
+  in
+  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Dtb.policy_name p))
+
+let policies_arg =
+  Arg.(value & opt_all policy_conv []
+       & info [ "policy" ] ~docv:"POLICY"
+           ~doc:"Shared-DTB ownership policy: flush, tagged, partitioned \
+                 (repeatable; default all three).")
+
+let scheduler_conv =
+  let parse = function
+    | "rr" -> Ok Scheduler.Round_robin
+    | "srtf" -> Ok Scheduler.Shortest_remaining
+    | s -> Error (`Msg (Printf.sprintf "unknown scheduler %s" s))
+  in
+  Arg.conv
+    (parse, fun fmt s -> Format.pp_print_string fmt (Scheduler.policy_name s))
+
+let scheduler_arg =
+  Arg.(value & opt scheduler_conv Scheduler.Round_robin
+       & info [ "scheduler" ] ~docv:"SCHED"
+           ~doc:"rr (round-robin) or srtf (shortest remaining dir_steps \
+                 first).")
+
+let sets_arg =
+  Arg.(value & opt int Dtb.paper_config.Dtb.sets
+       & info [ "sets" ] ~docv:"N" ~doc:"DTB set count (power of two).")
+
+let assoc_arg =
+  Arg.(value & opt int Dtb.paper_config.Dtb.assoc
+       & info [ "assoc" ] ~docv:"N" ~doc:"DTB ways per set.")
+
+let jobs_arg =
+  Arg.(value & opt (some int) None
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Domain count for the sweep pool (default: $(b,UHM_JOBS) \
+                 or the recommended domain count).")
 
 (* Campaign.prepare with CLI error handling: an unusable resume journal
    is malformed input (exit 2), like any other bad file we are given. *)
@@ -570,7 +617,6 @@ let perf_cmd =
 
 let mix_cmd =
   let module Mix = Uhm_sched.Mix in
-  let module Scheduler = Uhm_sched.Scheduler in
   let module Trace = Uhm_sched.Trace in
   let module SX = Uhm_sched.Experiment in
   let programs_arg =
@@ -579,40 +625,11 @@ let mix_cmd =
              ~doc:"Built-in program to include in the mix (repeatable; at \
                    least two make a mix, one is allowed).")
   in
-  let policy_conv =
-    let parse = function
-      | "flush" -> Ok Dtb.Flush_on_switch
-      | "tagged" -> Ok Dtb.Tagged
-      | "partitioned" -> Ok Dtb.Partitioned
-      | s -> Error (`Msg (Printf.sprintf "unknown policy %s" s))
-    in
-    Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Dtb.policy_name p))
-  in
-  let policies_arg =
-    Arg.(value & opt_all policy_conv []
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"Shared-DTB ownership policy: flush, tagged, partitioned \
-                   (repeatable; default all three).")
-  in
   let quantum_arg =
     Arg.(value & opt int 64
          & info [ "q"; "quantum" ] ~docv:"N"
              ~doc:"Scheduling quantum in DIR instructions; 0 means never \
                    preempt (the quantum-to-infinity limit).")
-  in
-  let scheduler_conv =
-    let parse = function
-      | "rr" -> Ok Scheduler.Round_robin
-      | "srtf" -> Ok Scheduler.Shortest_remaining
-      | s -> Error (`Msg (Printf.sprintf "unknown scheduler %s" s))
-    in
-    Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Scheduler.policy_name s))
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Scheduler.Round_robin
-         & info [ "scheduler" ] ~docv:"SCHED"
-             ~doc:"rr (round-robin) or srtf (shortest remaining dir_steps \
-                   first).")
   in
   let trace_arg =
     Arg.(value & opt (some string) None
@@ -620,20 +637,6 @@ let mix_cmd =
              ~doc:"Write a Chrome trace_event JSON file loadable in \
                    about://tracing (with several policies, the policy name \
                    is inserted before the extension).")
-  in
-  let sets_arg =
-    Arg.(value & opt int Dtb.paper_config.Dtb.sets
-         & info [ "sets" ] ~docv:"N" ~doc:"DTB set count (power of two).")
-  in
-  let assoc_arg =
-    Arg.(value & opt int Dtb.paper_config.Dtb.assoc
-         & info [ "assoc" ] ~docv:"N" ~doc:"DTB ways per set.")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain count for the sweep pool (default: $(b,UHM_JOBS) \
-                   or the recommended domain count).")
   in
   let poison_arg =
     Arg.(value & opt_all int []
@@ -786,7 +789,6 @@ let mix_cmd =
 (* -- load --------------------------------------------------------------------- *)
 
 let load_cmd =
-  let module Scheduler = Uhm_sched.Scheduler in
   let module Trace = Uhm_sched.Trace in
   let module Serve = Uhm_serve.Serve in
   let module LX = Uhm_serve.Experiment in
@@ -795,21 +797,6 @@ let load_cmd =
          & info [ "p"; "program" ] ~docv:"NAME"
              ~doc:"Built-in program for the template pool arrivals draw \
                    from (repeatable; default fact_iter and gcd).")
-  in
-  let policy_conv =
-    let parse = function
-      | "flush" -> Ok Dtb.Flush_on_switch
-      | "tagged" -> Ok Dtb.Tagged
-      | "partitioned" -> Ok Dtb.Partitioned
-      | s -> Error (`Msg (Printf.sprintf "unknown policy %s" s))
-    in
-    Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Dtb.policy_name p))
-  in
-  let policies_arg =
-    Arg.(value & opt_all policy_conv []
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"Shared-DTB ownership policy: flush, tagged, partitioned \
-                   (repeatable; default all three).")
   in
   let rates_arg =
     Arg.(value & opt_all float []
@@ -836,21 +823,6 @@ let load_cmd =
     Arg.(value & opt int 64
          & info [ "q"; "quantum" ] ~docv:"N"
              ~doc:"Scheduling quantum in DIR instructions.")
-  in
-  let scheduler_conv =
-    let parse = function
-      | "rr" -> Ok Scheduler.Round_robin
-      | "srtf" -> Ok Scheduler.Shortest_remaining
-      | s -> Error (`Msg (Printf.sprintf "unknown scheduler %s" s))
-    in
-    Arg.conv
-      (parse, fun fmt s -> Format.pp_print_string fmt (Scheduler.policy_name s))
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Scheduler.Round_robin
-         & info [ "scheduler" ] ~docv:"SCHED"
-             ~doc:"rr (round-robin) or srtf (shortest remaining dir_steps \
-                   first).")
   in
   let queue_cap_arg =
     Arg.(value & opt int 64
@@ -897,20 +869,6 @@ let load_cmd =
          & info [ "evict-watermark" ] ~docv:"F"
              ~doc:"Economy: score evictions only while resident entries \
                    exceed this fraction of tag capacity.")
-  in
-  let sets_arg =
-    Arg.(value & opt int Dtb.paper_config.Dtb.sets
-         & info [ "sets" ] ~docv:"N" ~doc:"DTB set count (power of two).")
-  in
-  let assoc_arg =
-    Arg.(value & opt int Dtb.paper_config.Dtb.assoc
-         & info [ "assoc" ] ~docv:"N" ~doc:"DTB ways per set.")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain count for the sweep pool (default: $(b,UHM_JOBS) \
-                   or the recommended domain count).")
   in
   let poison_arg =
     Arg.(value & opt_all int []
@@ -1114,7 +1072,6 @@ let load_cmd =
 (* -- serve-chaos -------------------------------------------------------------- *)
 
 let serve_chaos_cmd =
-  let module Scheduler = Uhm_sched.Scheduler in
   let module Trace = Uhm_sched.Trace in
   let module Serve = Uhm_serve.Serve in
   let module Chaos = Uhm_serve.Chaos in
@@ -1125,15 +1082,6 @@ let serve_chaos_cmd =
              ~doc:"Built-in program for the template pool arrivals draw \
                    from (repeatable; default fact_iter and string_out; \
                    Fortran-S names start with ftn_).")
-  in
-  let policy_conv =
-    let parse = function
-      | "flush" -> Ok Dtb.Flush_on_switch
-      | "tagged" -> Ok Dtb.Tagged
-      | "partitioned" -> Ok Dtb.Partitioned
-      | s -> Error (`Msg (Printf.sprintf "unknown policy %s" s))
-    in
-    Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Dtb.policy_name p))
   in
   let policies_arg =
     Arg.(value & opt_all policy_conv [ Dtb.Tagged ]
@@ -1180,21 +1128,6 @@ let serve_chaos_cmd =
          & info [ "q"; "quantum" ] ~docv:"N"
              ~doc:"Scheduling quantum in DIR instructions.")
   in
-  let scheduler_conv =
-    let parse = function
-      | "rr" -> Ok Scheduler.Round_robin
-      | "srtf" -> Ok Scheduler.Shortest_remaining
-      | s -> Error (`Msg (Printf.sprintf "unknown scheduler %s" s))
-    in
-    Arg.conv
-      (parse, fun fmt s -> Format.pp_print_string fmt (Scheduler.policy_name s))
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Scheduler.Round_robin
-         & info [ "scheduler" ] ~docv:"SCHED"
-             ~doc:"rr (round-robin) or srtf (shortest remaining dir_steps \
-                   first).")
-  in
   let queue_cap_arg =
     Arg.(value & opt int 64
          & info [ "queue-cap" ] ~docv:"N"
@@ -1236,20 +1169,6 @@ let serve_chaos_cmd =
          & info [ "weight" ] ~docv:"W"
              ~doc:"Template-pick weight, one per -p in order (repeatable); \
                    omitted, picks are uniform.")
-  in
-  let sets_arg =
-    Arg.(value & opt int Dtb.paper_config.Dtb.sets
-         & info [ "sets" ] ~docv:"N" ~doc:"DTB set count (power of two).")
-  in
-  let assoc_arg =
-    Arg.(value & opt int Dtb.paper_config.Dtb.assoc
-         & info [ "assoc" ] ~docv:"N" ~doc:"DTB ways per set.")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain count for the sweep pool (default: $(b,UHM_JOBS) \
-                   or the recommended domain count).")
   in
   let poison_arg =
     Arg.(value & opt_all int []
@@ -1438,21 +1357,6 @@ let faults_cmd =
              ~doc:"Fault probability per DIR instruction step (repeatable; \
                    default 0, 1e-4, 1e-3, 1e-2).")
   in
-  let policy_conv =
-    let parse = function
-      | "flush" -> Ok Dtb.Flush_on_switch
-      | "tagged" -> Ok Dtb.Tagged
-      | "partitioned" -> Ok Dtb.Partitioned
-      | s -> Error (`Msg (Printf.sprintf "unknown policy %s" s))
-    in
-    Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Dtb.policy_name p))
-  in
-  let policies_arg =
-    Arg.(value & opt_all policy_conv []
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"Shared-DTB ownership policy: flush, tagged, partitioned \
-                   (repeatable; default all three).")
-  in
   let quantum_arg =
     Arg.(value & opt int 64
          & info [ "q"; "quantum" ] ~docv:"N"
@@ -1463,12 +1367,6 @@ let faults_cmd =
          & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed (cells derive \
              their injector seeds from it).")
   in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain count for the sweep pool (default: $(b,UHM_JOBS) \
-                   or the recommended domain count).")
-  in
   let json_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"PATH"
@@ -1478,14 +1376,6 @@ let faults_cmd =
     Arg.(value & opt (some string) None
          & info [ "csv" ] ~docv:"PATH"
              ~doc:"Also write the campaign points as CSV to $(docv).")
-  in
-  let cell_fuel_faults_arg =
-    Arg.(value & opt (some int) None
-         & info [ "cell-fuel" ] ~docv:"N"
-             ~doc:"Deterministic per-cell step budget: each simulated \
-                   machine in a cell gets $(docv) cycles of fuel; a cell \
-                   that exhausts it fails and is quarantined after the \
-                   retry budget, instead of wedging the campaign.")
   in
   let action programs classes rates policies quantum seed jobs json csv
       journal resume cell_fuel =
@@ -1665,7 +1555,7 @@ let faults_cmd =
     Term.(
       const action $ programs_arg $ classes_arg $ rates_arg $ policies_arg
       $ quantum_arg $ seed_arg $ jobs_arg $ json_arg $ csv_arg
-      $ journal_arg $ resume_arg $ cell_fuel_faults_arg)
+      $ journal_arg $ resume_arg $ cell_fuel_arg)
 
 (* -- campaign ----------------------------------------------------------------- *)
 

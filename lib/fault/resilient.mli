@@ -1,16 +1,17 @@
 (** Fault injection, guarded translations and recovery over the
-    dynamic-translation path.
+    dynamic-translation path, for a fixed program mix.
 
-    The driver runs a program mix round-robin over a shared DTB exactly
-    as [Uhm_sched.Mix] does, with three resilience layers threaded
-    through the hook points:
+    The driver runs the mix round-robin over a shared DTB exactly as
+    [Uhm_sched.Mix] does, and hands every slice to the {!Tenant} engine,
+    which threads three resilience layers through the hook points:
 
     - {b Injection} ({!Injector}): at every INTERP boundary, faults due
       at the current DIR step are applied — DTB tag-key bit flips,
       translation-buffer word bit flips, dropped translator installs,
       and level-1 data-word bit flips.  With {!zero} (or any spec whose
       rates are all zero) the run is {e cycle- and trace-identical} to
-      [Mix.run_encoded].
+      [Mix.run_encoded].  Each program draws from the injector stream
+      keyed by its ASID.
 
     - {b Detection and recovery}: per-entry {!Guard} checksums are
       verified on every DTB hit (cost [t_guard] per word, charged to the
@@ -21,6 +22,9 @@
       replaying (the replayed cycles stay in the accounts, so recovery
       cost is visible).  Consumed fault arrivals never re-fire during
       replay: the injector is keyed on the monotonic INTERP count.
+      Without guards, corruption can make a machine die with a host
+      exception; the program then ends [Trapped] instead of the driver
+      raising.
 
     - {b Graceful degradation}: a watchdog counts recovery events
       (detections and rollbacks) over a sliding window of DIR steps;
@@ -41,7 +45,7 @@ module Machine := Uhm_machine.Machine
 module Dtb := Uhm_core.Dtb
 module Trace := Uhm_sched.Trace
 
-type config = {
+type config = Tenant.config = {
   injector : Injector.spec;
   guards : bool;                  (** verify per-entry checksums on hits *)
   checkpoint_every : int option;  (** DIR steps between checkpoints;

@@ -79,6 +79,16 @@ let pick ~policy ~procs ~last_index =
         procs;
       Option.map fst !best
 
+let switch ?trace dtb ~at ~from_asid ~to_asid =
+  let before = Dtb.flushes dtb in
+  Dtb.switch_to dtb ~asid:to_asid;
+  match trace with
+  | None -> ()
+  | Some tr ->
+      Trace.record tr ~at_cycle:at (Trace.Switch { from_asid; to_asid });
+      if Dtb.flushes dtb > before then
+        Trace.record tr ~at_cycle:at (Trace.Dtb_flush { asid = to_asid })
+
 let run ?trace ~policy ~quantum ~dtb processes =
   if processes = [] then invalid_arg "Scheduler.run: no processes";
   if quantum < 1 then invalid_arg "Scheduler.run: quantum must be >= 1";
@@ -108,12 +118,8 @@ let run ?trace ~policy ~quantum ~dtb processes =
           let from_asid =
             if !last_index < 0 then None else Some procs.(!last_index).asid
           in
-          let before = Dtb.flushes dtb in
-          Dtb.switch_to dtb ~asid:p.asid;
-          incr switches;
-          tell !clock (Trace.Switch { from_asid; to_asid = p.asid });
-          if Dtb.flushes dtb > before then
-            tell !clock (Trace.Dtb_flush { asid = p.asid })
+          switch ?trace dtb ~at:!clock ~from_asid ~to_asid:p.asid;
+          incr switches
         end;
         last_index := i;
         let stats = Machine.stats p.machine in

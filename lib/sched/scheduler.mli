@@ -58,6 +58,18 @@ type report = {
   r_slices : int;        (** total quanta dispatched *)
 }
 
+val switch :
+  ?trace:Trace.t ->
+  Dtb.t ->
+  at:int ->
+  from_asid:int option ->
+  to_asid:int ->
+  unit
+(** The context switch every slicing driver performs: make [to_asid] the
+    DTB's current address space, then record [Switch] at cycle [at] into
+    [trace] if given, followed by [Dtb_flush] when the switch flushed the
+    buffer (the Flush_on_switch policy). *)
+
 val run :
   ?trace:Trace.t ->
   policy:policy ->

@@ -2,12 +2,12 @@
 
    Jobs arrive over virtual time, wait in a bounded admission queue, are
    bound to recycled ASID slots sharing one DTB, and are sliced at INTERP
-   boundaries until they retire.  Every attempt carries the fault
-   machinery of Uhm_fault.Resilient (Injector / Guard /
-   invalidate-retranslate / checkpoint rollback / watchdog downgrade),
-   and the service runs its robustness policy around it: job deadlines,
-   bounded retry with exponential backoff after a voided attempt, and a
-   staged brownout controller.
+   boundaries until they retire.  Every attempt is a Uhm_fault.Tenant —
+   the per-program engine that Resilient.run_encoded slices too, carrying
+   injection, guards, invalidate-retranslate, checkpoint rollback and
+   watchdog downgrade — and the service runs its robustness policy
+   around it: job deadlines, bounded retry with exponential backoff after
+   a voided attempt, and a staged brownout controller.
 
    Serve.run is this kernel at [zero]; Chaos.run is this kernel plus the
    fold of its per-job state into reports and a chaos summary.  The
@@ -16,16 +16,15 @@
    neither deadlines nor brownout exist, so every chaos branch below is
    dead and the run is the plain service.
 
-   The slice body mirrors Uhm_sched.Scheduler.run statement for statement
-   (pick order, switch_to/trace sequencing, clock arithmetic).  That is
-   not incidental: in the closed-system limit — all arrivals at cycle 0,
-   as many slots as jobs — a zero-config run must reproduce the
-   scheduler's cycle counts and trace rollups bit for bit, which
-   test/test_serve.ml pins against Mix. *)
+   The slice keeps Uhm_sched.Scheduler.run's pick order, context switch
+   (Scheduler.switch) and clock arithmetic.  That is not incidental: in
+   the closed-system limit — all arrivals at cycle 0, as many slots as
+   jobs — a zero-config run must reproduce the scheduler's cycle counts
+   and trace rollups bit for bit, which test/test_serve.ml pins against
+   Mix. *)
 
 module Machine = Uhm_machine.Machine
 module Timing = Uhm_machine.Timing
-module R = Uhm_machine.Host_isa.Regs
 module Dtb = Uhm_core.Dtb
 module U = Uhm_core.Uhm
 module Codec = Uhm_encoding.Codec
@@ -34,8 +33,8 @@ module Scheduler = Uhm_sched.Scheduler
 module Trace = Uhm_sched.Trace
 module Mix = Uhm_sched.Mix
 module Injector = Uhm_fault.Injector
-module Guard = Uhm_fault.Guard
 module Resilient = Uhm_fault.Resilient
+module Tenant = Uhm_fault.Tenant
 
 (* -- The service's records (documented in serve.mli) ------------------------ *)
 
@@ -228,8 +227,6 @@ let solo_reference ?timing ?fuel ?layout ?backend ~config (name, encoded) =
 
 (* -- The kernel -------------------------------------------------------------- *)
 
-type mode = Translating | Downgraded
-
 (* Per-job bookkeeping that survives across attempts. *)
 type jstate = {
   js_id : int;
@@ -251,33 +248,9 @@ type jstate = {
   mutable js_state_ok : bool;
 }
 
-(* One attempt of one job bound to an ASID slot, with the Resilient proc
-   state it runs under. *)
-type tenant = {
-  t_js : jstate;
-  t_asid : int;
-  t_interp0 : bool; (* admitted in pure-interpretation mode (stage 2) *)
-  t_total_dir_steps : int;
-  inj : Injector.t;
-  guard : Guard.t;
-  retries : (int, int) Hashtbl.t;
-  watchdog : int Queue.t;
-  mutable machine : Machine.t;
-  mutable mode : mode;
-  mutable translating : int option;
-  mutable doomed : bool;
-  mutable ck : Machine.checkpoint option;
-  mutable ck_step : int;
-  mutable outstanding : int list;
-  mutable downgrade_pending : bool;
-  mutable finished : Machine.status option;
-  mutable out_prefix : string;
-  mutable base_cycles : int;
-  mutable injected : int;
-  mutable detected : int;
-  mutable retried : int;
-  mutable rolled_back : int;
-}
+(* One attempt of one job bound to an ASID slot: the Tenant engine's
+   program, with the job it serves and the SRTF remaining-work estimate. *)
+type tenant = { t_js : jstate; t_total_dir_steps : int; t : Tenant.t }
 
 (* A finished run: the service-level result plus the per-job state and
    policy counters that Chaos.run folds into its reports. *)
@@ -307,14 +280,9 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
   | Some d when d < 1 -> invalid_arg "Chaos.run: deadline must be >= 1"
   | _ -> ());
   let fc = fconfig.c_fault in
-  let mem_faults = Injector.can_inject fc.Resilient.injector Injector.Mem_word in
-  if mem_faults && fc.Resilient.checkpoint_every = None then
-    invalid_arg "Chaos.run: Mem_word faults require checkpoint_every";
-  (* injector polling and end-state verification (and thus job retry)
-     only arm when faults can actually fire: the zero-config run must be
-     branch-for-branch the plain service, and pay nothing per INTERP for
-     a silent injector *)
-  let verify = not (Injector.is_zero fc.Resilient.injector) in
+  if Injector.can_inject fc.Tenant.injector Injector.Mem_word
+     && fc.Tenant.checkpoint_every = None
+  then invalid_arg "Chaos.run: Mem_word faults require checkpoint_every";
   let tmpl = Array.of_list templates in
   let arr = Array.of_list arrivals in
   let njobs = Array.length arr in
@@ -327,12 +295,8 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
     arr;
   let buffer_base = layout.Layout.dtb_buffer_base + 1 in
   let dtb = Dtb.create_shared ~policy ~programs:slots config ~buffer_base in
-  let buffer_words = Dtb.buffer_words dtb in
   let trace = Trace.create ~capacity:trace_capacity () in
   let tell at kind = Trace.record trace ~at_cycle:at kind in
-  let t_dtb = timing.Timing.t_dtb
-  and t_guard = timing.Timing.t_guard
-  and t2 = timing.Timing.t2 in
   let jobs : job option array = Array.make njobs None in
   let jstates =
     Array.mapi
@@ -396,14 +360,14 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
     | None -> ()
     | Some _ -> Queue.push (at, slot) bo_window
   in
-  (* mid-slice virtual time, as in Scheduler.run's translation tap: clock
-     at slice start plus what the current tenant has run since *)
-  let slice_c0 = ref 0 in
-  let vtime t =
-    !clock + t.base_cycles + (Machine.stats t.machine).Machine.cycles
-    - !slice_c0
+  let env =
+    Tenant.env ~timing ?fuel ~layout ?backend ~dtb ~trace ~tagged_keys
+      ~on_detect:bo_note fc
   in
-  let tell_v t kind = Trace.record trace ~at_cycle:(vtime t) kind in
+  (* end-state verification (and thus job retry) only arms when faults
+     can actually fire: the zero-config run must be branch-for-branch the
+     plain service *)
+  let verify = Tenant.armed env in
   let solo_cache : (int, solo_ref) Hashtbl.t = Hashtbl.create 8 in
   let solo_of tidx =
     match Hashtbl.find_opt solo_cache tidx with
@@ -503,256 +467,33 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
     scan 0
   in
 
-  let recovery_event t ~step =
-    Queue.push step t.watchdog;
-    while
-      (not (Queue.is_empty t.watchdog))
-      && Queue.peek t.watchdog < step - fc.Resilient.watchdog_window
-    do
-      ignore (Queue.pop t.watchdog)
-    done;
-    if Queue.length t.watchdog >= fc.Resilient.watchdog_threshold then
-      t.downgrade_pending <- true
-  in
-
-  (* One attempt's machinery: Resilient.run_encoded's make_proc, with the
-     slot as the trace/DTB ASID and the injector stream derived from
-     (job, attempt).  A re-run is a fresh machine with a monotonic step
-     counter starting at 0, so it must be a fresh stream — and deriving
-     per attempt also means a retry does not deterministically re-suffer
-     the exact fault schedule that voided the previous attempt.  A
-     stage-2 admission runs as pure interpretation and needs no hooks. *)
+  (* One attempt's machinery, with the slot as the trace/DTB ASID and the
+     injector stream derived from (job, attempt).  A re-run is a fresh
+     machine with a monotonic step counter starting at 0, so it must be a
+     fresh stream — and deriving per attempt also means a retry does not
+     deterministically re-suffer the exact fault schedule that voided the
+     previous attempt. *)
   let make_tenant ~slot ~interp0 (js : jstate) ~attempt =
-    let self = ref None in
-    let t_of () = match !self with Some t -> t | None -> assert false in
-    let machine, mode =
-      if interp0 then
-        (U.prepare_interp ~timing ?fuel ~layout ?backend js.js_encoded, Downgraded)
-      else begin
-        let apply_fault m (f : Injector.fault) =
-          let t = t_of () in
-          let applied =
-            match f.Injector.f_class with
-            | Injector.Dtb_tag ->
-                Dtb.corrupt_resident_tag dtb ~pick:f.Injector.f_r1
-                  ~flip:f.Injector.f_r2
-                <> None
-            | Injector.Psder_word ->
-                let addr = buffer_base + (f.Injector.f_r1 mod buffer_words) in
-                Machine.poke m addr
-                  (Machine.peek m addr lxor (1 lsl (f.Injector.f_r2 mod 16)));
-                true
-            | Injector.Translator ->
-                t.doomed <- true;
-                true
-            | Injector.Mem_word ->
-                let base = layout.Layout.data_base in
-                let dtop = Machine.reg m R.dtop in
-                if dtop <= base then false
-                else begin
-                  let addr = base + (f.Injector.f_r1 mod (dtop - base)) in
-                  Machine.poke m addr
-                    (Machine.peek m addr lxor (1 lsl (f.Injector.f_r2 mod 31)));
-                  t.outstanding <- addr :: t.outstanding;
-                  true
-                end
-          in
-          if applied then begin
-            t.injected <- t.injected + 1;
-            tell_v t
-              (Trace.Fault_injected
-                 { asid = t.t_asid;
-                   fclass = Injector.class_name f.Injector.f_class })
-          end
-        in
-        let start_translation m ~translator_entry ~dir_addr ~dctx =
-          let t = t_of () in
-          tell_v t (Trace.Translation { asid = t.t_asid; dir_addr });
-          if fc.Resilient.guards then begin
-            Guard.begin_install t.guard;
-            Machine.add_cycles m t_guard
-          end;
-          t.translating <- Some dir_addr;
-          Dtb.begin_translation dtb ~tag:dir_addr;
-          Machine.set_reg m R.dpc dir_addr;
-          Machine.set_reg m R.dctx dctx;
-          Machine.set_pc m (Machine.Long translator_entry)
-        in
-        let detect m ~translator_entry ~dir_addr ~dctx ~fclass ~checked_words =
-          let t = t_of () in
-          Machine.add_cycles m (t_guard * max 1 checked_words);
-          t.detected <- t.detected + 1;
-          tell_v t (Trace.Fault_detected { asid = t.t_asid; fclass });
-          bo_note (vtime t) t.t_asid;
-          let step = (Machine.stats m).Machine.interp_count in
-          recovery_event t ~step;
-          let attempts =
-            1 + Option.value ~default:0 (Hashtbl.find_opt t.retries dir_addr)
-          in
-          Hashtbl.replace t.retries dir_addr attempts;
-          if attempts > fc.Resilient.retry_limit then t.downgrade_pending <- true;
-          Machine.add_cycles m
-            (fc.Resilient.backoff_cycles * (1 lsl min (attempts - 1) 6));
-          t.retried <- t.retried + 1;
-          tell_v t
-            (Trace.Recovery_retry { asid = t.t_asid; dir_addr; attempt = attempts });
-          ignore (Dtb.invalidate dtb ~tag:dir_addr);
-          start_translation m ~translator_entry ~dir_addr ~dctx
-        in
-        (* the hot path: with the injector silent and guards off (every
-           zero-config run) a hit costs what the plain INTERP hook's does *)
-        let make_interp ~translator_entry m ~dir_addr ~dctx =
-          if verify then begin
-            match
-              Injector.due (t_of ()).inj
-                ~step:(Machine.stats m).Machine.interp_count
-            with
-            | [] -> ()
-            | faults -> List.iter (apply_fault m) faults
-          end;
-          Machine.add_cycles m t_dtb;
-          match Dtb.lookup dtb ~tag:dir_addr with
-          | `Hit buffer_addr ->
-              if not fc.Resilient.guards then
-                Machine.set_pc m (Machine.Short buffer_addr)
-              else begin
-                let t = t_of () in
-                match
-                  Guard.check t.guard ~peek:(Machine.peek m) ~dir_addr
-                    ~start_addr:buffer_addr
-                with
-                | `Ok words ->
-                    Machine.add_cycles m (t_guard * words);
-                    Machine.set_pc m (Machine.Short buffer_addr)
-                | `Mismatch | `Unguarded ->
-                    Guard.drop t.guard ~start_addr:buffer_addr;
-                    detect m ~translator_entry ~dir_addr ~dctx ~fclass:"dtb-tag"
-                      ~checked_words:1
-                | `Corrupt words ->
-                    Guard.drop t.guard ~start_addr:buffer_addr;
-                    detect m ~translator_entry ~dir_addr ~dctx
-                      ~fclass:"psder-word" ~checked_words:words
-              end
-          | `Miss -> start_translation m ~translator_entry ~dir_addr ~dctx
-        in
-        let on_emit ~addr ~word =
-          if fc.Resilient.guards then Guard.on_emit (t_of ()).guard ~addr ~word
-        in
-        let on_end_translation ~start_addr =
-          let t = t_of () in
-          let dir_addr =
-            match t.translating with Some d -> d | None -> assert false
-          in
-          t.translating <- None;
-          if t.doomed then begin
-            t.doomed <- false;
-            ignore (Dtb.invalidate dtb ~tag:dir_addr);
-            Guard.abandon t.guard;
-            Guard.drop t.guard ~start_addr
-          end
-          else if fc.Resilient.guards then
-            Guard.finish_install t.guard ~dir_addr ~start_addr
-        in
-        let machine, _translator_entry =
-          U.prepare_dtb_custom ~timing ?fuel ~layout ?backend ~on_emit
-            ~on_end_translation ~make_interp ~dtb js.js_encoded
-        in
-        (machine, Translating)
-      end
-    in
-    let t =
-      {
-        t_js = js;
-        t_asid = slot;
-        t_interp0 = interp0;
-        t_total_dir_steps = U.dir_steps_memoized js.js_encoded.Codec.program;
-        inj =
-          Injector.create fc.Resilient.injector
-            ~asid:((js.js_id * 131) + (attempt - 1));
-        guard = Guard.create ();
-        retries = Hashtbl.create 16;
-        watchdog = Queue.create ();
-        machine;
-        mode;
-        translating = None;
-        doomed = false;
-        ck = None;
-        ck_step = 0;
-        outstanding = [];
-        downgrade_pending = false;
-        finished = None;
-        out_prefix = "";
-        base_cycles = 0;
-        injected = 0;
-        detected = 0;
-        retried = 0;
-        rolled_back = 0;
-      }
-    in
-    self := Some t;
-    t
-  in
-
-  let take_checkpoint t =
-    let ck = Machine.checkpoint t.machine in
-    Machine.add_cycles t.machine (t2 * Machine.checkpoint_pages ck);
-    t.ck <- Some ck;
-    t.ck_step <- (Machine.stats t.machine).Machine.interp_count
-  in
-
-  let scrub_and_rollback t =
-    if t.outstanding <> [] then begin
-      let m = t.machine in
-      let step = (Machine.stats m).Machine.interp_count in
-      List.iter
-        (fun _ ->
-          t.detected <- t.detected + 1;
-          tell_v t
-            (Trace.Fault_detected
-               { asid = t.t_asid;
-                 fclass = Injector.class_name Injector.Mem_word });
-          bo_note (vtime t) t.t_asid;
-          recovery_event t ~step)
-        t.outstanding;
-      let ck = match t.ck with Some ck -> ck | None -> assert false in
-      Machine.restore m ck;
-      Machine.add_cycles m (t2 * Machine.checkpoint_pages ck);
-      if tagged_keys then ignore (Dtb.invalidate_asid dtb ~asid:t.t_asid)
-      else Dtb.flush dtb;
-      Guard.clear t.guard;
-      t.outstanding <- [];
-      t.finished <- None;
-      t.rolled_back <- t.rolled_back + 1;
-      tell_v t
-        (Trace.Rollback { asid = t.t_asid; pages = Machine.checkpoint_pages ck })
-    end
-  in
-
-  let downgrade t =
-    let m_old = t.machine in
-    let m_new = U.prepare_interp ~timing ?fuel ~layout ?backend t.t_js.js_encoded in
-    Resilient.graft_interp ~layout m_old m_new;
-    t.out_prefix <- t.out_prefix ^ Machine.output m_old;
-    t.base_cycles <- t.base_cycles + (Machine.stats m_old).Machine.cycles;
-    Machine.recycle m_old;
-    t.machine <- m_new;
-    t.mode <- Downgraded;
-    t.downgrade_pending <- false;
-    t.ck <- None;
-    tell_v t (Trace.Downgrade { asid = t.t_asid })
+    {
+      t_js = js;
+      t_total_dir_steps = U.dir_steps_memoized js.js_encoded.Codec.program;
+      t =
+        Tenant.create env ~asid:slot
+          ~stream:((js.js_id * 131) + (attempt - 1))
+          ~interp0 js.js_encoded;
+    }
   in
 
   (* Fold one finished (or voided) attempt's machinery stats into the
      job's cross-attempt accumulators. *)
-  let absorb t =
-    let js = t.t_js in
-    let stats = Machine.stats t.machine in
-    js.js_cycles <- js.js_cycles + t.base_cycles + stats.Machine.cycles;
-    js.js_injected <- js.js_injected + t.injected;
-    js.js_detected <- js.js_detected + t.detected;
-    js.js_retries <- js.js_retries + t.retried;
-    js.js_rollbacks <- js.js_rollbacks + t.rolled_back;
-    if t.mode = Downgraded && not t.t_interp0 then js.js_downgraded <- true
+  let absorb { t_js = js; t; _ } =
+    js.js_cycles <- js.js_cycles + Tenant.cycles t;
+    js.js_injected <- js.js_injected + t.Tenant.injected;
+    js.js_detected <- js.js_detected + t.Tenant.detected;
+    js.js_retries <- js.js_retries + t.Tenant.retried;
+    js.js_rollbacks <- js.js_rollbacks + t.Tenant.rolled_back;
+    if t.Tenant.mode = Tenant.Downgraded && not t.Tenant.interp0 then
+      js.js_downgraded <- true
   in
 
   (* The job record of a retired job, completed or failed, against the
@@ -786,9 +527,9 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
      per-job retry budget and either schedule the re-run after an
      exponential backoff or fail the job for good — the distinct [Failed]
      outcome, never a wrong answer. *)
-  let void_attempt s t =
-    absorb t;
-    let js = t.t_js in
+  let void_attempt s a =
+    absorb a;
+    let js = a.t_js in
     if js.js_attempts > fconfig.c_job_retry_limit then begin
       tell !clock
         (Trace.Job_failed { job = js.js_id; asid = s; attempts = js.js_attempts });
@@ -804,24 +545,13 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
            { job = js.js_id; asid = s; attempt = js.js_attempts + 1 });
       insert_retry (!clock + delay) js.js_id
     end;
-    Machine.recycle t.machine;
+    Machine.recycle a.t.Tenant.machine;
     active.(s) <- None
   in
 
-  let retire s t status =
-    let js = t.t_js in
-    (* a fault-crashed machine can have garbage stack registers; a
-       fingerprint that cannot even be computed is a mismatch, not a
-       driver crash *)
-    let output, hash, intact =
-      try
-        ( t.out_prefix ^ Machine.output t.machine,
-          Resilient.arch_fingerprint ~layout t.machine,
-          true )
-      with
-      | (Out_of_memory | Stack_overflow) as e -> raise e
-      | _ when verify -> ("", 0, false)
-    in
+  let retire s a status =
+    let js = a.t_js in
+    let output, hash, intact = Tenant.end_state env a.t in
     js.js_output <- output;
     js.js_arch_hash <- hash;
     let ok =
@@ -835,7 +565,7 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
     in
     js.js_state_ok <- ok;
     if ok then begin
-      absorb t;
+      absorb a;
       let sojourn = finish s js (Completed status) in
       (match fconfig.c_deadline with
       | Some bound when status = Machine.Halted && sojourn > bound ->
@@ -843,7 +573,7 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
           tell !clock
             (Trace.Deadline_miss { job = js.js_id; asid = s; by = sojourn - bound })
       | _ -> ());
-      Machine.recycle t.machine;
+      Machine.recycle a.t.Tenant.machine;
       active.(s) <- None
     end
     else begin
@@ -853,7 +583,7 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
       js.js_detected <- js.js_detected + 1;
       tell !clock (Trace.Fault_detected { asid = s; fclass = "end-state" });
       bo_note !clock s;
-      void_attempt s t
+      void_attempt s a
     end
   in
 
@@ -1025,11 +755,11 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
           (fun i t ->
             match t with
             | None -> ()
-            | Some t ->
+            | Some a ->
                 let remaining =
                   max 0
-                    (t.t_total_dir_steps
-                    - (Machine.stats t.machine).Machine.interp_count)
+                    (a.t_total_dir_steps
+                    - (Machine.stats a.t.Tenant.machine).Machine.interp_count)
                 in
                 (match !best with
                 | Some (_, r) when r <= remaining -> ()
@@ -1039,76 +769,19 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
   in
 
   let slice i =
-    let t = match active.(i) with Some t -> t | None -> assert false in
+    let a = match active.(i) with Some a -> a | None -> assert false in
     if i <> !last_index then begin
       let from_asid = if !last_index < 0 then None else Some !last_index in
-      let before = Dtb.flushes dtb in
-      Dtb.switch_to dtb ~asid:i;
-      incr switches;
-      tell !clock (Trace.Switch { from_asid; to_asid = i });
-      if Dtb.flushes dtb > before then tell !clock (Trace.Dtb_flush { asid = i })
+      Scheduler.switch ~trace dtb ~at:!clock ~from_asid ~to_asid:i;
+      incr switches
     end;
     last_index := i;
-    let c0 = t.base_cycles + (Machine.stats t.machine).Machine.cycles in
-    slice_c0 := c0;
-    if mem_faults && t.mode = Translating && t.ck = None then take_checkpoint t;
-    let outcome =
-      (* guards-off (or mid-install) corruption can make the machine
-         execute garbage and die with a host exception rather than a
-         guest trap; with faults armed that is just another voided
-         attempt, not a driver crash.  Without faults the exception
-         propagates — a zero-config crash is a real bug. *)
-      try
-        match t.mode with
-        | Translating -> Machine.run_dir_quantum t.machine ~quantum
-        | Downgraded ->
-            let budget =
-              if quantum > max_int / Resilient.interp_cycles_per_dir then max_int
-              else quantum * Resilient.interp_cycles_per_dir
-            in
-            Machine.run_for t.machine ~budget
-      with
-      | (Out_of_memory | Stack_overflow) as e -> raise e
-      | e when verify ->
-          let msg =
-            match e with
-            | Invalid_argument m | Failure m -> m
-            | e -> Printexc.to_string e
-          in
-          Machine.Done (Machine.Trapped ("machine crash: " ^ msg))
-    in
-    (match outcome with
-    | Machine.Done status -> t.finished <- Some status
-    | Machine.Yielded -> ());
-    (* a machine can stop mid-install (fuel, or fault corruption); close
-       the shared directory's open translation before any flush or
-       invalidate below *)
-    (match t.translating with
-    | Some _ ->
-        Dtb.abort_translation dtb;
-        if fc.Resilient.guards then Guard.abandon t.guard;
-        t.translating <- None;
-        t.doomed <- false
-    | None -> ());
-    if t.mode = Translating then begin
-      scrub_and_rollback t;
-      if t.finished = None then
-        if t.downgrade_pending then downgrade t
-        else if mem_faults then
-          match fc.Resilient.checkpoint_every with
-          | Some every
-            when (Machine.stats t.machine).Machine.interp_count - t.ck_step
-                 >= every ->
-              take_checkpoint t
-          | _ -> ()
-    end;
-    let now = t.base_cycles + (Machine.stats t.machine).Machine.cycles in
-    clock := !clock + (now - c0);
-    match t.finished with
+    clock := !clock + Tenant.slice env a.t ~clock:!clock ~quantum;
+    match a.t.Tenant.finished with
     | Some status ->
         tell !clock
           (Trace.Completion { asid = i; ok = status = Machine.Halted });
-        retire i t status
+        retire i a status
     | None -> tell !clock (Trace.Quantum_expiry { asid = i })
   in
 

@@ -537,6 +537,124 @@ let test_mid_install_death_aborts () =
     (List.exists (fun (p : Experiment.point) -> p.Experiment.fp_rollbacks > 0)
        points)
 
+(* -- Faulted goldens ------------------------------------------------------------- *)
+
+(* Literal numbers of the protected fault path, one run per fault class x
+   policy over fact_iter+gcd at rate 1e-3 (injector seed 7), quantum 32:
+   (total cycles, switches, flushes, trace events recorded), then per
+   program (cycles, injected, detected, retries, rollbacks, downgraded,
+   arch hash).  Any drift in injection, detection, backoff, rollback,
+   downgrade or trace sequencing moves one of them. *)
+let faulted_goldens =
+  [
+    ( Injector.Dtb_tag, Dtb.Tagged, (1867420, 150, 0, 2511),
+      [
+        (64979, 5, 0, 0, 0, false, 169439401008282417);
+        (1802441, 63, 0, 0, 0, false, 47299934762874939);
+      ] );
+    ( Injector.Dtb_tag, Dtb.Flush_on_switch, (2068618, 150, 149, 5688),
+      [
+        (143650, 5, 0, 0, 0, false, 169439401008282417);
+        (1924968, 63, 0, 0, 0, false, 47299934762874939);
+      ] );
+    ( Injector.Psder_word, Dtb.Tagged, (1865580, 150, 0, 2491),
+      [
+        (64792, 5, 0, 0, 0, false, 169439401008282417);
+        (1800788, 63, 4, 4, 0, false, 47299934762874939);
+      ] );
+    ( Injector.Psder_word, Dtb.Flush_on_switch, (2065353, 150, 149, 5649),
+      [
+        (143416, 5, 0, 0, 0, false, 169439401008282417);
+        (1921937, 63, 3, 3, 0, false, 47299934762874939);
+      ] );
+    ( Injector.Translator, Dtb.Tagged, (1865939, 150, 0, 2495),
+      [
+        (64792, 5, 0, 0, 0, false, 169439401008282417);
+        (1801147, 63, 0, 0, 0, false, 47299934762874939);
+      ] );
+    ( Injector.Translator, Dtb.Flush_on_switch, (2065965, 150, 149, 5658),
+      [
+        (143591, 5, 0, 0, 0, false, 169439401008282417);
+        (1922374, 63, 0, 0, 0, false, 47299934762874939);
+      ] );
+    ( Injector.Mem_word, Dtb.Tagged, (4765359, 180, 0, 3214),
+      [
+        (85535, 5, 5, 0, 5, false, 169439401008282417);
+        (4679824, 9, 9, 0, 9, true, 47299934762874939);
+      ] );
+    ( Injector.Mem_word, Dtb.Flush_on_switch, (4992068, 180, 193, 6807),
+      [
+        (173032, 5, 5, 0, 5, false, 169439401008282417);
+        (4819036, 9, 9, 0, 9, true, 47299934762874939);
+      ] );
+  ]
+
+let test_faulted_goldens () =
+  List.iter
+    (fun (cls, policy, (total, switches, flushes, recorded), programs) ->
+      let injector = { Injector.seed = 7; rates = [ (cls, 1e-3) ]; explicit = [] } in
+      let r =
+        Resilient.run_encoded ~policy ~quantum:32 ~config:Dtb.paper_config
+          ~fconfig:(Resilient.protected injector) (Lazy.force inv_programs)
+      in
+      let at = Printf.sprintf "%s/%s" (Injector.class_name cls) (Dtb.policy_name policy) in
+      check_int (at ^ ": total cycles") total r.Resilient.rr_total_cycles;
+      check_int (at ^ ": switches") switches r.Resilient.rr_switches;
+      check_int (at ^ ": flushes") flushes r.Resilient.rr_flushes;
+      check_int (at ^ ": trace events") recorded (Trace.recorded r.Resilient.rr_trace);
+      List.iter2
+        (fun (cycles, injected, detected, retries, rollbacks, downgraded, hash)
+             (p : Resilient.program_report) ->
+          let at = at ^ " " ^ p.Resilient.pr_name in
+          check_int (at ^ ": cycles") cycles p.Resilient.pr_cycles;
+          check_int (at ^ ": injected") injected p.Resilient.pr_injected;
+          check_int (at ^ ": detected") detected p.Resilient.pr_detected;
+          check_int (at ^ ": retries") retries p.Resilient.pr_retries;
+          check_int (at ^ ": rollbacks") rollbacks p.Resilient.pr_rollbacks;
+          check_bool (at ^ ": downgraded") downgraded p.Resilient.pr_downgraded;
+          check_int (at ^ ": arch hash") hash p.Resilient.pr_arch_hash)
+        programs r.Resilient.rr_programs)
+    faulted_goldens
+
+(* Guards off, PSDER words corrupted at a bruising rate: a corrupted
+   machine can decode a garbage opcode and die with a host exception.
+   That must end the program as a trap, not raise out of the driver, and
+   no corrupted program may pass for the fault-free answer. *)
+let test_guards_off_crash_traps () =
+  let programs = List.map (fun n -> (n, compile n)) [ "fact_iter"; "string_out" ] in
+  let run fconfig =
+    Resilient.run ~fuel:500_000 ~policy:Dtb.Tagged ~quantum:24
+      ~config:Dtb.paper_config ~fconfig ~kind:Kind.Packed programs
+  in
+  let clean = run Resilient.zero in
+  let r =
+    run
+      {
+        Resilient.zero with
+        Resilient.injector =
+          { Injector.seed = 3; rates = [ (Injector.Psder_word, 0.004) ]; explicit = [] };
+      }
+  in
+  List.iter2
+    (fun (c : Resilient.program_report) (p : Resilient.program_report) ->
+      let same =
+        p.Resilient.pr_status = c.Resilient.pr_status
+        && String.equal p.Resilient.pr_output c.Resilient.pr_output
+        && p.Resilient.pr_arch_hash = c.Resilient.pr_arch_hash
+      in
+      check_bool (p.Resilient.pr_name ^ ": intact, trapped or visibly off") true
+        (same
+        || p.Resilient.pr_status <> Machine.Halted
+        || p.Resilient.pr_arch_hash <> c.Resilient.pr_arch_hash))
+    clean.Resilient.rr_programs r.Resilient.rr_programs;
+  check_bool "a host exception became a machine-crash trap" true
+    (List.exists
+       (fun (p : Resilient.program_report) ->
+         match p.Resilient.pr_status with
+         | Machine.Trapped m -> Astring_contains.contains m "machine crash"
+         | _ -> false)
+       r.Resilient.rr_programs)
+
 (* -- Satellite: the runaway-program fuel guard --------------------------------- *)
 
 let test_fuel_runaway_guard () =
@@ -587,4 +705,8 @@ let suite =
         test_mid_install_death_aborts;
       Alcotest.test_case "fuel guard stops a runaway program" `Quick
         test_fuel_runaway_guard;
+      Alcotest.test_case "faulted goldens: every class under tagged and flush"
+        `Slow test_faulted_goldens;
+      Alcotest.test_case "guards-off corruption traps instead of raising"
+        `Quick test_guards_off_crash_traps;
     ] )
