@@ -29,10 +29,11 @@
    at any domain count.
 
    The perf target measures host-side simulator throughput (wall time,
-   simulated cycles per second) and writes BENCH_simulator.json in the
-   current directory.  Environment knobs: UHM_PERF_RUNS (min runs per
-   sample), UHM_PERF_SECONDS (min seconds per sample), UHM_PERF_OUT
-   (output path), UHM_PERF_SWEEP (0 skips the parallel-sweep timing),
+   simulated cycles per second) and records it in BENCH_simulator.json
+   in the current directory (its samples, backend and sweep sections).
+   Environment knobs: UHM_PERF_RUNS (min runs per sample),
+   UHM_PERF_SECONDS (min seconds per sample), UHM_PERF_OUT (output
+   path), UHM_PERF_SWEEP (0 skips the parallel-sweep timing),
    UHM_PERF_SWEEP_REPEATS (timings per wall-clock point, default 2).
 
    The load target records the open-arrival saturation study (lib/serve):
@@ -41,9 +42,10 @@
    resilience target records the fault-tolerant serving study: SLO
    attainment, goodput and p99 degradation vs injected fault rate, a
    schema-v5 "resilience" section of the same file.  perf, load and
-   resilience each rewrite only their own section, preserving the
-   others'.  UHM_LOAD_JOBS / UHM_RESILIENCE_JOBS set the arrivals per
-   cell (defaults 400 / 150); UHM_PERF_OUT names the file for all. *)
+   resilience each replace only their own sections; every other section
+   of the file, known to this binary or not, is kept as parsed.
+   UHM_LOAD_JOBS / UHM_RESILIENCE_JOBS set the arrivals per cell
+   (defaults 400 / 150); UHM_PERF_OUT names the file for all. *)
 
 module Table = Uhm_report.Table
 module Kind = Uhm_encoding.Kind
@@ -82,7 +84,9 @@ let resume_path : string option ref = ref None
    (exit 1) after every report has been printed *)
 let quarantined_cells = ref 0
 
-let campaign_setup ~target ~fingerprint ~cells =
+(* One campaign run with the bench's error handling: a journal from a
+   different configuration is a hard error (exit 2). *)
+let run_campaign ~target ~fingerprint ~cells grid =
   let derive =
     Option.map (fun path ->
         let base = Filename.remove_extension path in
@@ -91,14 +95,15 @@ let campaign_setup ~target ~fingerprint ~cells =
   in
   let journal = derive !journal_path and resume = derive !resume_path in
   match
-    Campaign.prepare ?journal ?resume ~campaign:("bench-" ^ target)
-      ~fingerprint ~cells ()
+    Campaign.run ?journal ?resume ~campaign:("bench-" ^ target) ~fingerprint
+      ~cells (fun setup ->
+        if setup.Campaign.resumed > 0 then
+          Printf.eprintf
+            "bench: %s: %d of %d cells served from the journal\n%!" target
+            setup.Campaign.resumed cells;
+        grid setup)
   with
-  | setup ->
-      if setup.Campaign.resumed > 0 then
-        Printf.eprintf "bench: %s: %d of %d cells served from the journal\n%!"
-          target setup.Campaign.resumed cells;
-      setup
+  | result -> result
   | exception Campaign.Mismatch msg ->
       Printf.eprintf "bench: error: %s\n" msg;
       exit 2
@@ -325,16 +330,13 @@ let figure2 () =
     [ "bench figure2"; "programs=" ^ String.concat "," programs;
       dtb_configs_fingerprint configs ]
   in
-  let setup =
-    campaign_setup ~target:"figure2" ~fingerprint
-      ~cells:(List.length programs * List.length configs)
-  in
   let grid =
-    Experiment.dtb_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~configs
-      (List.map (fun name -> (name, compile name)) programs)
+    run_campaign ~target:"figure2" ~fingerprint
+      ~cells:(List.length programs * List.length configs) (fun setup ->
+        Experiment.dtb_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~configs
+          (List.map (fun name -> (name, compile name)) programs))
   in
-  setup.Campaign.close ();
   List.iter
     (fun (name, points) ->
       Table.add_row t
@@ -466,30 +468,27 @@ let model_vs_sim () =
       "programs=" ^ String.concat "," representative;
       "kinds=" ^ String.concat "," (List.map Kind.name kinds) ]
   in
-  let setup =
-    campaign_setup ~target:"model-vs-sim" ~fingerprint
-      ~cells:(List.length jobs_list)
-  in
   let slots =
-    Sweep.map_supervised ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook
-      (fun (name, kind) ->
-        let m = Experiment.measure ~kind ~name (compile name) in
-        let c = Experiment.calibrate m in
-        let params = Experiment.params_of c in
-        let sim = U.cycles_per_dir_instruction in
-        let t1s = sim m.Experiment.interp
-        and t2s = sim m.Experiment.dtb
-        and t3s = sim m.Experiment.cached in
-        [ Printf.sprintf "%s/%s" name (Kind.name kind);
-          Table.cell_float t1s; Table.cell_float (Model.t1 params);
-          Table.cell_float t3s; Table.cell_float (Model.t3 params);
-          Table.cell_float t2s; Table.cell_float (Model.t2 params);
-          Table.cell_float ((t1s -. t2s) /. t2s *. 100.);
-          Table.cell_float (Model.f2 params) ])
-      jobs_list
+    run_campaign ~target:"model-vs-sim" ~fingerprint
+      ~cells:(List.length jobs_list) (fun setup ->
+        Sweep.map_supervised ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook
+          (fun (name, kind) ->
+            let m = Experiment.measure ~kind ~name (compile name) in
+            let c = Experiment.calibrate m in
+            let params = Experiment.params_of c in
+            let sim = U.cycles_per_dir_instruction in
+            let t1s = sim m.Experiment.interp
+            and t2s = sim m.Experiment.dtb
+            and t3s = sim m.Experiment.cached in
+            [ Printf.sprintf "%s/%s" name (Kind.name kind);
+              Table.cell_float t1s; Table.cell_float (Model.t1 params);
+              Table.cell_float t3s; Table.cell_float (Model.t3 params);
+              Table.cell_float t2s; Table.cell_float (Model.t2 params);
+              Table.cell_float ((t1s -. t2s) /. t2s *. 100.);
+              Table.cell_float (Model.f2 params) ])
+          jobs_list)
   in
-  setup.Campaign.close ();
   List.iteri
     (fun i slot ->
       (match slot with
@@ -578,16 +577,13 @@ let assoc () =
     [ "bench assoc"; "programs=" ^ String.concat "," programs;
       dtb_configs_fingerprint configs ]
   in
-  let setup =
-    campaign_setup ~target:"assoc" ~fingerprint
-      ~cells:(List.length programs * List.length configs)
-  in
   let grid =
-    Experiment.dtb_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~configs
-      (List.map (fun name -> (name, compile name)) programs)
+    run_campaign ~target:"assoc" ~fingerprint
+      ~cells:(List.length programs * List.length configs) (fun setup ->
+        Experiment.dtb_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~configs
+          (List.map (fun name -> (name, compile name)) programs))
   in
-  setup.Campaign.close ();
   List.iter
     (fun (name, points) ->
       Table.add_row t
@@ -622,16 +618,13 @@ let alloc () =
     [ "bench alloc"; "programs=" ^ String.concat "," programs;
       dtb_configs_fingerprint configs ]
   in
-  let setup =
-    campaign_setup ~target:"alloc" ~fingerprint
-      ~cells:(List.length programs * List.length configs)
-  in
   let grid =
-    Experiment.dtb_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~configs
-      (List.map (fun name -> (name, compile name)) programs)
+    run_campaign ~target:"alloc" ~fingerprint
+      ~cells:(List.length programs * List.length configs) (fun setup ->
+        Experiment.dtb_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~configs
+          (List.map (fun name -> (name, compile name)) programs))
   in
-  setup.Campaign.close ();
   List.iter
     (fun (name, points) ->
       List.iter
@@ -707,24 +700,24 @@ let crossover () =
       ^ String.concat ","
           (List.map (fun (n, k) -> n ^ "/" ^ Kind.name k) cells) ]
   in
-  let setup =
-    campaign_setup ~target:"crossover" ~fingerprint ~cells:(List.length cells)
-  in
   let rows =
-    Sweep.map_supervised ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook
-      (fun (name, kind) ->
-        let p = compile name in
-        let interp = U.run ~strategy:U.Interp ~kind p in
-        let dtb = U.run ~strategy:(U.Dtb_strategy Dtb.paper_config) ~kind p in
-        [ Printf.sprintf "%s/%s" name (Kind.name kind);
-          Table.cell_float (U.cycles_per_dir_instruction interp);
-          Table.cell_float (U.cycles_per_dir_instruction dtb);
-          Table.cell_float
-            (float_of_int interp.U.cycles /. float_of_int dtb.U.cycles) ])
-      cells
+    run_campaign ~target:"crossover" ~fingerprint
+      ~cells:(List.length cells) (fun setup ->
+        Sweep.map_supervised ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook
+          (fun (name, kind) ->
+            let p = compile name in
+            let interp = U.run ~strategy:U.Interp ~kind p in
+            let dtb =
+              U.run ~strategy:(U.Dtb_strategy Dtb.paper_config) ~kind p
+            in
+            [ Printf.sprintf "%s/%s" name (Kind.name kind);
+              Table.cell_float (U.cycles_per_dir_instruction interp);
+              Table.cell_float (U.cycles_per_dir_instruction dtb);
+              Table.cell_float
+                (float_of_int interp.U.cycles /. float_of_int dtb.U.cycles) ])
+          cells)
   in
-  setup.Campaign.close ();
   List.iter2
     (fun (name, kind) slot ->
       match slot with
@@ -939,15 +932,13 @@ let mix () =
       "quanta="
       ^ String.concat "," (List.map string_of_int SX.default_quanta) ]
   in
-  let setup =
-    campaign_setup ~target:"mix" ~fingerprint ~cells:(List.length axes)
-  in
   let grid =
-    SX.mix_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~policies
-      ~configs:[ Dtb.paper_config ] programs
+    run_campaign ~target:"mix" ~fingerprint
+      ~cells:(List.length axes) (fun setup ->
+        SX.mix_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~policies
+          ~configs:[ Dtb.paper_config ] programs)
   in
-  setup.Campaign.close ();
   let t =
     Table.create
       ~columns:
@@ -1050,14 +1041,12 @@ let summary () =
   let fingerprint =
     [ "bench summary"; "programs=" ^ String.concat "," names ]
   in
-  let setup =
-    campaign_setup ~target:"summary" ~fingerprint ~cells:(List.length names)
-  in
   let slots =
-    Experiment.summary_rows_slots ?domains:!jobs
-      ~cached:setup.Campaign.cached ?cell_hook:setup.Campaign.cell_hook ()
+    run_campaign ~target:"summary" ~fingerprint
+      ~cells:(List.length names) (fun setup ->
+        Experiment.summary_rows_slots ?domains:!jobs
+          ~cached:setup.Campaign.cached ?cell_hook:setup.Campaign.cell_hook ())
   in
-  setup.Campaign.close ();
   let prev_lang = ref None in
   List.iter2
     (fun name slot ->
@@ -1135,15 +1124,12 @@ let languages () =
       ^ String.concat ","
           (List.map (fun (n, lang, _) -> n ^ "/" ^ lang) jobs_list) ]
   in
-  let setup =
-    campaign_setup ~target:"languages" ~fingerprint
-      ~cells:(List.length jobs_list)
-  in
   let rows =
-    Sweep.map_supervised ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook row jobs_list
+    run_campaign ~target:"languages" ~fingerprint
+      ~cells:(List.length jobs_list) (fun setup ->
+        Sweep.map_supervised ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook row jobs_list)
   in
-  setup.Campaign.close ();
   List.iter2
     (fun (name, lang, _) slot ->
       match slot with
@@ -1204,17 +1190,14 @@ let locality () =
     [ "bench locality";
       "cells=" ^ String.concat "," (List.map fst jobs_list) ]
   in
-  let setup =
-    campaign_setup ~target:"locality" ~fingerprint
-      ~cells:(List.length jobs_list)
-  in
   let rows =
-    Sweep.map_supervised ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook
-      (fun (_, job) -> job ())
-      jobs_list
+    run_campaign ~target:"locality" ~fingerprint
+      ~cells:(List.length jobs_list) (fun setup ->
+        Sweep.map_supervised ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook
+          (fun (_, job) -> job ())
+          jobs_list)
   in
-  setup.Campaign.close ();
   List.iter2
     (fun (label, _) slot ->
       match slot with
@@ -1306,61 +1289,11 @@ let perf () =
   section "Perf: host-side simulator throughput (wall clock, not simulated)";
   let min_runs = getenv_num "UHM_PERF_RUNS" int_of_string_opt 5 in
   let min_seconds = getenv_num "UHM_PERF_SECONDS" float_of_string_opt 0.2 in
-  let path = bench_json_path () in
-  (* re-measuring throughput must not clobber the recorded saturation or
-     resilience studies; carry their sections over verbatim *)
-  let load, resilience =
-    if Sys.file_exists path then
-      (Uhm_core.Perf.read_load ~path, Uhm_core.Perf.read_resilience ~path)
-    else (None, None)
-  in
   let samples =
     Uhm_core.Perf.run_suite ~min_runs ~min_seconds
       ~backends:[ `Decode; `Threaded ] ()
   in
-  let t =
-    Table.create
-      ~columns:
-        [ ("workload/strategy", Table.Left); ("backend", Table.Left);
-          ("runs", Table.Right); ("us/run", Table.Right);
-          ("sim cycles/s", Table.Right); ("host instrs/s", Table.Right) ]
-      ()
-  in
-  List.iter
-    (fun s ->
-      Table.add_row t
-        [ Printf.sprintf "%s/%s" s.Uhm_core.Perf.workload
-            s.Uhm_core.Perf.strategy;
-          s.Uhm_core.Perf.backend;
-          Table.cell_int s.Uhm_core.Perf.runs;
-          Table.cell_float s.Uhm_core.Perf.wall_us_per_run;
-          Printf.sprintf "%.2fM" (s.Uhm_core.Perf.sim_cycles_per_sec /. 1e6);
-          Printf.sprintf "%.2fM" (s.Uhm_core.Perf.host_instrs_per_sec /. 1e6) ])
-    samples;
-  Table.print t;
-  (* Host wall-clock only: the simulated cycle counts, traces and final
-     states of the two backends are differentially pinned equal by
-     test/test_backend.ml, so the speedup is free of semantic drift. *)
-  (match Uhm_core.Perf.backend_pairs samples with
-  | [] -> ()
-  | pairs ->
-      List.iter
-        (fun p ->
-          Printf.printf
-            "backend speedup %s/%s: %.2fx (%.1f -> %.1f us/run)\n"
-            p.Uhm_core.Perf.bp_workload p.Uhm_core.Perf.bp_strategy
-            p.Uhm_core.Perf.bp_speedup p.Uhm_core.Perf.bp_decode_us
-            p.Uhm_core.Perf.bp_threaded_us)
-        pairs;
-      let geo =
-        exp
-          (List.fold_left
-             (fun a p -> a +. log p.Uhm_core.Perf.bp_speedup)
-             0. pairs
-          /. float_of_int (List.length pairs))
-      in
-      Printf.printf "backend speedup geomean: %.2fx over %d pairs\n" geo
-        (List.length pairs));
+  Uhm_core.Perf.print_report samples;
   let sweep =
     if Sys.getenv_opt "UHM_PERF_SWEEP" = Some "0" then None
     else begin
@@ -1377,7 +1310,8 @@ let perf () =
       Some sw
     end
   in
-  Uhm_core.Perf.write_json ?sweep ?load ?resilience ~path samples;
+  let path = bench_json_path () in
+  Uhm_core.Perf.update_json ~samples ?sweep ~path ();
   Printf.printf "\nwrote %s (%d samples)\n" path (List.length samples)
 
 (* ------------------------------------------------------------------ *)
@@ -1410,17 +1344,15 @@ let load () =
       Printf.sprintf "quantum=%d" quantum;
       Printf.sprintf "queue=%d" admission.Serve.queue_capacity ]
   in
-  let setup =
-    campaign_setup ~target:"load" ~fingerprint ~cells:(List.length axes)
-  in
   let grid =
-    LX.load_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook ~quanta:[ quantum ] ~admission
-      ~seed ~jobs:njobs ~slots:asid_slots ~kind:Kind.Huffman ~policies
-      ~rates ~config:Dtb.paper_config
-      (List.map (fun name -> (name, compile name)) pool)
+    run_campaign ~target:"load" ~fingerprint
+      ~cells:(List.length axes) (fun setup ->
+        LX.load_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook ~quanta:[ quantum ] ~admission
+          ~seed ~jobs:njobs ~slots:asid_slots ~kind:Kind.Huffman ~policies
+          ~rates ~config:Dtb.paper_config
+          (List.map (fun name -> (name, compile name)) pool))
   in
-  setup.Campaign.close ();
   let t =
     Table.create
       ~columns:
@@ -1509,20 +1441,13 @@ let load () =
     incr quarantined_cells (* fail the run: the recorded curve is bad *)
   end;
   let path = bench_json_path () in
-  let samples, sweep, resilience =
-    if Sys.file_exists path then
-      ( Uhm_core.Perf.read_samples ~path,
-        Uhm_core.Perf.read_sweep ~path,
-        Uhm_core.Perf.read_resilience ~path )
-    else ([], None, None)
-  in
-  let load_bench =
-    { Uhm_core.Perf.load_seed = seed; load_slots = asid_slots;
-      load_points = points }
-  in
-  Uhm_core.Perf.write_json ?sweep ~load:load_bench ?resilience ~path samples;
-  Printf.printf "\nwrote %s (load section: %d points, %d preserved samples)\n"
-    path (List.length points) (List.length samples)
+  Uhm_core.Perf.update_json
+    ~load:
+      { Uhm_core.Perf.load_seed = seed; load_slots = asid_slots;
+        load_points = points }
+    ~path ();
+  Printf.printf "\nwrote %s (load section: %d points)\n" path
+    (List.length points)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-tolerant serving                                              *)
@@ -1577,18 +1502,15 @@ let resilience () =
       Printf.sprintf "fuel=%d" cell_fuel;
       Printf.sprintf "queue=%d" admission.Serve.queue_capacity ]
   in
-  let setup =
-    campaign_setup ~target:"resilience" ~fingerprint
-      ~cells:(List.length axes)
-  in
   let grid =
-    LX.resilience_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook ~quanta:[ quantum ] ~admission
-      ~cell_fuel ~weights ~deadline:slo ~fault_seed ~seed ~jobs:njobs
-      ~slots:asid_slots ~kind:Kind.Huffman ~policies ~fault_rates ~rates
-      ~config:Dtb.paper_config pool
+    run_campaign ~target:"resilience" ~fingerprint
+      ~cells:(List.length axes) (fun setup ->
+        LX.resilience_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook ~quanta:[ quantum ] ~admission
+          ~cell_fuel ~weights ~deadline:slo ~fault_seed ~seed ~jobs:njobs
+          ~slots:asid_slots ~kind:Kind.Huffman ~policies ~fault_rates ~rates
+          ~config:Dtb.paper_config pool)
   in
-  setup.Campaign.close ();
   (* the fault-free control column, keyed by (policy, quantum, rate):
      the denominator of every p99-degradation ratio *)
   let baseline_p99 =
@@ -1704,21 +1626,13 @@ let resilience () =
     incr quarantined_cells
   end;
   let path = bench_json_path () in
-  let samples, sweep, load =
-    if Sys.file_exists path then
-      ( Uhm_core.Perf.read_samples ~path,
-        Uhm_core.Perf.read_sweep ~path,
-        Uhm_core.Perf.read_load ~path )
-    else ([], None, None)
-  in
-  let res_bench =
-    { Uhm_core.Perf.res_seed = seed; res_slots = asid_slots; res_slo = slo;
-      res_points = points }
-  in
-  Uhm_core.Perf.write_json ?sweep ?load ~resilience:res_bench ~path samples;
-  Printf.printf
-    "\nwrote %s (resilience section: %d points, %d preserved samples)\n"
-    path (List.length points) (List.length samples)
+  Uhm_core.Perf.update_json
+    ~resilience:
+      { Uhm_core.Perf.res_seed = seed; res_slots = asid_slots; res_slo = slo;
+        res_points = points }
+    ~path ();
+  Printf.printf "\nwrote %s (resilience section: %d points)\n" path
+    (List.length points)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection and recovery                                        *)
@@ -1750,16 +1664,14 @@ let faults () =
       "policies=" ^ String.concat "," (List.map Dtb.policy_name policies);
       "quantum=64"; "seed=1" ]
   in
-  let setup =
-    campaign_setup ~target:"faults" ~fingerprint ~cells:(List.length axes)
-  in
   let slots =
-    FE.fault_grid_slots ?domains:!jobs ~quanta:[ 64 ]
-      ~cached:setup.Campaign.cached ?cell_hook:setup.Campaign.cell_hook
-      ~kind:Kind.Huffman ~classes:FI.all_classes ~rates:FE.default_rates
-      ~policies ~configs:[ Dtb.paper_config ] programs
+    run_campaign ~target:"faults" ~fingerprint
+      ~cells:(List.length axes) (fun setup ->
+        FE.fault_grid_slots ?domains:!jobs ~quanta:[ 64 ]
+          ~cached:setup.Campaign.cached ?cell_hook:setup.Campaign.cell_hook
+          ~kind:Kind.Huffman ~classes:FI.all_classes ~rates:FE.default_rates
+          ~policies ~configs:[ Dtb.paper_config ] programs)
   in
-  setup.Campaign.close ();
   let grid =
     List.filter_map
       (function Sweep.Completed p -> Some p | Sweep.Quarantined _ -> None)
@@ -1832,6 +1744,13 @@ let targets : (string * (unit -> unit)) list =
   ]
 
 let () =
+  let set_jobs n =
+    match int_of_string_opt n with
+    | Some d when d > 0 -> jobs := Some d
+    | _ ->
+        prerr_endline "bench: -j expects a positive integer";
+        exit 2
+  in
   (* strip -j N / -jN / --journal PATH / --resume PATH, leaving targets *)
   let rec parse_args acc = function
     | [] -> List.rev acc
@@ -1844,23 +1763,12 @@ let () =
     | ("--journal" | "--resume") :: [] ->
         prerr_endline "bench: --journal/--resume expect a file path";
         exit 2
-    | "-j" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some d when d > 0 ->
-            jobs := Some d;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: -j expects a positive integer";
-            exit 2)
-    | arg :: rest
-      when String.length arg > 2 && String.sub arg 0 2 = "-j" -> (
-        match int_of_string_opt (String.sub arg 2 (String.length arg - 2)) with
-        | Some d when d > 0 ->
-            jobs := Some d;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: -j expects a positive integer";
-            exit 2)
+    | "-j" :: n :: rest ->
+        set_jobs n;
+        parse_args acc rest
+    | arg :: rest when String.length arg > 2 && String.sub arg 0 2 = "-j" ->
+        set_jobs (String.sub arg 2 (String.length arg - 2));
+        parse_args acc rest
     | arg :: rest -> parse_args (arg :: acc) rest
   in
   let names = parse_args [] (List.tl (Array.to_list Sys.argv)) in

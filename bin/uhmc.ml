@@ -1,16 +1,18 @@
 (* uhmc — the universal host machine driver.
 
    Subcommands:
-     compile   parse, check and compile Algol-S to DIR; print the listing
-     run       execute a program under a chosen strategy and encoding
-     encode    show the program's size under every encoding
-     trace     locality statistics of the program's instruction trace
-     calibrate measure the paper's cost parameters from simulation
-     suite     list the built-in benchmark programs
-     perf      measure host-side simulator throughput; write BENCH json
-     mix       time-slice several programs over one shared DTB
-     load      serve an open stream of arriving jobs under load
-     campaign  maintenance of crash-safe campaign journals *)
+     compile     parse, check and compile Algol-S to DIR; print the listing
+     run         execute a program under a chosen strategy and encoding
+     encode      show the program's size under every encoding
+     trace       locality statistics of the program's instruction trace
+     calibrate   measure the paper's cost parameters from simulation
+     suite       list the built-in benchmark programs
+     perf        measure host-side simulator throughput; update BENCH json
+     mix         time-slice several programs over one shared DTB
+     load        serve an open stream of arriving jobs under load
+     serve-chaos serve under seeded fault injection, deadlines and retries
+     faults      fault-injection campaign over the resilience subsystem
+     campaign    maintenance of crash-safe campaign journals *)
 
 open Cmdliner
 module Table = Uhm_report.Table
@@ -25,8 +27,9 @@ module Machine = Uhm_machine.Machine
 module Asm = Uhm_machine.Asm
 module Campaign = Uhm_campaign.Campaign
 module Scheduler = Uhm_sched.Scheduler
+module Trace = Uhm_sched.Trace
 
-(* -- campaign plumbing shared by mix and faults ------------------------------- *)
+(* -- campaign plumbing shared by mix, load, serve-chaos and faults ---------- *)
 
 let journal_arg =
   Arg.(value & opt (some string) None
@@ -52,6 +55,89 @@ let cell_fuel_arg =
                  machine in a cell gets $(docv) cycles of fuel; a cell \
                  that exhausts it fails and is quarantined after the \
                  retry budget, instead of wedging the campaign.")
+
+(* A malformed grid value is malformed input: rejected with a diagnostic
+   and exit 2 before any journal is written, instead of failing every
+   cell until the campaign quarantines it. *)
+let config_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "uhmc: error: %s\n" msg;
+      exit 2)
+    fmt
+
+let at_least_one flag arg =
+  Term.(
+    const (fun n ->
+        if n < 1 then config_error "%s must be >= 1, got %d" flag n else n)
+    $ arg)
+
+(* One campaign run with CLI error handling: an unusable resume journal
+   is malformed input (exit 2), like any other bad file we are given. *)
+let run_campaign ?journal ?resume ~campaign ~fingerprint ~cells grid =
+  match
+    Campaign.run ?journal ?resume ~campaign ~fingerprint ~cells (fun setup ->
+        if setup.Campaign.resumed > 0 then
+          Printf.eprintf "uhmc: resuming: %d of %d cells served from %s\n%!"
+            setup.Campaign.resumed cells
+            (Option.value ~default:"-" resume);
+        grid setup)
+  with
+  | result -> result
+  | exception Campaign.Mismatch msg ->
+      Printf.eprintf "uhmc: error: %s\n" msg;
+      exit 2
+
+(* Print a campaign's table: [rows axis v] for each completed cell and,
+   for a quarantined one, a placeholder row — its axis [labels], then
+   "(quarantined)", then "-" up to the table width.  Returns the check
+   to run once the rest of the report is out: one stderr line per
+   quarantined cell, named by [describe], then exit 1. *)
+let print_campaign_table ~columns ~labels ~describe ~rows axes slots =
+  let t = Table.create ~columns () in
+  let quarantined =
+    List.concat
+      (List.map2
+         (fun axis -> function
+           | Sweep.Completed v ->
+               List.iter (Table.add_row t) (rows axis v);
+               []
+           | Sweep.Quarantined q ->
+               let labels = labels axis in
+               Table.add_row t
+                 (labels @ "(quarantined)"
+                  :: List.init
+                       (List.length columns - List.length labels - 1)
+                       (fun _ -> "-"));
+               [ (describe axis, q) ])
+         axes slots)
+  in
+  Table.print t;
+  fun () ->
+    List.iter
+      (fun (what, (q : Sweep.quarantine)) ->
+        Printf.eprintf
+          "uhmc: cell %d (%s) quarantined after %d attempt(s): %s\n"
+          q.Sweep.q_index what q.Sweep.q_attempts q.Sweep.q_reason)
+      quarantined;
+    if quarantined <> [] then exit 1
+
+(* Write one cell's Chrome trace_event JSON; [suffix], when the grid has
+   several cells, is inserted before the extension of [path]. *)
+let write_trace ~path ~suffix ~names ~end_cycle trace =
+  let path =
+    match suffix with
+    | None -> path
+    | Some s ->
+        Printf.sprintf "%s.%s%s" (Filename.remove_extension path) s
+          (Filename.extension path)
+  in
+  let oc = open_out path in
+  output_string oc (Trace.to_chrome ~names ~end_cycle trace);
+  close_out oc;
+  Printf.printf "wrote %s (%d events, %d dropped)\n" path
+    (min (Trace.recorded trace) (Trace.capacity trace))
+    (Trace.dropped trace)
 
 (* -- flags shared by the multiprogramming subcommands -------------------------- *)
 
@@ -85,13 +171,23 @@ let scheduler_arg =
            ~doc:"rr (round-robin) or srtf (shortest remaining dir_steps \
                  first).")
 
-let sets_arg =
-  Arg.(value & opt int Dtb.paper_config.Dtb.sets
-       & info [ "sets" ] ~docv:"N" ~doc:"DTB set count (power of two).")
-
-let assoc_arg =
-  Arg.(value & opt int Dtb.paper_config.Dtb.assoc
-       & info [ "assoc" ] ~docv:"N" ~doc:"DTB ways per set.")
+(* --sets and --assoc, checked and combined into the DTB geometry *)
+let dtb_config_arg =
+  let sets_arg =
+    Arg.(value & opt int Dtb.paper_config.Dtb.sets
+         & info [ "sets" ] ~docv:"N" ~doc:"DTB set count (power of two).")
+  in
+  let assoc_arg =
+    Arg.(value & opt int Dtb.paper_config.Dtb.assoc
+         & info [ "assoc" ] ~docv:"N" ~doc:"DTB ways per set.")
+  in
+  let config sets assoc =
+    if sets < 1 || sets land (sets - 1) <> 0 then
+      config_error "--sets must be a power of two, got %d" sets
+    else if assoc < 0 then config_error "--assoc must be >= 0, got %d" assoc
+    else { Dtb.paper_config with Dtb.sets; assoc }
+  in
+  Term.(const config $ sets_arg $ assoc_arg)
 
 let jobs_arg =
   Arg.(value & opt (some int) None
@@ -99,21 +195,37 @@ let jobs_arg =
            ~doc:"Domain count for the sweep pool (default: $(b,UHM_JOBS) \
                  or the recommended domain count).")
 
-(* Campaign.prepare with CLI error handling: an unusable resume journal
-   is malformed input (exit 2), like any other bad file we are given. *)
-let prepare_campaign ?journal ?resume ~campaign ~fingerprint ~cells () =
-  match
-    Campaign.prepare ?journal ?resume ~campaign ~fingerprint ~cells ()
-  with
-  | setup ->
-      if setup.Campaign.resumed > 0 then
-        Printf.eprintf "uhmc: resuming: %d of %d cells served from %s\n%!"
-          setup.Campaign.resumed cells
-          (Option.value ~default:"-" resume);
-      setup
-  | exception Campaign.Mismatch msg ->
-      Printf.eprintf "uhmc: error: %s\n" msg;
-      exit 2
+let quantum_arg =
+  at_least_one "--quantum"
+    Arg.(value & opt int 64
+         & info [ "q"; "quantum" ] ~docv:"N"
+             ~doc:"Scheduling quantum in DIR instructions.")
+
+let slots_arg default =
+  at_least_one "--slots"
+    Arg.(value & opt int default
+         & info [ "slots" ] ~docv:"N"
+             ~doc:"ASID slots (resident-tenant cap; under partitioned at \
+                   most the set count).")
+
+let seed_arg =
+  Arg.(value & opt int 1
+       & info [ "seed" ] ~docv:"N" ~doc:"Arrival-stream seed.")
+
+let queue_cap_arg =
+  at_least_one "--queue-cap"
+    Arg.(value & opt int 64
+         & info [ "queue-cap" ] ~docv:"N"
+             ~doc:"Admission-queue capacity; arrivals beyond it are shed \
+                   (drop-tail).")
+
+let poison_arg =
+  Arg.(value & opt_all int []
+       & info [ "poison-cell" ] ~docv:"IDX"
+           ~doc:"Testing aid for the quarantine path: make the cell at \
+                 index $(docv) fail on every attempt.")
+
+let fuel_name = function None -> "none" | Some f -> string_of_int f
 
 (* -- program sources --------------------------------------------------------- *)
 
@@ -163,6 +275,13 @@ let load_dir ~file ~program ~fortran ~fuse =
       | Some name -> fail "unknown built-in program %s; see `uhmc suite`" name
       | None -> fail "program not found")
   | Sys_error msg -> fail "%s" msg
+
+(* Built-in programs by name (either suite), as a campaign's program mix. *)
+let load_programs ~fuse names =
+  List.map
+    (fun name ->
+      (name, load_dir ~file:None ~program:(Some name) ~fortran:false ~fuse))
+    names
 
 let file_arg =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -427,8 +546,10 @@ let perf_cmd =
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"PATH"
-             ~doc:"Also write the samples as BENCH_simulator.json-format \
-                   JSON to $(docv).")
+             ~doc:"Also record the samples (and the sweep timing, with \
+                   $(b,--sweep)) in the BENCH_simulator.json-format \
+                   document at $(docv).  An existing document is updated \
+                   in place: its other sections are kept.")
   in
   let workloads_arg =
     Arg.(value & opt_all string []
@@ -519,41 +640,7 @@ let perf_cmd =
           (String.concat ", " unknown);
         exit 1);
     let samples = Perf.run_suite ~workloads ~min_runs ~min_seconds ~backends () in
-    let t =
-      Table.create
-        ~columns:
-          [ ("workload/strategy", Table.Left); ("backend", Table.Left);
-            ("runs", Table.Right); ("us/run", Table.Right);
-            ("sim cycles/s", Table.Right); ("host instrs/s", Table.Right) ]
-        ()
-    in
-    List.iter
-      (fun s ->
-        Table.add_row t
-          [ Printf.sprintf "%s/%s" s.Perf.workload s.Perf.strategy;
-            s.Perf.backend;
-            Table.cell_int s.Perf.runs;
-            Table.cell_float s.Perf.wall_us_per_run;
-            Printf.sprintf "%.2fM" (s.Perf.sim_cycles_per_sec /. 1e6);
-            Printf.sprintf "%.2fM" (s.Perf.host_instrs_per_sec /. 1e6) ])
-      samples;
-    Table.print t;
-    (match Perf.backend_pairs samples with
-    | [] -> ()
-    | pairs ->
-        List.iter
-          (fun p ->
-            Printf.printf "backend speedup %s/%s: %.2fx (%.1f -> %.1f us/run)\n"
-              p.Perf.bp_workload p.Perf.bp_strategy p.Perf.bp_speedup
-              p.Perf.bp_decode_us p.Perf.bp_threaded_us)
-          pairs;
-        let geo =
-          exp
-            (List.fold_left (fun a p -> a +. log p.Perf.bp_speedup) 0. pairs
-            /. float_of_int (List.length pairs))
-        in
-        Printf.printf "backend speedup geomean: %.2fx over %d pairs\n" geo
-          (List.length pairs));
+    Perf.print_report samples;
     let sweep_bench =
       if not sweep then None
       else begin
@@ -569,7 +656,10 @@ let perf_cmd =
     in
     (match out with
     | Some path ->
-        Perf.write_json ?sweep:sweep_bench ~path samples;
+        (try Perf.update_json ~samples ?sweep:sweep_bench ~path () with
+        | Sys_error msg | Perf.Json_error msg ->
+            Printf.eprintf "uhmc: cannot update %s: %s\n" path msg;
+            exit 1);
         Printf.printf "wrote %s (%d samples)\n" path (List.length samples)
     | None -> ());
     match baseline with
@@ -617,7 +707,6 @@ let perf_cmd =
 
 let mix_cmd =
   let module Mix = Uhm_sched.Mix in
-  let module Trace = Uhm_sched.Trace in
   let module SX = Uhm_sched.Experiment in
   let programs_arg =
     Arg.(value & opt_all string []
@@ -646,8 +735,8 @@ let mix_cmd =
                    it ends up quarantined (exit 1) while the other cells \
                    complete.")
   in
-  let action programs policies quantum scheduler kind fuse trace_path sets
-      assoc jobs journal resume cell_fuel poison =
+  let action programs policies quantum scheduler kind fuse trace_path config
+      jobs journal resume cell_fuel poison =
     if programs = [] then begin
       prerr_endline "uhmc mix: at least one -p NAME is required";
       exit 2
@@ -657,15 +746,7 @@ let mix_cmd =
       else policies
     in
     let quantum = if quantum <= 0 then Mix.solo_quantum else quantum in
-    let config =
-      { Dtb.paper_config with Dtb.sets; assoc }
-    in
-    let named =
-      List.map
-        (fun name ->
-          (name, load_dir ~file:None ~program:(Some name) ~fortran:false ~fuse))
-        programs
-    in
+    let named = load_programs ~fuse programs in
     (* one cell per policy: mix_axes with singleton scheduler/quantum/config
        axes keeps the cell order identical to the policy list *)
     let axes =
@@ -680,100 +761,63 @@ let mix_cmd =
         "scheduler=" ^ Scheduler.policy_name scheduler;
         "kind=" ^ Kind.name kind;
         "fuse=" ^ string_of_bool fuse;
-        "sets=" ^ string_of_int sets;
-        "assoc=" ^ string_of_int assoc;
-        "cell_fuel="
-        ^ (match cell_fuel with None -> "none" | Some f -> string_of_int f) ]
-    in
-    let setup =
-      prepare_campaign ?journal ?resume ~campaign:"uhmc-mix" ~fingerprint
-        ~cells:(List.length axes) ()
+        "sets=" ^ string_of_int config.Dtb.sets;
+        "assoc=" ^ string_of_int config.Dtb.assoc;
+        "cell_fuel=" ^ fuel_name cell_fuel ]
     in
     let slots =
-      SX.mix_grid_slots ?domains:jobs ~schedulers:[ scheduler ]
-        ~quanta:[ quantum ] ~cached:setup.Campaign.cached
-        ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ~poison ~kind
-        ~policies ~configs:[ config ] named
+      run_campaign ?journal ?resume ~campaign:"uhmc-mix" ~fingerprint
+        ~cells:(List.length axes) (fun setup ->
+          SX.mix_grid_slots ?domains:jobs ~schedulers:[ scheduler ]
+            ~quanta:[ quantum ] ~cached:setup.Campaign.cached
+            ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ~poison ~kind
+            ~policies ~configs:[ config ] named)
     in
-    setup.Campaign.close ();
-    let t =
-      Table.create
+    let rows (policy, _, _, _) (cell : SX.mix_cell) =
+      let r = cell.SX.mc_result in
+      Option.iter
+        (fun path ->
+          let names asid =
+            match List.nth_opt r.Mix.mr_programs asid with
+            | Some pr -> pr.Mix.pr_name
+            | None -> Printf.sprintf "asid%d" asid
+          in
+          write_trace ~path
+            ~suffix:
+              (if List.length policies = 1 then None
+               else Some (Dtb.policy_name policy))
+            ~names ~end_cycle:r.Mix.mr_total_cycles r.Mix.mr_trace)
+        trace_path;
+      List.map
+        (fun (pr : Mix.program_result) ->
+          [ Dtb.policy_name policy; pr.Mix.pr_name;
+            Table.cell_int pr.Mix.pr_dir_steps;
+            Table.cell_int pr.Mix.pr_cycles;
+            Printf.sprintf "%.3fx" pr.Mix.pr_slowdown;
+            Table.cell_int pr.Mix.pr_slices;
+            Printf.sprintf "%.4f" pr.Mix.pr_hit_ratio;
+            Table.cell_int pr.Mix.pr_dtb_misses;
+            Table.cell_int pr.Mix.pr_dtb_evictions ])
+        r.Mix.mr_programs
+      @ [ [ Dtb.policy_name policy; "(total)"; "";
+            Table.cell_int r.Mix.mr_total_cycles; "";
+            Printf.sprintf "%d sw/%d fl" r.Mix.mr_switches r.Mix.mr_flushes;
+            Printf.sprintf "%.4f" r.Mix.mr_hit_ratio; "";
+            Table.cell_int r.Mix.mr_evictions ] ]
+    in
+    let exit_if_quarantined =
+      print_campaign_table
         ~columns:
           [ ("policy", Table.Left); ("program", Table.Left);
             ("dir instrs", Table.Right); ("cycles", Table.Right);
             ("slowdown", Table.Right); ("slices", Table.Right);
             ("hit ratio", Table.Right); ("misses", Table.Right);
             ("evictions", Table.Right) ]
-        ()
+        ~labels:(fun (policy, _, _, _) -> [ Dtb.policy_name policy ])
+        ~describe:(fun (policy, _, _, _) -> Dtb.policy_name policy)
+        ~rows axes slots
     in
-    let quarantined = ref [] in
-    List.iteri
-      (fun i slot ->
-        let policy, _, _, _ = List.nth axes i in
-        match slot with
-        | Sweep.Quarantined q ->
-            quarantined := (policy, q) :: !quarantined;
-            Table.add_row t
-              [ Dtb.policy_name policy; "(quarantined)"; "-"; "-"; "-"; "-";
-                "-"; "-"; "-" ]
-        | Sweep.Completed cell ->
-            let r = cell.SX.mc_result in
-            List.iter
-              (fun (pr : Mix.program_result) ->
-                Table.add_row t
-                  [ Dtb.policy_name policy; pr.Mix.pr_name;
-                    Table.cell_int pr.Mix.pr_dir_steps;
-                    Table.cell_int pr.Mix.pr_cycles;
-                    Printf.sprintf "%.3fx" pr.Mix.pr_slowdown;
-                    Table.cell_int pr.Mix.pr_slices;
-                    Printf.sprintf "%.4f" pr.Mix.pr_hit_ratio;
-                    Table.cell_int pr.Mix.pr_dtb_misses;
-                    Table.cell_int pr.Mix.pr_dtb_evictions ])
-              r.Mix.mr_programs;
-            Table.add_row t
-              [ Dtb.policy_name policy; "(total)"; "";
-                Table.cell_int r.Mix.mr_total_cycles; "";
-                Printf.sprintf "%d sw/%d fl" r.Mix.mr_switches
-                  r.Mix.mr_flushes;
-                Printf.sprintf "%.4f" r.Mix.mr_hit_ratio; "";
-                Table.cell_int r.Mix.mr_evictions ];
-            (match trace_path with
-            | None -> ()
-            | Some path ->
-                let path =
-                  if List.length policies = 1 then path
-                  else
-                    let base = Filename.remove_extension path in
-                    let ext = Filename.extension path in
-                    Printf.sprintf "%s.%s%s" base (Dtb.policy_name policy) ext
-                in
-                let names asid =
-                  match List.nth_opt r.Mix.mr_programs asid with
-                  | Some pr -> pr.Mix.pr_name
-                  | None -> Printf.sprintf "asid%d" asid
-                in
-                let oc = open_out path in
-                output_string oc
-                  (Trace.to_chrome ~names ~end_cycle:r.Mix.mr_total_cycles
-                     r.Mix.mr_trace);
-                close_out oc;
-                Printf.printf "wrote %s (%d events, %d dropped)\n" path
-                  (min (Trace.recorded r.Mix.mr_trace)
-                     (Trace.capacity r.Mix.mr_trace))
-                  (Trace.dropped r.Mix.mr_trace)))
-      slots;
-    Table.print t;
-    match List.rev !quarantined with
-    | [] -> ()
-    | qs ->
-        List.iter
-          (fun (policy, (q : Sweep.quarantine)) ->
-            Printf.eprintf
-              "uhmc: cell %d (%s) quarantined after %d attempt(s): %s\n"
-              q.Sweep.q_index (Dtb.policy_name policy) q.Sweep.q_attempts
-              q.Sweep.q_reason)
-          qs;
-        exit 1
+    exit_if_quarantined ()
   in
   Cmd.v
     (Cmd.info "mix"
@@ -782,14 +826,12 @@ let mix_cmd =
              under each ownership policy.")
     Term.(
       const action $ programs_arg $ policies_arg $ quantum_arg
-      $ scheduler_arg $ kind_arg $ fuse_arg $ trace_arg $ sets_arg
-      $ assoc_arg $ jobs_arg $ journal_arg $ resume_arg $ cell_fuel_arg
-      $ poison_arg)
+      $ scheduler_arg $ kind_arg $ fuse_arg $ trace_arg $ dtb_config_arg
+      $ jobs_arg $ journal_arg $ resume_arg $ cell_fuel_arg $ poison_arg)
 
 (* -- load --------------------------------------------------------------------- *)
 
 let load_cmd =
-  let module Trace = Uhm_sched.Trace in
   let module Serve = Uhm_serve.Serve in
   let module LX = Uhm_serve.Experiment in
   let programs_arg =
@@ -808,27 +850,6 @@ let load_cmd =
     Arg.(value & opt int 300
          & info [ "n"; "njobs" ] ~docv:"N"
              ~doc:"Arrivals offered per cell.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N" ~doc:"Arrival-stream seed.")
-  in
-  let slots_arg =
-    Arg.(value & opt int 8
-         & info [ "slots" ] ~docv:"N"
-             ~doc:"ASID slots (resident-tenant cap; under partitioned at \
-                   most the set count).")
-  in
-  let quantum_arg =
-    Arg.(value & opt int 64
-         & info [ "q"; "quantum" ] ~docv:"N"
-             ~doc:"Scheduling quantum in DIR instructions.")
-  in
-  let queue_cap_arg =
-    Arg.(value & opt int 64
-         & info [ "queue-cap" ] ~docv:"N"
-             ~doc:"Admission-queue capacity; arrivals beyond it are shed \
-                   (drop-tail).")
   in
   let shed_above_arg =
     Arg.(value & opt (some int) None
@@ -870,12 +891,6 @@ let load_cmd =
              ~doc:"Economy: score evictions only while resident entries \
                    exceed this fraction of tag capacity.")
   in
-  let poison_arg =
-    Arg.(value & opt_all int []
-         & info [ "poison-cell" ] ~docv:"IDX"
-             ~doc:"Testing aid for the quarantine path: make the cell at \
-                   index $(docv) fail on every attempt.")
-  in
   let trace_arg =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"PATH"
@@ -892,10 +907,15 @@ let load_cmd =
   in
   let action programs policies rates njobs seed slots quantum scheduler kind
       fuse queue_cap shed_above bursty burst idle economy evict_idle
-      evict_watermark sets assoc jobs trace_path slo_bounds journal resume
+      evict_watermark config jobs trace_path slo_bounds journal resume
       cell_fuel poison =
     if programs = [] then begin
       prerr_endline "uhmc load: at least one -p NAME is required";
+      exit 2
+    end;
+    let slo_bounds = List.sort_uniq compare slo_bounds in
+    if List.exists (fun b -> b < 1) slo_bounds then begin
+      prerr_endline "uhmc load: --slo bounds must be at least 1";
       exit 2
     end;
     let policies =
@@ -903,7 +923,6 @@ let load_cmd =
       else policies
     in
     let rates = if rates = [] then LX.default_rates else rates in
-    let config = { Dtb.paper_config with Dtb.sets; assoc } in
     let shape =
       if bursty then LX.Open_bursty { burst; idle } else LX.Open_poisson
     in
@@ -915,12 +934,7 @@ let load_cmd =
         Some { Serve.evict_min_idle = evict_idle; evict_watermark }
       else None
     in
-    let named =
-      List.map
-        (fun name ->
-          (name, load_dir ~file:None ~program:(Some name) ~fortran:false ~fuse))
-        programs
-    in
+    let named = load_programs ~fuse programs in
     let axes = LX.load_axes ~quanta:[ quantum ] ~rates ~policies () in
     let fingerprint =
       [ "uhmc load";
@@ -944,32 +958,51 @@ let load_cmd =
           | Some e ->
               Printf.sprintf "idle=%d,watermark=%g" e.Serve.evict_min_idle
                 e.Serve.evict_watermark);
-        "sets=" ^ string_of_int sets;
-        "assoc=" ^ string_of_int assoc;
-        "cell_fuel="
-        ^ (match cell_fuel with None -> "none" | Some f -> string_of_int f) ]
-    in
-    let setup =
-      prepare_campaign ?journal ?resume ~campaign:"uhmc-load" ~fingerprint
-        ~cells:(List.length axes) ()
+        "sets=" ^ string_of_int config.Dtb.sets;
+        "assoc=" ^ string_of_int config.Dtb.assoc;
+        "cell_fuel=" ^ fuel_name cell_fuel ]
     in
     let slots_out =
-      LX.load_grid_slots ?domains:jobs ~scheduler ~quanta:[ quantum ] ~shape
-        ~admission ?economy ~cached:setup.Campaign.cached
-        ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ~poison ~seed
-        ~jobs:njobs ~slots ~kind ~policies ~rates ~config named
+      run_campaign ?journal ?resume ~campaign:"uhmc-load" ~fingerprint
+        ~cells:(List.length axes) (fun setup ->
+          LX.load_grid_slots ?domains:jobs ~scheduler ~quanta:[ quantum ]
+            ~shape ~admission ?economy ~cached:setup.Campaign.cached
+            ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ~poison ~seed
+            ~jobs:njobs ~slots ~kind ~policies ~rates ~config named)
     in
-    setup.Campaign.close ();
-    let slo_bounds = List.sort_uniq compare slo_bounds in
-    List.iter
-      (fun b ->
-        if b < 1 then begin
-          prerr_endline "uhmc load: --slo bounds must be at least 1";
-          exit 2
-        end)
-      slo_bounds;
-    let t =
-      Table.create
+    let rows (policy, _, rate) (cell : LX.load_cell) =
+      let r = cell.LX.lc_result in
+      let s = r.Serve.sv_summary in
+      Option.iter
+        (fun path ->
+          write_trace ~path
+            ~suffix:
+              (if List.length axes = 1 then None
+               else
+                 Some (Printf.sprintf "%s-r%g" (Dtb.policy_name policy) rate))
+            ~names:(Printf.sprintf "slot%d")
+            ~end_cycle:s.Serve.s_total_cycles r.Serve.sv_trace)
+        trace_path;
+      [ [ Dtb.policy_name policy; Printf.sprintf "%g" rate;
+          Table.cell_int s.Serve.s_jobs;
+          Table.cell_int s.Serve.s_completed;
+          Table.cell_int s.Serve.s_shed;
+          Table.cell_int s.Serve.s_p50;
+          Table.cell_int s.Serve.s_p95;
+          Table.cell_int s.Serve.s_p99;
+          Table.cell_int s.Serve.s_qd_p95;
+          Printf.sprintf "%.3fx" s.Serve.s_mean_slowdown;
+          Printf.sprintf "%.2f" s.Serve.s_throughput;
+          Table.cell_int s.Serve.s_evictions;
+          Printf.sprintf "%.4f" s.Serve.s_hit_ratio ]
+        @ List.map
+            (fun bound ->
+              let _, _, attainment = Serve.slo ~bound r.Serve.sv_jobs in
+              Printf.sprintf "%.3f" attainment)
+            slo_bounds ]
+    in
+    let exit_if_quarantined =
+      print_campaign_table
         ~columns:
           ([ ("policy", Table.Left); ("rate", Table.Right);
              ("jobs", Table.Right); ("done", Table.Right);
@@ -981,80 +1014,13 @@ let load_cmd =
           @ List.map
               (fun b -> (Printf.sprintf "slo@%d" b, Table.Right))
               slo_bounds)
-        ()
+        ~labels:(fun (policy, _, rate) ->
+          [ Dtb.policy_name policy; Printf.sprintf "%g" rate ])
+        ~describe:(fun (policy, _, rate) ->
+          Printf.sprintf "%s, rate %g" (Dtb.policy_name policy) rate)
+        ~rows axes slots_out
     in
-    let quarantined = ref [] in
-    List.iteri
-      (fun i slot ->
-        let policy, _, rate = List.nth axes i in
-        match slot with
-        | Sweep.Quarantined q ->
-            quarantined := (policy, rate, q) :: !quarantined;
-            Table.add_row t
-              ([ Dtb.policy_name policy; Printf.sprintf "%g" rate;
-                 "(quarantined)"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-";
-                 "-" ]
-              @ List.map (fun _ -> "-") slo_bounds)
-        | Sweep.Completed cell ->
-            let s = cell.LX.lc_result.Serve.sv_summary in
-            Table.add_row t
-              ([ Dtb.policy_name policy; Printf.sprintf "%g" rate;
-                 Table.cell_int s.Serve.s_jobs;
-                 Table.cell_int s.Serve.s_completed;
-                 Table.cell_int s.Serve.s_shed;
-                 Table.cell_int s.Serve.s_p50;
-                 Table.cell_int s.Serve.s_p95;
-                 Table.cell_int s.Serve.s_p99;
-                 Table.cell_int s.Serve.s_qd_p95;
-                 Printf.sprintf "%.3fx" s.Serve.s_mean_slowdown;
-                 Printf.sprintf "%.2f" s.Serve.s_throughput;
-                 Table.cell_int s.Serve.s_evictions;
-                 Printf.sprintf "%.4f" s.Serve.s_hit_ratio ]
-              @ List.map
-                  (fun bound ->
-                    let _, _, attainment =
-                      Serve.slo ~bound cell.LX.lc_result.Serve.sv_jobs
-                    in
-                    Printf.sprintf "%.3f" attainment)
-                  slo_bounds);
-            (match trace_path with
-            | None -> ()
-            | Some path ->
-                let path =
-                  if List.length axes = 1 then path
-                  else
-                    let base = Filename.remove_extension path in
-                    let ext = Filename.extension path in
-                    Printf.sprintf "%s.%s-r%g%s" base (Dtb.policy_name policy)
-                      rate ext
-                in
-                let r = cell.LX.lc_result in
-                let names asid = Printf.sprintf "slot%d" asid in
-                let oc = open_out path in
-                output_string oc
-                  (Trace.to_chrome ~names
-                     ~end_cycle:r.Serve.sv_summary.Serve.s_total_cycles
-                     r.Serve.sv_trace);
-                close_out oc;
-                Printf.printf "wrote %s (%d events, %d dropped)\n" path
-                  (min
-                     (Trace.recorded r.Serve.sv_trace)
-                     (Trace.capacity r.Serve.sv_trace))
-                  (Trace.dropped r.Serve.sv_trace)))
-      slots_out;
-    Table.print t;
-    match List.rev !quarantined with
-    | [] -> ()
-    | qs ->
-        List.iter
-          (fun (policy, rate, (q : Sweep.quarantine)) ->
-            Printf.eprintf
-              "uhmc: cell %d (%s, rate %g) quarantined after %d attempt(s): \
-               %s\n"
-              q.Sweep.q_index (Dtb.policy_name policy) rate q.Sweep.q_attempts
-              q.Sweep.q_reason)
-          qs;
-        exit 1
+    exit_if_quarantined ()
   in
   Cmd.v
     (Cmd.info "load"
@@ -1063,16 +1029,15 @@ let load_cmd =
              and throughput per offered load.")
     Term.(
       const action $ programs_arg $ policies_arg $ rates_arg $ njobs_arg
-      $ seed_arg $ slots_arg $ quantum_arg $ scheduler_arg $ kind_arg
+      $ seed_arg $ slots_arg 8 $ quantum_arg $ scheduler_arg $ kind_arg
       $ fuse_arg $ queue_cap_arg $ shed_above_arg $ bursty_arg $ burst_arg
       $ idle_arg $ economy_arg $ evict_idle_arg $ evict_watermark_arg
-      $ sets_arg $ assoc_arg $ jobs_arg $ trace_arg $ slo_arg $ journal_arg
+      $ dtb_config_arg $ jobs_arg $ trace_arg $ slo_arg $ journal_arg
       $ resume_arg $ cell_fuel_arg $ poison_arg)
 
 (* -- serve-chaos -------------------------------------------------------------- *)
 
 let serve_chaos_cmd =
-  let module Trace = Uhm_sched.Trace in
   let module Serve = Uhm_serve.Serve in
   let module Chaos = Uhm_serve.Chaos in
   let module LX = Uhm_serve.Experiment in
@@ -1107,32 +1072,11 @@ let serve_chaos_cmd =
     Arg.(value & opt int 120
          & info [ "n"; "njobs" ] ~docv:"N" ~doc:"Arrivals offered per cell.")
   in
-  let seed_arg =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N" ~doc:"Arrival-stream seed.")
-  in
   let fault_seed_arg =
     Arg.(value & opt int 4242
          & info [ "fault-seed" ] ~docv:"N"
              ~doc:"Injector seed (the same for every cell, so columns \
                    differ only in rate).")
-  in
-  let slots_arg =
-    Arg.(value & opt int 4
-         & info [ "slots" ] ~docv:"N"
-             ~doc:"ASID slots (resident-tenant cap; under partitioned at \
-                   most the set count).")
-  in
-  let quantum_arg =
-    Arg.(value & opt int 64
-         & info [ "q"; "quantum" ] ~docv:"N"
-             ~doc:"Scheduling quantum in DIR instructions.")
-  in
-  let queue_cap_arg =
-    Arg.(value & opt int 64
-         & info [ "queue-cap" ] ~docv:"N"
-             ~doc:"Admission-queue capacity; arrivals beyond it are shed \
-                   (drop-tail).")
   in
   let deadline_arg =
     Arg.(value & opt (some int) None
@@ -1170,15 +1114,9 @@ let serve_chaos_cmd =
              ~doc:"Template-pick weight, one per -p in order (repeatable); \
                    omitted, picks are uniform.")
   in
-  let poison_arg =
-    Arg.(value & opt_all int []
-         & info [ "poison-cell" ] ~docv:"IDX"
-             ~doc:"Testing aid for the quarantine path: make the cell at \
-                   index $(docv) fail on every attempt.")
-  in
   let action programs policies rates fault_rates njobs seed fault_seed slots
       quantum scheduler kind fuse queue_cap deadline retry_limit backoff
-      checkpoint_every brownout weights sets assoc jobs journal resume
+      checkpoint_every brownout weights config jobs journal resume
       cell_fuel poison =
     if programs = [] then begin
       prerr_endline "uhmc serve-chaos: at least one -p NAME is required";
@@ -1193,18 +1131,9 @@ let serve_chaos_cmd =
         prerr_endline "uhmc serve-chaos: --weight count must match -p count";
         exit 2
     | _ -> ());
-    let config = { Dtb.paper_config with Dtb.sets; assoc } in
     let admission = { Serve.queue_capacity = queue_cap; shed_above = None } in
     let brownout = if brownout then Some Chaos.default_brownout else None in
-    let named =
-      List.map
-        (fun name ->
-          let fortran =
-            String.length name >= 4 && String.sub name 0 4 = "ftn_"
-          in
-          (name, load_dir ~file:None ~program:(Some name) ~fortran ~fuse))
-        programs
-    in
+    let named = load_programs ~fuse programs in
     let axes =
       LX.resilience_axes ~quanta:[ quantum ] ~rates ~fault_rates ~policies ()
     in
@@ -1231,26 +1160,39 @@ let serve_chaos_cmd =
         "checkpoint_every=" ^ string_of_int checkpoint_every;
         "brownout=" ^ string_of_bool (brownout <> None);
         "weights=" ^ Uhm_serve.Arrival.weights_name weights;
-        "sets=" ^ string_of_int sets;
-        "assoc=" ^ string_of_int assoc;
-        "cell_fuel="
-        ^ (match cell_fuel with None -> "none" | Some f -> string_of_int f) ]
-    in
-    let setup =
-      prepare_campaign ?journal ?resume ~campaign:"uhmc-serve-chaos"
-        ~fingerprint ~cells:(List.length axes) ()
+        "sets=" ^ string_of_int config.Dtb.sets;
+        "assoc=" ^ string_of_int config.Dtb.assoc;
+        "cell_fuel=" ^ fuel_name cell_fuel ]
     in
     let slots_out =
-      LX.resilience_grid_slots ?domains:jobs ~scheduler ~quanta:[ quantum ]
-        ~admission ~cached:setup.Campaign.cached
-        ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ?weights ~retry_limit
-        ~backoff ~checkpoint_every ?deadline ?brownout ~fault_seed ~poison
-        ~seed ~jobs:njobs ~slots ~kind ~policies ~fault_rates ~rates ~config
-        named
+      run_campaign ?journal ?resume ~campaign:"uhmc-serve-chaos"
+        ~fingerprint ~cells:(List.length axes) (fun setup ->
+          LX.resilience_grid_slots ?domains:jobs ~scheduler
+            ~quanta:[ quantum ] ~admission ~cached:setup.Campaign.cached
+            ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ?weights
+            ~retry_limit ~backoff ~checkpoint_every ?deadline ?brownout
+            ~fault_seed ~poison ~seed ~jobs:njobs ~slots ~kind ~policies
+            ~fault_rates ~rates ~config named)
     in
-    setup.Campaign.close ();
-    let t =
-      Table.create
+    let rows (policy, _, frate, rate) (cell : LX.resilience_cell) =
+      let s = cell.LX.rc_result.Chaos.cv_serve.Serve.sv_summary in
+      let c = cell.LX.rc_result.Chaos.cv_summary in
+      [ [ Dtb.policy_name policy; Printf.sprintf "%g" frate;
+          Printf.sprintf "%g" rate;
+          Table.cell_int s.Serve.s_jobs;
+          Table.cell_int s.Serve.s_completed;
+          Table.cell_int c.Chaos.cs_failed_jobs;
+          Table.cell_int s.Serve.s_shed;
+          Printf.sprintf "%.3f" c.Chaos.cs_attainment;
+          Printf.sprintf "%.2f" c.Chaos.cs_goodput;
+          Table.cell_int c.Chaos.cs_injected;
+          Table.cell_int c.Chaos.cs_detected;
+          Table.cell_int c.Chaos.cs_job_retries;
+          Table.cell_int s.Serve.s_p99;
+          Table.cell_int c.Chaos.cs_max_stage ] ]
+    in
+    let exit_if_quarantined =
+      print_campaign_table
         ~columns:
           [ ("policy", Table.Left); ("frate", Table.Right);
             ("rate", Table.Right); ("jobs", Table.Right);
@@ -1259,50 +1201,15 @@ let serve_chaos_cmd =
             ("goodput", Table.Right); ("inj", Table.Right);
             ("det", Table.Right); ("retries", Table.Right);
             ("p99", Table.Right); ("stage", Table.Right) ]
-        ()
+        ~labels:(fun (policy, _, frate, rate) ->
+          [ Dtb.policy_name policy; Printf.sprintf "%g" frate;
+            Printf.sprintf "%g" rate ])
+        ~describe:(fun (policy, _, frate, rate) ->
+          Printf.sprintf "%s, fault rate %g, rate %g" (Dtb.policy_name policy)
+            frate rate)
+        ~rows axes slots_out
     in
-    let quarantined = ref [] in
-    List.iteri
-      (fun i slot ->
-        let policy, _, frate, rate = List.nth axes i in
-        match slot with
-        | Sweep.Quarantined q ->
-            quarantined := (policy, frate, rate, q) :: !quarantined;
-            Table.add_row t
-              [ Dtb.policy_name policy; Printf.sprintf "%g" frate;
-                Printf.sprintf "%g" rate; "(quarantined)"; "-"; "-"; "-";
-                "-"; "-"; "-"; "-"; "-"; "-"; "-" ]
-        | Sweep.Completed cell ->
-            let s = cell.LX.rc_result.Chaos.cv_serve.Serve.sv_summary in
-            let c = cell.LX.rc_result.Chaos.cv_summary in
-            Table.add_row t
-              [ Dtb.policy_name policy; Printf.sprintf "%g" frate;
-                Printf.sprintf "%g" rate;
-                Table.cell_int s.Serve.s_jobs;
-                Table.cell_int s.Serve.s_completed;
-                Table.cell_int c.Chaos.cs_failed_jobs;
-                Table.cell_int s.Serve.s_shed;
-                Printf.sprintf "%.3f" c.Chaos.cs_attainment;
-                Printf.sprintf "%.2f" c.Chaos.cs_goodput;
-                Table.cell_int c.Chaos.cs_injected;
-                Table.cell_int c.Chaos.cs_detected;
-                Table.cell_int c.Chaos.cs_job_retries;
-                Table.cell_int s.Serve.s_p99;
-                Table.cell_int c.Chaos.cs_max_stage ])
-      slots_out;
-    Table.print t;
-    match List.rev !quarantined with
-    | [] -> ()
-    | qs ->
-        List.iter
-          (fun (policy, frate, rate, (q : Sweep.quarantine)) ->
-            Printf.eprintf
-              "uhmc: cell %d (%s, fault rate %g, rate %g) quarantined after \
-               %d attempt(s): %s\n"
-              q.Sweep.q_index (Dtb.policy_name policy) frate rate
-              q.Sweep.q_attempts q.Sweep.q_reason)
-          qs;
-        exit 1
+    exit_if_quarantined ()
   in
   Cmd.v
     (Cmd.info "serve-chaos"
@@ -1313,10 +1220,10 @@ let serve_chaos_cmd =
              malformed input or a resume-journal fingerprint mismatch.")
     Term.(
       const action $ programs_arg $ policies_arg $ rates_arg $ fault_rates_arg
-      $ njobs_arg $ seed_arg $ fault_seed_arg $ slots_arg $ quantum_arg
+      $ njobs_arg $ seed_arg $ fault_seed_arg $ slots_arg 4 $ quantum_arg
       $ scheduler_arg $ kind_arg $ fuse_arg $ queue_cap_arg $ deadline_arg
       $ retry_limit_arg $ backoff_arg $ checkpoint_arg $ brownout_arg
-      $ weight_arg $ sets_arg $ assoc_arg $ jobs_arg $ journal_arg
+      $ weight_arg $ dtb_config_arg $ jobs_arg $ journal_arg
       $ resume_arg $ cell_fuel_arg $ poison_arg)
 
 (* -- faults ------------------------------------------------------------------- *)
@@ -1357,11 +1264,6 @@ let faults_cmd =
              ~doc:"Fault probability per DIR instruction step (repeatable; \
                    default 0, 1e-4, 1e-3, 1e-2).")
   in
-  let quantum_arg =
-    Arg.(value & opt int 64
-         & info [ "q"; "quantum" ] ~docv:"N"
-             ~doc:"Scheduling quantum in DIR instructions.")
-  in
   let seed_arg =
     Arg.(value & opt int 1
          & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed (cells derive \
@@ -1385,13 +1287,7 @@ let faults_cmd =
       if policies = [] then [ Dtb.Flush_on_switch; Dtb.Tagged; Dtb.Partitioned ]
       else policies
     in
-    let named =
-      List.map
-        (fun name ->
-          (name, load_dir ~file:None ~program:(Some name) ~fortran:false
-                   ~fuse:false))
-        programs
-    in
+    let named = load_programs ~fuse:false programs in
     let axes =
       FExp.fault_axes ~quanta:[ quantum ] ~classes ~rates ~policies
         ~configs:[ Dtb.paper_config ] ()
@@ -1405,65 +1301,48 @@ let faults_cmd =
         "policies=" ^ String.concat "," (List.map Dtb.policy_name policies);
         "quantum=" ^ string_of_int quantum;
         "seed=" ^ string_of_int seed;
-        "cell_fuel="
-        ^ (match cell_fuel with None -> "none" | Some f -> string_of_int f) ]
-    in
-    let setup =
-      prepare_campaign ?journal ?resume ~campaign:"uhmc-faults" ~fingerprint
-        ~cells:(List.length axes) ()
+        "cell_fuel=" ^ fuel_name cell_fuel ]
     in
     let slots =
-      FExp.fault_grid_slots ?domains:jobs ~quanta:[ quantum ] ~seed
-        ~cached:setup.Campaign.cached ?cell_hook:setup.Campaign.cell_hook
-        ?cell_fuel ~kind:Kind.Huffman ~classes ~rates ~policies
-        ~configs:[ Dtb.paper_config ] named
+      run_campaign ?journal ?resume ~campaign:"uhmc-faults" ~fingerprint
+        ~cells:(List.length axes) (fun setup ->
+          FExp.fault_grid_slots ?domains:jobs ~quanta:[ quantum ] ~seed
+            ~cached:setup.Campaign.cached ?cell_hook:setup.Campaign.cell_hook
+            ?cell_fuel ~kind:Kind.Huffman ~classes ~rates ~policies
+            ~configs:[ Dtb.paper_config ] named)
     in
-    setup.Campaign.close ();
     let points =
       List.filter_map
         (function Sweep.Completed p -> Some p | Sweep.Quarantined _ -> None)
         slots
     in
-    let quarantined =
-      List.concat
-        (List.map2
-           (fun (cls, rate, policy, _, _) -> function
-             | Sweep.Completed _ -> []
-             | Sweep.Quarantined q -> [ (cls, rate, policy, q) ])
-           axes slots)
-    in
-    let t =
-      Table.create
+    let exit_if_quarantined =
+      print_campaign_table
         ~columns:
           [ ("class", Table.Left); ("rate", Table.Right);
             ("policy", Table.Left); ("recovered", Table.Left);
             ("overhead", Table.Right); ("injected", Table.Right);
             ("detected", Table.Right); ("retries", Table.Right);
             ("rollbacks", Table.Right); ("downgrades", Table.Right) ]
-        ()
+        ~labels:(fun (cls, rate, policy, _, _) ->
+          [ Injector.class_name cls; Printf.sprintf "%g" rate;
+            Dtb.policy_name policy ])
+        ~describe:(fun (cls, rate, policy, _, _) ->
+          Printf.sprintf "class=%s rate=%g policy=%s" (Injector.class_name cls)
+            rate (Dtb.policy_name policy))
+        ~rows:(fun _ (p : FExp.point) ->
+          [ [ Injector.class_name p.FExp.fp_class;
+              Printf.sprintf "%g" p.FExp.fp_rate;
+              Dtb.policy_name p.FExp.fp_policy;
+              (if p.FExp.fp_recovered_ok then "yes" else "NO");
+              Printf.sprintf "%.4fx" p.FExp.fp_overhead;
+              Table.cell_int p.FExp.fp_injected;
+              Table.cell_int p.FExp.fp_detected;
+              Table.cell_int p.FExp.fp_retries;
+              Table.cell_int p.FExp.fp_rollbacks;
+              Table.cell_int p.FExp.fp_downgrades ] ])
+        axes slots
     in
-    let row (p : FExp.point) =
-      [ Injector.class_name p.FExp.fp_class;
-        Printf.sprintf "%g" p.FExp.fp_rate;
-        Dtb.policy_name p.FExp.fp_policy;
-        (if p.FExp.fp_recovered_ok then "yes" else "NO");
-        Printf.sprintf "%.4fx" p.FExp.fp_overhead;
-        Table.cell_int p.FExp.fp_injected;
-        Table.cell_int p.FExp.fp_detected;
-        Table.cell_int p.FExp.fp_retries;
-        Table.cell_int p.FExp.fp_rollbacks;
-        Table.cell_int p.FExp.fp_downgrades ]
-    in
-    List.iter2
-      (fun (cls, rate, policy, _, _) -> function
-        | Sweep.Completed p -> Table.add_row t (row p)
-        | Sweep.Quarantined _ ->
-            Table.add_row t
-              [ Injector.class_name cls; Printf.sprintf "%g" rate;
-                Dtb.policy_name policy; "(quarantined)"; "-"; "-"; "-"; "-";
-                "-"; "-" ])
-      axes slots;
-    Table.print t;
     (match csv with
     | None -> ()
     | Some path ->
@@ -1520,14 +1399,6 @@ let faults_cmd =
           ("[\n" ^ String.concat ",\n" (List.map point_json points) ^ "\n]\n");
         close_out oc;
         Printf.printf "wrote %s (%d points)\n" path (List.length points));
-    List.iter
-      (fun (cls, rate, policy, (q : Sweep.quarantine)) ->
-        Printf.eprintf
-          "uhmc: cell %d (class=%s rate=%g policy=%s) quarantined after %d \
-           attempt(s): %s\n"
-          q.Sweep.q_index (Injector.class_name cls) rate
-          (Dtb.policy_name policy) q.Sweep.q_attempts q.Sweep.q_reason)
-      quarantined;
     let bad =
       List.filter (fun (p : FExp.point) -> not p.FExp.fp_recovered_ok) points
     in
@@ -1540,7 +1411,8 @@ let faults_cmd =
           (Dtb.policy_name p.FExp.fp_policy)
           p.FExp.fp_seed)
       bad;
-    if bad = [] && quarantined = [] then
+    exit_if_quarantined ();
+    if bad = [] then
       Printf.printf
         "recovery invariant holds at all %d campaign points\n"
         (List.length points)

@@ -151,3 +151,7 @@ let prepare ?journal ?resume ?(compact_threshold = default_compact_threshold)
   in
   let close () = match writer with None -> () | Some w -> Journal.close w in
   { cached; cell_hook; close; resumed }
+
+let run ?journal ?resume ~campaign ~fingerprint ~cells grid =
+  let setup = prepare ?journal ?resume ~campaign ~fingerprint ~cells () in
+  Fun.protect ~finally:setup.close (fun () -> grid setup)

@@ -74,3 +74,18 @@ val prepare :
     Raises {!Mismatch} as described above.  The ['b] must be the cell
     result type of the grid this campaign runs — the same [prepare]
     result must not be shared between grids of different cell types. *)
+
+val run :
+  ?journal:string ->
+  ?resume:string ->
+  campaign:string ->
+  fingerprint:string list ->
+  cells:int ->
+  ('b setup -> 'r) ->
+  'r
+(** [run ~campaign ~fingerprint ~cells grid]: one whole campaign —
+    {!prepare}, then [grid setup] (which runs the supervised grid with
+    [setup.cached] and [setup.cell_hook]), then [setup.close].  The
+    journal is closed even when [grid] raises, for instance when a
+    journal append fails inside the sweep.  Raises {!Mismatch} as
+    {!prepare} does, before [grid] is called. *)

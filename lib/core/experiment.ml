@@ -175,50 +175,29 @@ let dtb_sweep ?domains ~kind ~configs p =
    the memo from then on), which the point sweep passes to the pool as
    its cost hint: replay time is proportional to trace length, so
    long-program points start first and the grid doesn't end on a lone
-   slow worker. *)
-let dtb_grid_encodeds ?domains ~kind names_and_programs =
-  Sweep.map ?domains
-    (fun (name, p) -> (name, Codec.encode kind p, Uhm.dir_steps_memoized p))
-    names_and_programs
-
-let dtb_grid_jobs ~configs encodeds =
-  List.concat_map
-    (fun (_, encoded, steps) ->
-      List.map (fun c -> (encoded, steps, c)) configs)
-    encodeds
-
-let dtb_regroup ~configs encodeds points =
-  let per_program = List.length configs in
-  List.mapi
-    (fun i (name, _, _) ->
-      ( name,
-        List.filteri
-          (fun j _ -> j / per_program = i)
-          points ))
-    encodeds
-
-let dtb_grid ?domains ~kind ~configs names_and_programs =
-  let encodeds = dtb_grid_encodeds ?domains ~kind names_and_programs in
-  let points =
-    Sweep.map ?domains
-      ~cost:(fun (_, steps, _) -> steps)
-      (fun (encoded, _, c) -> dtb_point_of_config encoded c)
-      (dtb_grid_jobs ~configs encodeds)
-  in
-  dtb_regroup ~configs encodeds points
-
+   slow worker.  Cell index = flat (program-major, config-minor) grid
+   index, matching the journal layout. *)
 let dtb_grid_slots ?domains ?supervision ?cached ?cell_hook ~kind ~configs
     names_and_programs =
-  (* cell index = flat (program-major, config-minor) grid index, matching
-     the journal layout *)
-  let encodeds = dtb_grid_encodeds ?domains ~kind names_and_programs in
+  let encodeds =
+    Sweep.map ?domains
+      (fun (name, p) -> (name, Codec.encode kind p, Uhm.dir_steps_memoized p))
+      names_and_programs
+  in
   let points =
     Sweep.map_supervised ?supervision ?cached ?cell_hook ?domains
       ~cost:(fun (_, steps, _) -> steps)
       (fun (encoded, _, c) -> dtb_point_of_config encoded c)
-      (dtb_grid_jobs ~configs encodeds)
+      (List.concat_map
+         (fun (_, encoded, steps) ->
+           List.map (fun c -> (encoded, steps, c)) configs)
+         encodeds)
   in
-  dtb_regroup ~configs encodeds points
+  let per_program = List.length configs in
+  List.mapi
+    (fun i (name, _, _) ->
+      (name, List.filteri (fun j _ -> j / per_program = i) points))
+    encodeds
 
 (* -- Whole-suite summary (the `summary` dashboard and the timed sweep) ------ *)
 

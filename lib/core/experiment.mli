@@ -72,13 +72,6 @@ val dtb_sweep : ?domains:int -> kind:Kind.t -> configs:Dtb.config list
     configurations are evaluated through {!Sweep} ([?domains] as in
     {!Sweep.map}), results in configuration order. *)
 
-val dtb_grid : ?domains:int -> kind:Kind.t -> configs:Dtb.config list
-  -> (string * Program.t) list -> (string * dtb_point list) list
-(** The full (program x configuration) grid as one flat parallel sweep
-    (encodings are computed in a first sweep over the programs), regrouped
-    per program in submission order — the engine behind Figure 2 and the
-    X2/X3 ablations. *)
-
 val dtb_grid_slots :
   ?domains:int ->
   ?supervision:Sweep.supervision ->
@@ -86,13 +79,15 @@ val dtb_grid_slots :
   ?cell_hook:(index:int -> attempts:int -> dtb_point Sweep.slot -> unit) ->
   kind:Kind.t -> configs:Dtb.config list ->
   (string * Program.t) list -> (string * dtb_point Sweep.slot list) list
-(** {!dtb_grid} under campaign supervision ({!Sweep.map_pool_supervised}):
-    a failing point is retried and then quarantined instead of aborting
-    the grid, and [cached]/[cell_hook] plug in a {!Uhm_campaign} journal.
-    Cell indices are the flat program-major, configuration-minor grid
-    index.  The encode pre-pass stays unsupervised (it is the grid's
-    input, not a cell).  Completed slots are byte-identical to the
-    corresponding {!dtb_grid} points. *)
+(** The full (program x configuration) grid as one flat parallel sweep
+    under campaign supervision ({!Sweep.map_pool_supervised}), regrouped
+    per program in submission order — the engine behind Figure 2 and the
+    X2/X3 ablations.  A failing point is retried and then quarantined
+    instead of aborting the grid, and [cached]/[cell_hook] plug in a
+    {!Uhm_campaign} journal.  Cell indices are the flat program-major,
+    configuration-minor grid index.  The encode pre-pass (one sweep over
+    the programs) stays unsupervised: it is the grid's input, not a
+    cell. *)
 
 (** One row of the whole-suite summary dashboard: a program run under the
     paper's three machines at the digram encoding. *)

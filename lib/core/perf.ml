@@ -10,6 +10,7 @@
 module Kind = Uhm_encoding.Kind
 module Codec = Uhm_encoding.Codec
 module Suite = Uhm_workload.Suite
+module Table = Uhm_report.Table
 
 type sample = {
   workload : string;
@@ -145,6 +146,48 @@ let backend_pairs samples =
               })
     samples
 
+let geomean = function
+  | [] -> 0.
+  | xs ->
+      exp
+        (List.fold_left (fun a x -> a +. log x) 0. xs
+        /. float_of_int (List.length xs))
+
+(* Host wall-clock only: the simulated cycle counts, traces and final
+   states of the two backends are differentially pinned equal by
+   test/test_backend.ml, so the speedups are free of semantic drift. *)
+let print_report samples =
+  let t =
+    Table.create
+      ~columns:
+        [ ("workload/strategy", Table.Left); ("backend", Table.Left);
+          ("runs", Table.Right); ("us/run", Table.Right);
+          ("sim cycles/s", Table.Right); ("host instrs/s", Table.Right) ]
+      ()
+  in
+  List.iter
+    (fun s ->
+      Table.add_row t
+        [ Printf.sprintf "%s/%s" s.workload s.strategy; s.backend;
+          Table.cell_int s.runs;
+          Table.cell_float s.wall_us_per_run;
+          Printf.sprintf "%.2fM" (s.sim_cycles_per_sec /. 1e6);
+          Printf.sprintf "%.2fM" (s.host_instrs_per_sec /. 1e6) ])
+    samples;
+  Table.print t;
+  match backend_pairs samples with
+  | [] -> ()
+  | pairs ->
+      List.iter
+        (fun p ->
+          Printf.printf "backend speedup %s/%s: %.2fx (%.1f -> %.1f us/run)\n"
+            p.bp_workload p.bp_strategy p.bp_speedup p.bp_decode_us
+            p.bp_threaded_us)
+        pairs;
+      Printf.printf "backend speedup geomean: %.2fx over %d pairs\n"
+        (geomean (List.map (fun p -> p.bp_speedup) pairs))
+        (List.length pairs)
+
 (* -- The parallel-sweep benchmark ------------------------------------------- *)
 
 type sweep_bench = {
@@ -186,95 +229,6 @@ let measure_sweep ?domains ?(repeats = 2) () =
     sweep_identical = rows_1 = rows_n;
   }
 
-(* -- JSON ------------------------------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let sample_to_json s =
-  Printf.sprintf
-    "    {\n\
-    \      \"workload\": \"%s\",\n\
-    \      \"strategy\": \"%s\",\n\
-    \      \"backend\": \"%s\",\n\
-    \      \"encoding\": \"%s\",\n\
-    \      \"runs\": %d,\n\
-    \      \"wall_seconds\": %.6f,\n\
-    \      \"wall_us_per_run\": %.2f,\n\
-    \      \"sim_cycles\": %d,\n\
-    \      \"host_instrs\": %d,\n\
-    \      \"short_instrs\": %d,\n\
-    \      \"dir_steps\": %d,\n\
-    \      \"sim_cycles_per_sec\": %.1f,\n\
-    \      \"host_instrs_per_sec\": %.1f\n\
-    \    }"
-    (json_escape s.workload) (json_escape s.strategy) (json_escape s.backend)
-    (json_escape s.encoding) s.runs s.wall_seconds s.wall_us_per_run
-    s.sim_cycles s.host_instrs s.short_instrs s.dir_steps s.sim_cycles_per_sec
-    s.host_instrs_per_sec
-
-let sweep_to_json (s : sweep_bench) =
-  Printf.sprintf
-    "  \"sweep\": {\n\
-    \    \"points\": %d,\n\
-    \    \"domains\": %d,\n\
-    \    \"wall_seconds_1\": %.6f,\n\
-    \    \"wall_seconds_n\": %.6f,\n\
-    \    \"speedup\": %.3f,\n\
-    \    \"identical\": %b\n\
-    \  },\n"
-    s.sweep_points s.sweep_domains s.sweep_wall_1 s.sweep_wall_n
-    s.sweep_speedup s.sweep_identical
-
-let geomean = function
-  | [] -> 0.
-  | xs ->
-      exp
-        (List.fold_left (fun a x -> a +. log x) 0. xs
-        /. float_of_int (List.length xs))
-
-(* The schema-v3 "backend" section: per-(workload, strategy) host
-   wall-time speedups of the threaded backend over decode, from the
-   paired samples of the same document. *)
-let backend_to_json samples =
-  match backend_pairs samples with
-  | [] -> ""
-  | pairs ->
-      let pair_json p =
-        Printf.sprintf
-          "      {\n\
-          \        \"workload\": \"%s\",\n\
-          \        \"strategy\": \"%s\",\n\
-          \        \"decode_us_per_run\": %.2f,\n\
-          \        \"threaded_us_per_run\": %.2f,\n\
-          \        \"speedup\": %.3f\n\
-          \      }"
-          (json_escape p.bp_workload) (json_escape p.bp_strategy)
-          p.bp_decode_us p.bp_threaded_us p.bp_speedup
-      in
-      let speedups = List.filter_map
-          (fun p -> if p.bp_speedup > 0. then Some p.bp_speedup else None)
-          pairs
-      in
-      Printf.sprintf
-        "  \"backend\": {\n\
-        \    \"geomean_speedup\": %.3f,\n\
-        \    \"pairs\": [\n%s\n    ]\n\
-        \  },\n"
-        (geomean speedups)
-        (String.concat ",\n" (List.map pair_json pairs))
-
 (* -- The open-arrival load section (schema v4) ------------------------------- *)
 
 type load_point = {
@@ -296,34 +250,6 @@ type load_bench = {
   load_slots : int;
   load_points : load_point list;
 }
-
-let load_point_to_json p =
-  Printf.sprintf
-    "      {\n\
-    \        \"policy\": \"%s\",\n\
-    \        \"rate\": %g,\n\
-    \        \"quantum\": %d,\n\
-    \        \"jobs\": %d,\n\
-    \        \"completed\": %d,\n\
-    \        \"shed\": %d,\n\
-    \        \"throughput_per_mcycle\": %.3f,\n\
-    \        \"sojourn_p50\": %d,\n\
-    \        \"sojourn_p95\": %d,\n\
-    \        \"sojourn_p99\": %d,\n\
-    \        \"mean_slowdown\": %.3f\n\
-    \      }"
-    (json_escape p.lp_policy) p.lp_rate p.lp_quantum p.lp_jobs p.lp_completed
-    p.lp_shed p.lp_throughput p.lp_p50 p.lp_p95 p.lp_p99 p.lp_mean_slowdown
-
-let load_to_json (l : load_bench) =
-  Printf.sprintf
-    "  \"load\": {\n\
-    \    \"seed\": %d,\n\
-    \    \"slots\": %d,\n\
-    \    \"points\": [\n%s\n    ]\n\
-    \  },\n"
-    l.load_seed l.load_slots
-    (String.concat ",\n" (List.map load_point_to_json l.load_points))
 
 (* -- The fault-tolerant serving section (schema v5) -------------------------- *)
 
@@ -352,61 +278,7 @@ type resilience_bench = {
   res_points : resilience_point list;
 }
 
-let resilience_point_to_json p =
-  Printf.sprintf
-    "      {\n\
-    \        \"policy\": \"%s\",\n\
-    \        \"fault_rate\": %g,\n\
-    \        \"rate\": %g,\n\
-    \        \"quantum\": %d,\n\
-    \        \"jobs\": %d,\n\
-    \        \"completed\": %d,\n\
-    \        \"failed\": %d,\n\
-    \        \"shed\": %d,\n\
-    \        \"slo_attainment\": %.4f,\n\
-    \        \"goodput_per_mcycle\": %.3f,\n\
-    \        \"injected\": %d,\n\
-    \        \"detected\": %d,\n\
-    \        \"job_retries\": %d,\n\
-    \        \"sojourn_p99\": %d,\n\
-    \        \"p99_degradation\": %.3f\n\
-    \      }"
-    (json_escape p.rp_policy) p.rp_fault_rate p.rp_rate p.rp_quantum p.rp_jobs
-    p.rp_completed p.rp_failed p.rp_shed p.rp_slo_attainment p.rp_goodput
-    p.rp_injected p.rp_detected p.rp_job_retries p.rp_p99 p.rp_p99_degradation
-
-let resilience_to_json (r : resilience_bench) =
-  Printf.sprintf
-    "  \"resilience\": {\n\
-    \    \"seed\": %d,\n\
-    \    \"slots\": %d,\n\
-    \    \"slo_bound\": %d,\n\
-    \    \"points\": [\n%s\n    ]\n\
-    \  },\n"
-    r.res_seed r.res_slots r.res_slo
-    (String.concat ",\n" (List.map resilience_point_to_json r.res_points))
-
-let to_json ?sweep ?load ?resilience samples =
-  Printf.sprintf
-    "{\n\
-    \  \"schema\": \"uhm-bench-simulator/5\",\n\
-    \  \"generated_by\": \"bench/main.exe perf\",\n\
-    \  \"unix_time\": %.0f,\n\
-     %s%s%s%s\
-    \  \"samples\": [\n%s\n  ]\n}\n"
-    (Unix.time ())
-    (match sweep with None -> "" | Some s -> sweep_to_json s)
-    (match load with None -> "" | Some l -> load_to_json l)
-    (match resilience with None -> "" | Some r -> resilience_to_json r)
-    (backend_to_json samples)
-    (String.concat ",\n" (List.map sample_to_json samples))
-
-let write_json ?sweep ?load ?resilience ~path samples =
-  let oc = open_out path in
-  output_string oc (to_json ?sweep ?load ?resilience samples);
-  close_out oc
-
-(* -- Baseline comparison (the CI perf gate) --------------------------------- *)
+(* -- Minimal JSON ----------------------------------------------------------- *)
 
 (* A minimal recursive-descent JSON reader: just enough to read back the
    documents this module writes (and hand-edited variants of them).  Kept
@@ -541,6 +413,215 @@ let member key = function
   | J_obj fields -> List.assoc_opt key fields
   | _ -> None
 
+(* -- The BENCH document ----------------------------------------------------- *)
+
+(* Writing goes through the same [json] tree the reader builds, so a
+   section this binary did not measure, or does not even know, passes
+   through an update as parsed. *)
+
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* The shortest decimal that parses back to the same float: a number
+   carried through an update round-trips exactly. *)
+let number_to_string f =
+  if not (Float.is_finite f) then "null"
+  else
+    let rec go digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if digits >= 17 || float_of_string s = f then s else go (digits + 1)
+    in
+    go 15
+
+let print_block b indent opening closing item xs =
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i x ->
+      Buffer.add_string b (if i = 0 then "\n" else ",\n");
+      Buffer.add_string b (String.make (indent + 2) ' ');
+      item x)
+    xs;
+  Printf.bprintf b "\n%s%c" (String.make indent ' ') closing
+
+let rec print_json b indent = function
+  | J_null -> Buffer.add_string b "null"
+  | J_bool v -> Buffer.add_string b (string_of_bool v)
+  | J_num f -> Buffer.add_string b (number_to_string f)
+  | J_str s -> Printf.bprintf b "\"%s\"" (json_escape s)
+  | J_arr [] -> Buffer.add_string b "[]"
+  | J_obj [] -> Buffer.add_string b "{}"
+  | J_arr items ->
+      print_block b indent '[' ']' (print_json b (indent + 2)) items
+  | J_obj fields ->
+      print_block b indent '{' '}'
+        (fun (k, v) ->
+          Printf.bprintf b "\"%s\": " (json_escape k);
+          print_json b (indent + 2) v)
+        fields
+
+let int n = J_num (float_of_int n)
+
+(* rounded to [decimals] places, the precision each field is recorded at *)
+let fixed decimals x =
+  J_num (float_of_string (Printf.sprintf "%.*f" decimals x))
+
+let sample_json s =
+  J_obj
+    [ ("workload", J_str s.workload); ("strategy", J_str s.strategy);
+      ("backend", J_str s.backend); ("encoding", J_str s.encoding);
+      ("runs", int s.runs); ("wall_seconds", fixed 6 s.wall_seconds);
+      ("wall_us_per_run", fixed 2 s.wall_us_per_run);
+      ("sim_cycles", int s.sim_cycles); ("host_instrs", int s.host_instrs);
+      ("short_instrs", int s.short_instrs); ("dir_steps", int s.dir_steps);
+      ("sim_cycles_per_sec", fixed 1 s.sim_cycles_per_sec);
+      ("host_instrs_per_sec", fixed 1 s.host_instrs_per_sec) ]
+
+let sweep_json s =
+  J_obj
+    [ ("points", int s.sweep_points); ("domains", int s.sweep_domains);
+      ("wall_seconds_1", fixed 6 s.sweep_wall_1);
+      ("wall_seconds_n", fixed 6 s.sweep_wall_n);
+      ("speedup", fixed 3 s.sweep_speedup);
+      ("identical", J_bool s.sweep_identical) ]
+
+(* The "backend" section: per-(workload, strategy) host wall-time
+   speedups of the threaded backend over decode, derived from the
+   samples of the same document; [None] when no sample is paired. *)
+let backend_json samples =
+  match backend_pairs samples with
+  | [] -> None
+  | pairs ->
+      let speedups =
+        List.filter_map
+          (fun p -> if p.bp_speedup > 0. then Some p.bp_speedup else None)
+          pairs
+      in
+      Some
+        (J_obj
+           [ ("geomean_speedup", fixed 3 (geomean speedups));
+             ( "pairs",
+               J_arr
+                 (List.map
+                    (fun p ->
+                      J_obj
+                        [ ("workload", J_str p.bp_workload);
+                          ("strategy", J_str p.bp_strategy);
+                          ("decode_us_per_run", fixed 2 p.bp_decode_us);
+                          ("threaded_us_per_run", fixed 2 p.bp_threaded_us);
+                          ("speedup", fixed 3 p.bp_speedup) ])
+                    pairs) ) ])
+
+let load_json l =
+  let point p =
+    J_obj
+      [ ("policy", J_str p.lp_policy); ("rate", J_num p.lp_rate);
+        ("quantum", int p.lp_quantum); ("jobs", int p.lp_jobs);
+        ("completed", int p.lp_completed); ("shed", int p.lp_shed);
+        ("throughput_per_mcycle", fixed 3 p.lp_throughput);
+        ("sojourn_p50", int p.lp_p50); ("sojourn_p95", int p.lp_p95);
+        ("sojourn_p99", int p.lp_p99);
+        ("mean_slowdown", fixed 3 p.lp_mean_slowdown) ]
+  in
+  J_obj
+    [ ("seed", int l.load_seed); ("slots", int l.load_slots);
+      ("points", J_arr (List.map point l.load_points)) ]
+
+let resilience_json r =
+  let point p =
+    J_obj
+      [ ("policy", J_str p.rp_policy); ("fault_rate", J_num p.rp_fault_rate);
+        ("rate", J_num p.rp_rate); ("quantum", int p.rp_quantum);
+        ("jobs", int p.rp_jobs); ("completed", int p.rp_completed);
+        ("failed", int p.rp_failed); ("shed", int p.rp_shed);
+        ("slo_attainment", fixed 4 p.rp_slo_attainment);
+        ("goodput_per_mcycle", fixed 3 p.rp_goodput);
+        ("injected", int p.rp_injected); ("detected", int p.rp_detected);
+        ("job_retries", int p.rp_job_retries); ("sojourn_p99", int p.rp_p99);
+        ("p99_degradation", fixed 3 p.rp_p99_degradation) ]
+  in
+  J_obj
+    [ ("seed", int r.res_seed); ("slots", int r.res_slots);
+      ("slo_bound", int r.res_slo);
+      ("points", J_arr (List.map point r.res_points)) ]
+
+let read_document ~path =
+  let ic = open_in_bin path in
+  let len = in_channel_length ic in
+  let contents = really_input_string ic len in
+  close_in ic;
+  parse_json contents
+
+let update_json ?samples ?sweep ?load ?resilience ~path () =
+  let existing =
+    if not (Sys.file_exists path) then []
+    else
+      match read_document ~path with
+      | J_obj fields -> fields
+      | _ -> raise (Json_error "the document is not a JSON object")
+  in
+  (* [key, None] removes the key; keys not listed are kept as parsed *)
+  let section key to_json v =
+    Option.to_list (Option.map (fun v -> (key, Some (to_json v))) v)
+  in
+  let replaced =
+    section "sweep" sweep_json sweep
+    @ section "load" load_json load
+    @ section "resilience" resilience_json resilience
+    @
+    match samples with
+    | None -> []
+    | Some s ->
+        [ ("backend", backend_json s);
+          ("samples", Some (J_arr (List.map sample_json s))) ]
+  in
+  let replaced =
+    if replaced = [] then []
+    else
+      [ ("schema", Some (J_str "uhm-bench-simulator/5"));
+        ("generated_by", Some (J_str "bench/main.exe perf"));
+        ("unix_time", Some (J_num (Unix.time ()))) ]
+      @ replaced
+  in
+  let kept =
+    List.filter_map
+      (fun (k, v) ->
+        match List.assoc_opt k replaced with
+        | None -> Some (k, v)
+        | Some v' -> Option.map (fun v' -> (k, v')) v')
+      existing
+  in
+  let added =
+    List.filter_map
+      (fun (k, v) ->
+        if List.mem_assoc k existing then None
+        else Option.map (fun v -> (k, v)) v)
+      replaced
+  in
+  let b = Buffer.create 65536 in
+  print_json b 0 (J_obj (kept @ added));
+  Buffer.add_char b '\n';
+  (* write-then-rename: a crash mid-write cannot lose the sections this
+     update carries over *)
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  Buffer.output_buffer oc b;
+  close_out oc;
+  Sys.rename tmp path
+
+
+(* -- Baseline comparison (the CI perf gate) ------------------------------ *)
+
 let baseline_rates_of_json doc =
   match member "samples" doc with
   | Some (J_arr samples) ->
@@ -564,167 +645,7 @@ let baseline_rates_of_json doc =
         samples
   | _ -> raise (Json_error "no \"samples\" array")
 
-let read_document ~path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  parse_json contents
-
 let read_baseline ~path = baseline_rates_of_json (read_document ~path)
-
-(* Read back the sections this module writes, so one bench target can
-   refresh its own section of BENCH_simulator.json without clobbering
-   the others (schema v4 documents carry samples, sweep and load). *)
-
-let j_int = function Some (J_num f) -> Some (int_of_float f) | _ -> None
-let j_float = function Some (J_num f) -> Some f | _ -> None
-let j_str = function Some (J_str s) -> Some s | _ -> None
-
-let sample_of_json j =
-  match
-    ( j_str (member "workload" j),
-      j_str (member "strategy" j),
-      j_int (member "runs" j),
-      j_float (member "wall_seconds" j) )
-  with
-  | Some workload, Some strategy, Some runs, Some wall_seconds ->
-      let geti k = Option.value ~default:0 (j_int (member k j)) in
-      let getf k = Option.value ~default:0. (j_float (member k j)) in
-      Some
-        {
-          workload;
-          strategy;
-          backend =
-            Option.value ~default:"decode" (j_str (member "backend" j));
-          encoding =
-            Option.value ~default:"huffman" (j_str (member "encoding" j));
-          runs;
-          wall_seconds;
-          sim_cycles = geti "sim_cycles";
-          host_instrs = geti "host_instrs";
-          short_instrs = geti "short_instrs";
-          dir_steps = geti "dir_steps";
-          sim_cycles_per_sec = getf "sim_cycles_per_sec";
-          host_instrs_per_sec = getf "host_instrs_per_sec";
-          wall_us_per_run = getf "wall_us_per_run";
-        }
-  | _ -> None
-
-let read_samples ~path =
-  match member "samples" (read_document ~path) with
-  | Some (J_arr samples) -> List.filter_map sample_of_json samples
-  | _ -> []
-
-let read_sweep ~path =
-  match member "sweep" (read_document ~path) with
-  | Some (J_obj _ as s) -> (
-      match
-        ( j_int (member "points" s),
-          j_int (member "domains" s),
-          j_float (member "wall_seconds_1" s),
-          j_float (member "wall_seconds_n" s),
-          j_float (member "speedup" s),
-          member "identical" s )
-      with
-      | Some points, Some domains, Some w1, Some wn, Some speedup,
-        Some (J_bool identical) ->
-          Some
-            {
-              sweep_points = points;
-              sweep_domains = domains;
-              sweep_wall_1 = w1;
-              sweep_wall_n = wn;
-              sweep_speedup = speedup;
-              sweep_identical = identical;
-            }
-      | _ -> None)
-  | _ -> None
-
-let load_point_of_json j =
-  match
-    ( j_str (member "policy" j),
-      j_float (member "rate" j),
-      j_int (member "quantum" j),
-      j_int (member "jobs" j) )
-  with
-  | Some policy, Some rate, Some quantum, Some jobs ->
-      let geti k = Option.value ~default:0 (j_int (member k j)) in
-      let getf k = Option.value ~default:0. (j_float (member k j)) in
-      Some
-        {
-          lp_policy = policy;
-          lp_rate = rate;
-          lp_quantum = quantum;
-          lp_jobs = jobs;
-          lp_completed = geti "completed";
-          lp_shed = geti "shed";
-          lp_throughput = getf "throughput_per_mcycle";
-          lp_p50 = geti "sojourn_p50";
-          lp_p95 = geti "sojourn_p95";
-          lp_p99 = geti "sojourn_p99";
-          lp_mean_slowdown = getf "mean_slowdown";
-        }
-  | _ -> None
-
-let read_load ~path =
-  match member "load" (read_document ~path) with
-  | Some (J_obj _ as l) -> (
-      match member "points" l with
-      | Some (J_arr points) ->
-          Some
-            {
-              load_seed = Option.value ~default:0 (j_int (member "seed" l));
-              load_slots = Option.value ~default:0 (j_int (member "slots" l));
-              load_points = List.filter_map load_point_of_json points;
-            }
-      | _ -> None)
-  | _ -> None
-
-let resilience_point_of_json j =
-  match
-    ( j_str (member "policy" j),
-      j_float (member "fault_rate" j),
-      j_float (member "rate" j),
-      j_int (member "quantum" j) )
-  with
-  | Some policy, Some fault_rate, Some rate, Some quantum ->
-      let geti k = Option.value ~default:0 (j_int (member k j)) in
-      let getf k = Option.value ~default:0. (j_float (member k j)) in
-      Some
-        {
-          rp_policy = policy;
-          rp_fault_rate = fault_rate;
-          rp_rate = rate;
-          rp_quantum = quantum;
-          rp_jobs = geti "jobs";
-          rp_completed = geti "completed";
-          rp_failed = geti "failed";
-          rp_shed = geti "shed";
-          rp_slo_attainment = getf "slo_attainment";
-          rp_goodput = getf "goodput_per_mcycle";
-          rp_injected = geti "injected";
-          rp_detected = geti "detected";
-          rp_job_retries = geti "job_retries";
-          rp_p99 = geti "sojourn_p99";
-          rp_p99_degradation = getf "p99_degradation";
-        }
-  | _ -> None
-
-let read_resilience ~path =
-  match member "resilience" (read_document ~path) with
-  | Some (J_obj _ as r) -> (
-      match member "points" r with
-      | Some (J_arr points) ->
-          Some
-            {
-              res_seed = Option.value ~default:0 (j_int (member "seed" r));
-              res_slots = Option.value ~default:0 (j_int (member "slots" r));
-              res_slo = Option.value ~default:0 (j_int (member "slo_bound" r));
-              res_points = List.filter_map resilience_point_of_json points;
-            }
-      | _ -> None)
-  | _ -> None
 
 type regression = {
   reg_workload : string;
@@ -762,10 +683,6 @@ let check_against_baseline ~max_regression_pct ~baseline samples =
       Error
         "no overlapping (workload, strategy, backend) samples with the baseline"
   | _ ->
-      let geomean xs =
-        exp (List.fold_left (fun a x -> a +. log x) 0. xs
-             /. float_of_int (List.length xs))
-      in
       let gb = geomean (List.map (fun (_, b, _) -> b) shared) in
       let gc = geomean (List.map (fun (_, _, c) -> c) shared) in
       let regressions =

@@ -63,7 +63,12 @@ type backend_pair = {
 
 val backend_pairs : sample list -> backend_pair list
 (** Pair up decode/threaded samples of the same (workload, strategy); the
-    source of the schema-v3 ["backend"] section. *)
+    source of the ["backend"] section. *)
+
+val print_report : sample list -> unit
+(** Print the samples table, one speedup line per {!backend_pairs} pair
+    and their geometric mean — the report of [uhmc perf] and
+    [bench perf]. *)
 
 (** Wall-clock of the whole-suite summary sweep ({!Experiment.summary_rows})
     at one domain and at [sweep_domains] — the recorded evidence that the
@@ -138,31 +143,10 @@ type resilience_bench = {
   res_points : resilience_point list;
 }
 
-val to_json :
-  ?sweep:sweep_bench ->
-  ?load:load_bench ->
-  ?resilience:resilience_bench ->
-  sample list ->
-  string
-(** The BENCH_simulator.json document (schema "uhm-bench-simulator/5"):
-    an object with [schema], [generated_by], [unix_time], an optional
-    [sweep] object, an optional [load] section, an optional [resilience]
-    section, a [backend] section (present when the samples cover both
-    backends: per-pair host speedups and their geometric mean) and a
-    [samples] array, each sample carrying its [backend]. *)
-
-val write_json :
-  ?sweep:sweep_bench ->
-  ?load:load_bench ->
-  ?resilience:resilience_bench ->
-  path:string ->
-  sample list ->
-  unit
-
 (** {2 Minimal JSON}
 
-    Just enough of a reader for the documents this repo writes (the bench
-    baseline, the multiprogramming trace export); kept in-repo so the
+    Just enough of a reader for the documents this repo writes (the BENCH
+    document, the multiprogramming trace export); kept in-repo so the
     build stays dependency-free beyond the compiler distribution. *)
 
 type json =
@@ -176,6 +160,32 @@ type json =
 val parse_json : string -> json
 (** Raises {!Json_error} on malformed input. *)
 
+exception Json_error of string
+
+(** {2 The BENCH document} *)
+
+val update_json :
+  ?samples:sample list ->
+  ?sweep:sweep_bench ->
+  ?load:load_bench ->
+  ?resilience:resilience_bench ->
+  path:string ->
+  unit ->
+  unit
+(** Read-modify-write of the BENCH_simulator.json document at [path]
+    (schema ["uhm-bench-simulator/5"]): each section passed replaces the
+    top-level key of the same name, and every other key of the existing
+    document — including sections this binary does not know — is kept
+    as parsed, its numbers round-tripping exactly.  [samples] also
+    replaces the [backend] section derived from them (per-pair host
+    speedups and their geometric mean), or removes it when no sample is
+    paired across both backends.  When any section is replaced, the
+    [schema], [generated_by] and [unix_time] header is refreshed too.  A
+    missing file starts an empty document; new keys are appended in the
+    order header, [sweep], [load], [resilience], [backend], [samples].
+    The file is replaced atomically.  Raises {!Json_error} when the
+    existing file is not a JSON object. *)
+
 (** {2 Baseline comparison — the CI perf gate} *)
 
 val read_baseline : path:string -> ((string * string * string) * float) list
@@ -183,24 +193,6 @@ val read_baseline : path:string -> ((string * string * string) * float) list
     previously written BENCH_simulator.json (any schema version; v2
     samples, which predate the backend field, read as ["decode"]).
     Raises [Json_error] on malformed input. *)
-
-val read_samples : path:string -> sample list
-(** The full [samples] array of a previously written document (empty when
-    absent); lets [bench load] rewrite the file without re-measuring.
-    Raises [Json_error] on malformed input. *)
-
-val read_sweep : path:string -> sweep_bench option
-(** The [sweep] section of a previously written document, if present. *)
-
-val read_load : path:string -> load_bench option
-(** The [load] section of a previously written document, if present —
-    how [bench perf] preserves the saturation study it does not rerun. *)
-
-val read_resilience : path:string -> resilience_bench option
-(** The [resilience] section of a previously written document, if
-    present — same read-modify-write discipline as {!read_load}. *)
-
-exception Json_error of string
 
 (** One sample whose host-relative throughput dropped past the threshold. *)
 type regression = {

@@ -54,17 +54,17 @@ let fault_axes ~quanta ~classes ~rates ~policies ~configs () =
         rates)
     classes
 
-(* Shared machinery of both grid variants: encodings, the fault-free
-   baselines (one per (policy, quantum, config), computed on the pool and
-   shared by every cell), the cell list with cost hints, and the
-   per-point evaluator.  The encode and baseline pre-passes are the
+(* The encodings and the fault-free baselines (one per (policy, quantum,
+   config), computed on the pool and shared by every cell) are the
    grid's input, not cells: they stay unsupervised and fail fast. *)
-let fault_grid_prep ?domains ~quanta ~seed ~trace_capacity ~retry_limit
-    ~backoff_cycles ~checkpoint_every ~watchdog_window ~watchdog_threshold
-    ~kind ~classes ~rates ~policies ~configs ?cell_fuel ~grid_name programs =
-  if programs = [] then invalid_arg (grid_name ^ ": no programs");
+let fault_grid_slots ?domains ?(quanta = [ 64 ]) ?(seed = 1)
+    ?(trace_capacity = 4096) ?(retry_limit = 3) ?(backoff_cycles = 64)
+    ?(checkpoint_every = 1024) ?(watchdog_window = 4096)
+    ?(watchdog_threshold = 8) ?supervision ?cached ?cell_hook ?cell_fuel
+    ~kind ~classes ~rates ~policies ~configs programs =
+  if programs = [] then invalid_arg "Experiment.fault_grid_slots: no programs";
   if classes = [] || rates = [] || policies = [] || configs = [] || quanta = []
-  then invalid_arg (grid_name ^ ": empty grid axis");
+  then invalid_arg "Experiment.fault_grid_slots: empty grid axis";
   let encodeds =
     Sweep.map ?domains
       (fun (name, p) -> (name, Codec.encode kind p, U.dir_steps_memoized p))
@@ -171,32 +171,6 @@ let fault_grid_prep ?domains ~quanta ~seed ~trace_capacity ~retry_limit
       fp_rollbacks = sum (fun p -> p.Resilient.pr_rollbacks);
       fp_downgrades = downgrades;
     }
-  in
-  (cells, cost, point_of)
-
-let fault_grid ?domains ?(quanta = [ 64 ]) ?(seed = 1)
-    ?(trace_capacity = 4096) ?(retry_limit = 3) ?(backoff_cycles = 64)
-    ?(checkpoint_every = 1024) ?(watchdog_window = 4096)
-    ?(watchdog_threshold = 8) ~kind ~classes ~rates ~policies ~configs
-    programs =
-  let cells, cost, point_of =
-    fault_grid_prep ?domains ~quanta ~seed ~trace_capacity ~retry_limit
-      ~backoff_cycles ~checkpoint_every ~watchdog_window ~watchdog_threshold
-      ~kind ~classes ~rates ~policies ~configs
-      ~grid_name:"Experiment.fault_grid" programs
-  in
-  Sweep.map ?domains ~cost point_of cells
-
-let fault_grid_slots ?domains ?(quanta = [ 64 ]) ?(seed = 1)
-    ?(trace_capacity = 4096) ?(retry_limit = 3) ?(backoff_cycles = 64)
-    ?(checkpoint_every = 1024) ?(watchdog_window = 4096)
-    ?(watchdog_threshold = 8) ?supervision ?cached ?cell_hook ?cell_fuel
-    ~kind ~classes ~rates ~policies ~configs programs =
-  let cells, cost, point_of =
-    fault_grid_prep ?domains ~quanta ~seed ~trace_capacity ~retry_limit
-      ~backoff_cycles ~checkpoint_every ~watchdog_window ~watchdog_threshold
-      ~kind ~classes ~rates ~policies ~configs ?cell_fuel
-      ~grid_name:"Experiment.fault_grid_slots" programs
   in
   Sweep.map_supervised ?supervision ?cached ?cell_hook ?domains ~cost point_of
     cells

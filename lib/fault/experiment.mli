@@ -41,30 +41,6 @@ val default_rates : float list
 val cell_seed : seed:int -> index:int -> int
 (** The injector seed of the cell at [index] in submission order. *)
 
-val fault_grid :
-  ?domains:int ->
-  ?quanta:int list ->
-  ?seed:int ->
-  ?trace_capacity:int ->
-  ?retry_limit:int ->
-  ?backoff_cycles:int ->
-  ?checkpoint_every:int ->
-  ?watchdog_window:int ->
-  ?watchdog_threshold:int ->
-  kind:Uhm_encoding.Kind.t ->
-  classes:Injector.fault_class list ->
-  rates:float list ->
-  policies:Dtb.policy list ->
-  configs:Dtb.config list ->
-  (string * Uhm_dir.Program.t) list ->
-  point list
-(** Cells in submission order: classes outermost, then rates, policies,
-    quanta, configs.  Encoding and the fault-free baselines are computed
-    once (on the pool) and shared by every cell.  [quanta] defaults to
-    [[64]]; expensive cells (high rates, [Mem_word] checkpointing,
-    [Flush_on_switch] with small quanta) carry larger cost hints so the
-    pool starts them first. *)
-
 module Sweep := Uhm_core.Sweep
 
 val fault_axes :
@@ -76,7 +52,7 @@ val fault_axes :
   unit ->
   (Injector.fault_class * float * Dtb.policy * int * Dtb.config) list
 (** The grid's cell axes in submission order — what cell index [i] of
-    {!fault_grid}/{!fault_grid_slots} ran.  Lets a caller describe a
+    {!fault_grid_slots} ran.  Lets a caller describe a
     quarantined cell and build a journal fingerprint. *)
 
 val fault_grid_slots :
@@ -100,12 +76,17 @@ val fault_grid_slots :
   configs:Dtb.config list ->
   (string * Uhm_dir.Program.t) list ->
   point Sweep.slot list
-(** {!fault_grid} under campaign supervision: a failing cell is retried
+(** Cells in submission order: classes outermost, then rates, policies,
+    quanta, configs.  Encoding and the fault-free baselines are computed
+    once (on the pool) and shared by every cell.  [quanta] defaults to
+    [[64]]; expensive cells (high rates, [Mem_word] checkpointing,
+    [Flush_on_switch] with small quanta) carry larger cost hints so the
+    pool starts them first.
+
+    The grid runs under campaign supervision: a failing cell is retried
     and then quarantined instead of aborting the grid, and [cached]/
     [cell_hook] plug in a {!Uhm_campaign} journal.  [cell_fuel] bounds
-    each program's machine with the PR 4 fuel machinery; a cell whose
-    mix exhausts fuel {e fails} (quarantine path) — whereas a recovery
-    failure remains a reported verdict ([fp_recovered_ok = false]).
-    Completed slots are byte-identical to the corresponding
-    {!fault_grid} points.  The encode and baseline pre-passes stay
-    unsupervised. *)
+    each program's machine with a fuel budget; a cell whose mix exhausts
+    fuel {e fails} (quarantine path) — whereas a recovery failure
+    remains a reported verdict ([fp_recovered_ok = false]).  The encode
+    and baseline pre-passes stay unsupervised. *)

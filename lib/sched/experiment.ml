@@ -55,19 +55,6 @@ let mix_cell_of ~trace_capacity ?fuel ?backend encoded_programs
         ~quantum ~config encoded_programs;
   }
 
-let mix_grid ?domains ?schedulers ?quanta ?(trace_capacity = 4096) ?backend
-    ~kind ~policies ~configs programs =
-  if programs = [] then invalid_arg "Experiment.mix_grid: no programs";
-  let encodeds = mix_encodeds ?domains ~kind programs in
-  let total_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-  in
-  let encoded_programs = List.map (fun (n, e, _) -> (n, e)) encodeds in
-  let cells = mix_axes ?schedulers ?quanta ~policies ~configs () in
-  Sweep.map ?domains ~cost:(mix_cost ~total_steps)
-    (mix_cell_of ~trace_capacity ?backend encoded_programs)
-    cells
-
 let mix_grid_slots ?domains ?schedulers ?quanta ?(trace_capacity = 4096)
     ?backend ?supervision ?cached ?cell_hook ?cell_fuel ?(poison = []) ~kind
     ~policies ~configs programs =

@@ -24,24 +24,6 @@ val default_quanta : int list
     quantum-to-infinity limit that must reproduce single-program golden
     numbers. *)
 
-val mix_grid :
-  ?domains:int ->
-  ?schedulers:Scheduler.policy list ->
-  ?quanta:int list ->
-  ?trace_capacity:int ->
-  ?backend:Uhm_machine.Machine.backend ->
-  kind:Uhm_encoding.Kind.t ->
-  policies:Dtb.policy list ->
-  configs:Dtb.config list ->
-  (string * Uhm_dir.Program.t) list ->
-  mix_cell list
-(** Cells in submission order: policies outermost, then schedulers, then
-    quanta, then configs.  [schedulers] defaults to round-robin only;
-    [quanta] to {!default_quanta}; [trace_capacity] to a small ring
-    (4096) since grids keep every cell's trace alive.  [backend] selects
-    the execution backend for every machine in every cell (default
-    [`Decode]); cell contents are identical under both. *)
-
 module Sweep := Uhm_core.Sweep
 
 val mix_axes :
@@ -52,7 +34,7 @@ val mix_axes :
   unit ->
   (Dtb.policy * Scheduler.policy * int * Dtb.config) list
 (** The grid's cell axes in submission order — what cell index [i] of
-    {!mix_grid}/{!mix_grid_slots} ran.  Lets a caller describe a
+    {!mix_grid_slots} ran.  Lets a caller describe a
     quarantined cell (whose [mix_cell] never materialised) and build a
     journal fingerprint. *)
 
@@ -72,14 +54,19 @@ val mix_grid_slots :
   configs:Dtb.config list ->
   (string * Uhm_dir.Program.t) list ->
   mix_cell Sweep.slot list
-(** {!mix_grid} under campaign supervision: a failing cell is retried and
-    then quarantined instead of aborting the grid, and [cached]/
-    [cell_hook] plug in a {!Uhm_campaign} journal.  Under supervision a
-    cell whose programs did not all halt {e fails} (and is quarantined)
-    rather than reporting a poisoned row; [cell_fuel] bounds each
-    program's machine with the PR 4 fuel machinery, turning a wedged cell
-    into a deterministic failure.  [poison] (a testing aid for the
-    quarantine path, used by the CI smoke) makes the listed cell indices
-    raise on every attempt.  Completed slots are byte-identical to the
-    corresponding {!mix_grid} cells.  The encode pre-pass stays
-    unsupervised. *)
+(** Cells in submission order: policies outermost, then schedulers, then
+    quanta, then configs.  [schedulers] defaults to round-robin only;
+    [quanta] to {!default_quanta}; [trace_capacity] to a small ring
+    (4096) since grids keep every cell's trace alive.  [backend] selects
+    the execution backend for every machine in every cell (default
+    [`Decode]); cell contents are identical under both.
+
+    The grid runs under campaign supervision: a failing cell is retried
+    and then quarantined instead of aborting the grid, and [cached]/
+    [cell_hook] plug in a {!Uhm_campaign} journal.  A cell whose
+    programs did not all halt {e fails} (and is quarantined) rather than
+    reporting a poisoned row; [cell_fuel] bounds each program's machine
+    with a fuel budget, turning a wedged cell into a deterministic
+    failure.  [poison] (a testing aid for the quarantine
+    path, used by the CI smoke) makes the listed cell indices raise on
+    every attempt.  The encode pre-pass stays unsupervised. *)

@@ -22,4 +22,5 @@ let () =
       Test_backend.suite;
       Test_workload.suite;
       Test_report.suite;
+      Test_perf.suite;
     ]

@@ -301,23 +301,48 @@ let test_headerless_is_fresh_start () =
 (* -- Campaign.prepare safety ------------------------------------------------- *)
 
 let run_grid ~domains ~journal ~resume jobs =
-  let setup =
-    Campaign.prepare ?journal ?resume ~campaign:"grid-test"
-      ~fingerprint:[ "jobs"; string_of_int (List.length jobs) ]
-      ~cells:(List.length jobs) ()
-  in
-  let slots =
-    Sweep.map_supervised
-      ~supervision:{ Sweep.default_supervision with Sweep.sv_backoff = 1e-4 }
-      ~domains ~cached:setup.Campaign.cached
-      ?cell_hook:setup.Campaign.cell_hook
-      (fun i ->
-        if i = 2 then failwith "poisoned";
-        (i, i * i))
-      jobs
-  in
-  setup.Campaign.close ();
-  (slots, setup.Campaign.resumed)
+  Campaign.run ?journal ?resume ~campaign:"grid-test"
+    ~fingerprint:[ "jobs"; string_of_int (List.length jobs) ]
+    ~cells:(List.length jobs) (fun setup ->
+      let slots =
+        Sweep.map_supervised
+          ~supervision:
+            { Sweep.default_supervision with Sweep.sv_backoff = 1e-4 }
+          ~domains ~cached:setup.Campaign.cached
+          ?cell_hook:setup.Campaign.cell_hook
+          (fun i ->
+            if i = 2 then failwith "poisoned";
+            (i, i * i))
+          jobs
+      in
+      (slots, setup.Campaign.resumed))
+
+let test_run_closes_journal_on_raise () =
+  (* a grid that raises after its cells were journaled: Campaign.run
+     re-raises, and the closed journal resumes every recorded cell *)
+  with_temp (fun path ->
+      (match
+         Campaign.run ~journal:path ~campaign:"grid-test"
+           ~fingerprint:[ "jobs"; "4" ] ~cells:4 (fun setup ->
+             ignore
+               (Sweep.map_supervised
+                  ~supervision:
+                    { Sweep.default_supervision with Sweep.sv_backoff = 1e-4 }
+                  ~domains:1 ~cached:setup.Campaign.cached
+                  ?cell_hook:setup.Campaign.cell_hook
+                  (fun i ->
+                    if i = 2 then failwith "poisoned";
+                    (i, i * i))
+                  [ 0; 1; 2; 3 ]);
+             failwith "report failed")
+       with
+      | _ -> Alcotest.fail "the grid's exception must propagate"
+      | exception Failure msg ->
+          Alcotest.(check string) "grid exception" "report failed" msg);
+      let _, resumed =
+        run_grid ~domains:1 ~journal:None ~resume:(Some path) [ 0; 1; 2; 3 ]
+      in
+      check_int "the three completed cells resume" 3 resumed)
 
 let test_fingerprint_mismatch () =
   with_temp (fun path ->
@@ -604,6 +629,8 @@ let suite =
         test_campaign_name_mismatch;
       Alcotest.test_case "quarantined cells are retried on resume" `Quick
         test_quarantined_cells_are_retried_on_resume;
+      Alcotest.test_case "run closes the journal when the grid raises" `Quick
+        test_run_closes_journal_on_raise;
       Alcotest.test_case "kill anywhere + resume = identical report" `Slow
         test_truncate_resume_identical;
       QCheck_alcotest.to_alcotest test_qcheck_truncate_resume;

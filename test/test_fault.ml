@@ -471,15 +471,26 @@ let test_trigger_dtb_tag () =
 
 (* -- The campaign grid --------------------------------------------------------- *)
 
+(* every cell of a supervised fault grid must complete *)
+let completed_points slots =
+  List.map
+    (function
+      | Uhm_core.Sweep.Completed p -> p
+      | Uhm_core.Sweep.Quarantined q ->
+          Alcotest.failf "cell %d quarantined: %s" q.Uhm_core.Sweep.q_index
+            q.Uhm_core.Sweep.q_reason)
+    slots
+
 let test_campaign_grid () =
   let programs = List.map (fun n -> (n, compile n)) [ "fact_iter"; "gcd" ] in
   let grid domains =
-    Experiment.fault_grid ~domains ~quanta:[ 32 ] ~seed:5
+    Experiment.fault_grid_slots ~domains ~quanta:[ 32 ] ~seed:5
       ~kind:Kind.Huffman
       ~classes:[ Injector.Psder_word; Injector.Mem_word ]
       ~rates:[ 0.; 1e-3 ]
       ~policies:[ Dtb.Tagged ]
       ~configs:[ Dtb.paper_config ] programs
+    |> completed_points
   in
   let points = grid 2 in
   check_int "2 classes x 2 rates x 1 policy x 1 quantum x 1 config" 4
@@ -519,11 +530,13 @@ let test_mid_install_death_aborts () =
       [ "fact_iter"; "gcd"; "flat_straightline" ]
   in
   let points =
-    Experiment.fault_grid ~domains:1 ~quanta:[ 64 ] ~seed:1 ~kind:Kind.Huffman
+    Experiment.fault_grid_slots ~domains:1 ~quanta:[ 64 ] ~seed:1
+      ~kind:Kind.Huffman
       ~classes:[ Injector.Mem_word ]
       ~rates:[ 1e-4; 1e-3 ]
       ~policies:[ Dtb.Flush_on_switch; Dtb.Tagged ]
       ~configs:[ Dtb.paper_config ] programs
+    |> completed_points
   in
   check_int "1 class x 2 rates x 2 policies" 4 (List.length points);
   List.iter

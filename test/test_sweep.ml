@@ -197,10 +197,16 @@ let test_dtb_grid_deterministic () =
       (fun n -> (n, Suite.compile (Suite.find n)))
       [ "fact_iter"; "fib_rec" ]
   in
+  let completed = function
+    | Sweep.Completed pt -> pt
+    | Sweep.Quarantined q ->
+        Alcotest.failf "point %d quarantined" q.Sweep.q_index
+  in
   let grid d =
-    Experiment.dtb_grid ~domains:d ~kind:Kind.Huffman
+    Experiment.dtb_grid_slots ~domains:d ~kind:Kind.Huffman
       ~configs:(Experiment.capacity_configs ())
       progs
+    |> List.map (fun (name, slots) -> (name, List.map completed slots))
   in
   let g1 = grid 1 and g4 = grid 4 in
   check_int "programs" 2 (List.length g1);
