@@ -151,27 +151,18 @@ type t = {
          warm closure that compiles on its second execution, so run-once
          code (straight-line DER expansions, cold library routines) never
          pays the compiler. *)
-  mutable span_lim : int;
-      (* the cycle limit of the span currently executing; fused blocks
-         consult it so they never run an instruction the decode loop's
-         per-instruction [cycles < lim] check would have stopped before *)
   mutable sc_base : int;  (* short-compile window base; max_int = disabled *)
   mutable sc_size : int;
   mutable sc_table : (t -> unit) array array;
-  (* bumped on every invalidation inside the window; a fused short block
-     checks it between parts so an in-window store aborts the block's
-     remaining (possibly stale) compiled parts *)
-  mutable sc_gen : int;
       (* two-level, copy-on-write: one slot per word of the window, in
          chunks of [sc_chunk_words].  Untouched chunks all share the global
          [cold_chunk] (every slot = the self-compiling [cold_short]), so
          opening a 512K-word window costs a handful of chunk pointers, not
          a window-sized closure array per machine.  Every slot is always
          callable, so the span loop needs no per-iteration compiled-or-not
-         test; invalidation writes [cold_short] back (or re-points a fully
-         covered chunk at [cold_chunk]). *)
-  mutable max_access_cost : int;
-      (* max region cost: upper bound on what one memory access can charge *)
+         test; invalidation writes [cold_short] back into the slot's
+         private chunk in place ([restore] alone re-points every chunk at
+         [cold_chunk]). *)
 }
 
 and hooks = {
@@ -195,11 +186,7 @@ let sc_chunk_mask = sc_chunk_words - 1
 (* Forward cells for the cold-path machinery: tables are created (and
    invalidated) by functions defined before the execution engine, but cold
    slots must hold the self-compiling closures defined after it.  All
-   cells are installed exactly once, right after [exec_threaded_span]. *)
-(* Longest run of short words one fused block may cover (head included);
-   invalidating a word must also kill any block head within this reach. *)
-let max_short_block_len = 8
-
+   cells are installed exactly once, right after the cold/warm pair. *)
 let cold_short_cell : (t -> unit) ref = ref (fun _ -> ())
 let cold_long_cell : (t -> unit) ref = ref (fun _ -> ())
 let cold_chunk_cell : (t -> unit) array ref = ref [||]
@@ -247,10 +234,9 @@ let build_cost_table regions mem_words =
   tbl
 
 (* Per-domain memos of the tables [create] derives from its inputs: the
-   category indices are a pure function of the program, the region array,
-   cost table and access-cost ceiling of the region list.  The layer
-   above (Uhm's build memos) hands repeated runs the same program and
-   region-list objects, so keying on physical identity turns a per-run
+   category indices are a pure function of the program, the region array
+   and cost table of the region list.  The layer above (Uhm's build
+   memos) hands repeated runs the same program and region-list objects, so keying on physical identity turns a per-run
    recomputation — an [Array.map] over the whole host program and a
    region scan per cost page — into a list probe.  All shared tables are
    read-only for the machine's lifetime. *)
@@ -277,7 +263,7 @@ let code_cat_for (program : Asm.program) =
       v
 
 let region_tables_memo :
-    ((region list * int) * (region array * int array * int)) list ref
+    ((region list * int) * (region array * int array)) list ref
     Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
@@ -297,12 +283,7 @@ let region_tables_for regions_list mem_words =
             invalid_arg
               (Printf.sprintf "Machine.create: region %s out of range" r.rname))
         regions;
-      let v =
-        ( regions,
-          build_cost_table regions mem_words,
-          Array.fold_left (fun m r -> if r.cost > m then r.cost else m) 0
-            regions )
-      in
+      let v = (regions, build_cost_table regions mem_words) in
       let entries = !cache in
       let entries =
         if List.length entries >= derived_memo_max then
@@ -314,9 +295,7 @@ let region_tables_for regions_list mem_words =
 
 let create ?(timing = Timing.paper) ?(fuel = 1_000_000_000)
     ?(backend = `Decode) ~program ~mem_words ~regions () =
-  let regions, region_cost, max_access_cost =
-    region_tables_for regions mem_words
-  in
+  let regions, region_cost = region_tables_for regions mem_words in
   let pages = (mem_words + page_words - 1) lsr page_bits in
   {
     code = program.Asm.code;
@@ -353,12 +332,9 @@ let create ?(timing = Timing.paper) ?(fuel = 1_000_000_000)
     code_fetch_hook = None;
     threaded = (backend = `Threaded);
     lc = [||];
-    span_lim = 0;
     sc_base = max_int;
     sc_size = 0;
     sc_table = [||];
-    sc_gen = 0;
-    max_access_cost;
   }
 
 let backend t : backend = if t.threaded then `Threaded else `Decode
@@ -399,14 +375,9 @@ let enable_short_compile t ~base ~size =
    open. *)
 let drop_short_range t ~addr ~len =
   if t.sc_size > 0 && len > 0 then begin
-    (* extend down by the block reach: a fused head just below the range
-       may cover dropped words *)
-    let addr = addr - (max_short_block_len - 1) in
-    let len = len + (max_short_block_len - 1) in
     let lo = if addr > t.sc_base then addr else t.sc_base in
     let hi = min (addr + len) (t.sc_base + t.sc_size) in
     if hi > lo then begin
-      t.sc_gen <- t.sc_gen + 1;
       let cold_chunk = !cold_chunk_cell and cold = !cold_short_cell in
       let lo = lo - t.sc_base and hi = hi - t.sc_base in
       let ci = ref (lo lsr sc_chunk_bits) in
@@ -425,6 +396,7 @@ let drop_short_range t ~addr ~len =
       done
     end
   end
+
 let timing t = t.timing
 let reg t r = t.regs.(r)
 let set_reg t r v = t.regs.(r) <- v
@@ -452,22 +424,10 @@ let mem_set t addr v =
      backend's invariant: a compiled slot always agrees with a fresh decode
      of the word now in memory *)
   if addr >= t.sc_base && addr - t.sc_base < t.sc_size then begin
-    (* a fused block's closure covers up to [max_short_block_len] words
-       starting at its head, so any head within that reach of the written
-       word dies with it; the generation bump aborts a block that is
-       mid-flight over this word *)
-    t.sc_gen <- t.sc_gen + 1;
     let i = addr - t.sc_base in
-    let lo =
-      let l = i - (max_short_block_len - 1) in
-      if l < 0 then 0 else l
-    in
-    let cold_chunk = !cold_chunk_cell and cold = !cold_short_cell in
-    for j = lo to i do
-      let chunk = Array.unsafe_get t.sc_table (j lsr sc_chunk_bits) in
-      if chunk != cold_chunk then
-        Array.unsafe_set chunk (j land sc_chunk_mask) cold
-    done
+    let chunk = Array.unsafe_get t.sc_table (i lsr sc_chunk_bits) in
+    if chunk != !cold_chunk_cell then
+      Array.unsafe_set chunk (i land sc_chunk_mask) !cold_short_cell
   end
 
 (* Return the machine's pages and page table to the domain-local pool.
@@ -1117,225 +1077,6 @@ let compile_long_one t addr =
         stats.cycles <- stats.cycles + extra;
         body t
 
-(* -- Block fusion -------------------------------------------------------------
-   One closure per *straight-line run* of long instructions: the span
-   driver's per-instruction checks (status, mode, limit, bounds, slot) are
-   paid once per block instead of once per instruction, and runs of pure
-   register/ALU instructions flush their statistics in one batch.
-
-   Exactness:
-   - Only instructions that always fall through are fused as block bodies;
-     the first control transfer (or hook-calling, or DIR-fetching)
-     instruction terminates the block and keeps its ordinary one-address
-     closure as the block's last part.
-   - A *pure* body instruction (register/ALU/Out) charges exactly one
-     cycle, cannot trap and cannot observe the pc, so a run of them may
-     execute without intermediate pc stores and flush cycles,
-     instruction count and category attribution in one batch at the end
-     of the run — totals after the batch are identical to the
-     per-instruction flushes, and no observation point exists inside.
-   - Memory and possibly-trapping bodies (Load/Store/PushOp/PopOp, OutC,
-     Div/Mod forms) keep their own closures: they set their own pc and
-     flush per instruction, so a mid-block trap leaves exactly the state
-     the decode loop would.
-   - The decode loop checks [cycles < lim] before *every* instruction; a
-     fused block checks once, against a precomputed worst-case bound on
-     what every instruction but the last can charge.  If the bound does
-     not fit, the block falls back to its first instruction's ordinary
-     closure — one instruction at a time, exactly the per-instruction
-     checks, until the limit interval is left.
-   - Code with a fetch hook (host-code icache) charges dynamic per-
-     instruction costs, so fusion is disabled there entirely. *)
-
-let max_block_len = 64
-
-(* Body instructions that always fall through; everything else terminates
-   a block. *)
-let block_body_kind (i : H.instr) =
-  match i with
-  | H.Li _ | H.Mv _ | H.Out _ -> `Pure
-  | H.Alu (op, _, _, _) | H.Alui (op, _, _, _) -> (
-      match op with H.Div | H.Mod -> `Trappy | _ -> `Pure)
-  | H.Alu2i (op1, op2, _, _, _, _) -> (
-      match (op1, op2) with
-      | (H.Div | H.Mod), _ | _, (H.Div | H.Mod) -> `Trappy
-      | _ -> `Pure)
-  | H.OutC _ -> `Trappy
-  | H.Load _ | H.Store _ | H.PushOp _ | H.PopOp _ -> `Mem
-  (* DIR fetches fall through and their worst-case charge is bounded by
-     the units the field can touch, so they may ride inside a block with
-     their own per-instruction closure (the Huffman translators are
-     dominated by GetBits runs) *)
-  | H.GetBits _ | H.GetBitsR _ -> `Dir
-  | _ -> `Term
-
-(* The flush-free work of one pure instruction; like [compile_long_one],
-   the closure reads registers and output through its argument. *)
-let pure_body t a : t -> unit =
-  match Array.unsafe_get t.code a with
-  | H.Li (rd, v) -> fun t -> t.regs.(rd) <- v
-  | H.Mv (rd, rs) ->
-      fun t ->
-        let regs = t.regs in
-        regs.(rd) <- regs.(rs)
-  | H.Alu (op, rd, rs1, rs2) ->
-      let f = alu_fn op in
-      fun t ->
-        let regs = t.regs in
-        regs.(rd) <- f regs.(rs1) regs.(rs2)
-  | H.Alui (op, rd, rs, v) ->
-      let f = alu_fn op in
-      fun t ->
-        let regs = t.regs in
-        regs.(rd) <- f regs.(rs) v
-  | H.Alu2i (op1, op2, rd, rs1, rs2, v) ->
-      let f1 = alu_fn op1 and f2 = alu_fn op2 in
-      fun t ->
-        let regs = t.regs in
-        regs.(rd) <- f2 (f1 regs.(rs1) regs.(rs2)) v
-  | H.Out r ->
-      fun t ->
-        Buffer.add_string t.out (string_of_int t.regs.(r));
-        Buffer.add_char t.out '\n'
-  | _ -> assert false
-
-let seq_parts = function
-  | [] -> assert false
-  | [ f ] -> f
-  | [ f; g ] -> fun t -> f t; g t
-  | [ f; g; h ] -> fun t -> f t; g t; h t
-  | [ f; g; h; i ] -> fun t -> f t; g t; h t; i t
-  | parts ->
-      let a = Array.of_list parts in
-      let n = Array.length a in
-      fun t ->
-        for i = 0 to n - 1 do
-          (Array.unsafe_get a i) t
-        done
-
-let compile_long_block t addr =
-  if t.code_fetch_hook <> None then compile_long_one t addr
-  else begin
-    let code = t.code in
-    let len = Array.length code in
-    let stop = min len (addr + max_block_len) in
-    (* bodies cover [addr, body_end); a terminator at [body_end] (when in
-       range) joins the block as its last instruction *)
-    let body_end = ref addr in
-    while
-      !body_end < stop
-      && block_body_kind (Array.unsafe_get code !body_end) <> `Term
-    do
-      incr body_end
-    done;
-    let term = if !body_end < stop then Some !body_end else None in
-    let count = !body_end - addr + (match term with Some _ -> 1 | None -> 0) in
-    let first = compile_long_one t addr in
-    if count < 2 then first
-    else begin
-      let last = match term with Some a -> a | None -> !body_end - 1 in
-      (* worst-case cycles every instruction but the last can charge: one
-         instruction cycle, plus at most the costliest region access for
-         the memory forms.  (Stack-cycle counters are not machine cycles
-         and do not enter the bound.) *)
-      let dir_unit_cost =
-        let tm = t.timing in
-        max tm.Timing.t2 tm.Timing.t_dtb
-      in
-      let bound = ref 0 in
-      for a = addr to last - 1 do
-        bound :=
-          !bound
-          + 1
-          + (match block_body_kind (Array.unsafe_get code a) with
-            | `Mem -> t.max_access_cost
-            | `Dir ->
-                (* a width-w field starting anywhere touches at most
-                   w/16 + 1 units; register widths are capped by the
-                   bitstream's maximum *)
-                let w =
-                  match Array.unsafe_get code a with
-                  | H.GetBits (_, w) -> w
-                  | _ -> Uhm_bitstream.Bits.max_width
-                in
-                ((max w 0 / 16) + 1) * dir_unit_cost
-            | _ -> 0)
-      done;
-      let bound = !bound in
-      (* assemble the parts: pure runs batch their flush, everything else
-         keeps its one-address closure *)
-      let parts = ref [] in
-      let a = ref addr in
-      while !a < !body_end do
-        match block_body_kind (Array.unsafe_get code !a) with
-        | `Pure ->
-            let s = !a in
-            while
-              !a < !body_end
-              && block_body_kind (Array.unsafe_get code !a) = `Pure
-            do
-              incr a
-            done;
-            let e = !a in
-            let n = e - s in
-            for i = s to e - 1 do
-              parts := pure_body t i :: !parts
-            done;
-            (* batched flush: per-category counts of the run *)
-            let counts = Array.make 5 0 in
-            for i = s to e - 1 do
-              let c = Array.unsafe_get t.code_cat i in
-              counts.(c) <- counts.(c) + 1
-            done;
-            let pairs = ref [] in
-            Array.iteri
-              (fun c n -> if n > 0 then pairs := (c, n) :: !pairs)
-              counts;
-            let flush =
-              match !pairs with
-              | [ (c1, n1) ] ->
-                  fun t ->
-                    let stats = t.stats in
-                    stats.cycles <- stats.cycles + n;
-                    stats.host_instrs <- stats.host_instrs + n;
-                    let cats = stats.cat_cycles in
-                    Array.unsafe_set cats c1 (Array.unsafe_get cats c1 + n1);
-                    t.pc_addr <- e
-              | [ (c1, n1); (c2, n2) ] ->
-                  fun t ->
-                    let stats = t.stats in
-                    stats.cycles <- stats.cycles + n;
-                    stats.host_instrs <- stats.host_instrs + n;
-                    let cats = stats.cat_cycles in
-                    Array.unsafe_set cats c1 (Array.unsafe_get cats c1 + n1);
-                    Array.unsafe_set cats c2 (Array.unsafe_get cats c2 + n2);
-                    t.pc_addr <- e
-              | pairs ->
-                  fun t ->
-                    let stats = t.stats in
-                    stats.cycles <- stats.cycles + n;
-                    stats.host_instrs <- stats.host_instrs + n;
-                    let cats = stats.cat_cycles in
-                    List.iter
-                      (fun (c, k) ->
-                        Array.unsafe_set cats c (Array.unsafe_get cats c + k))
-                      pairs;
-                    t.pc_addr <- e
-            in
-            parts := flush :: !parts
-        | _ ->
-            parts := compile_long_one t !a :: !parts;
-            incr a
-      done;
-      (match term with
-      | Some a -> parts := compile_long_one t a :: !parts
-      | None -> ());
-      let blockf = seq_parts (List.rev !parts) in
-      fun t ->
-        if t.stats.cycles + bound < t.span_lim then blockf t else first t
-    end
-  end
-
 (* Compile the short word currently at [addr], or [None] when its opcode
    doesn't decode (the fallback [step] then reproduces the decode path's
    exception exactly).  The caller guarantees [addr] lies in the compile
@@ -1399,13 +1140,6 @@ let compile_short t addr =
             let a = pop_op_fast t in
             t.pc_addr <- a)
 
-(* Run compiled closures until the machine leaves [Running], [lim] cycles
-   have been charged, or [quantum] INTERP transfers have completed since
-   [qstart] — always stopping on an instruction boundary.  Anything the
-   fast path can't serve (pc out of range, short word outside the window,
-   undecodable opcode) takes one reference [step].  Callers must ensure
-   [lim <= fuel] so the fallback [step] cannot spuriously run out of
-   fuel mid-span. *)
 (* The cold/warm closure pair: every table slot is always callable.  A
    cold slot interprets its word in place — exactly the decode path — on
    its first execution since (re)install and leaves behind a per-address
@@ -1420,97 +1154,6 @@ let compile_short t addr =
    establish everything [step] would check, so calling
    [exec_short]/[exec_long] directly is exact; traps unwind to the span
    loop's handler just as compiled closures' do. *)
-
-(* -- Short-block fusion -------------------------------------------------------
-   One closure per straight-line run of short words, mirroring the long
-   side: the span loop's per-instruction conditions (status, mode,
-   limit, quantum, window bounds) and two-level table dispatch are paid
-   once per block.  Each part keeps its own per-instruction flush, so
-   partial state at any point — including at a trap — is exactly the
-   decode path's.
-
-   Exactness:
-   - Only fall-through words (the stack push/pop forms) are bodies; the
-     first control transfer (Goto, Call_long, Goto_stk, INTERP) joins as
-     the block's final part.  INTERP can only be the last part, so the
-     loop's quantum check before the block equals decode's check before
-     each part.
-   - The cycle limit is checked once against a worst-case bound on what
-     every part but the last can charge (fetch + instruction cycle +
-     accesses times the dearest region), falling back to the head's
-     single closure near the limit — per-instruction checks exactly as
-     decode.
-   - A store into the window (self-modifying code, a faulted stack
-     pointer) invalidates compiled slots mid-block.  Every such store
-     funnels through [mem_set], which bumps [sc_gen]; the block re-checks
-     the generation between parts and simply stops — state is exact
-     after every part, and the span loop re-dispatches at the current pc
-     through freshly-cold slots. *)
-
-let compile_short_block t a =
-  match compile_short t a with
-  | None -> None
-  | Some first ->
-      let window_end = t.sc_base + t.sc_size in
-      let stop = min (a + max_short_block_len) window_end in
-      let is_term word =
-        match Short_format.op_of_int (Short_format.unpack_op word) with
-        | Short_format.Push_imm | Short_format.Push_dir
-        | Short_format.Push_ind | Short_format.Pop_dir ->
-            false
-        | _ -> true
-      in
-      let accesses word =
-        match Short_format.op_of_int (Short_format.unpack_op word) with
-        | Short_format.Push_imm -> 1 (* stack write *)
-        | Short_format.Push_dir -> 2 (* load + stack write *)
-        | Short_format.Push_ind -> 3 (* two loads + stack write *)
-        | Short_format.Pop_dir -> 2 (* stack read + store *)
-        | _ -> 0
-      in
-      let parts = ref [ first ] in
-      (* worst-case charge of every part but the last *)
-      let bound = ref 0 in
-      let prev_worst = ref 0 in
-      (match mem_cost t a with
-      | fetch -> prev_worst := fetch + 1 + (accesses (mem_get t a) * t.max_access_cost)
-      | exception Not_found -> ());
-      let addr = ref (a + 1) in
-      let ended = ref (is_term (mem_get t a)) in
-      while (not !ended) && !addr < stop do
-        let word = mem_get t !addr in
-        match compile_short t !addr with
-        | None -> ended := true
-        | Some f ->
-            parts := f :: !parts;
-            bound := !bound + !prev_worst;
-            (match mem_cost t !addr with
-            | fetch ->
-                prev_worst :=
-                  fetch + 1 + (accesses word * t.max_access_cost)
-            | exception Not_found -> assert false);
-            if is_term word then ended := true else incr addr
-      done;
-      (match !parts with
-      | [ _ ] -> Some first
-      | parts ->
-          let arr = Array.of_list (List.rev parts) in
-          let n = Array.length arr in
-          let bound = !bound in
-          Some
-            (fun t ->
-              if t.stats.cycles + bound < t.span_lim then begin
-                let g = t.sc_gen in
-                let i = ref 0 in
-                while !i < n && t.sc_gen = g do
-                  (Array.unsafe_get arr !i) t;
-                  incr i
-                done
-                (* a generation bump means an in-window store: the rest of
-                   the block may be stale — state is exact, so return to
-                   the dispatch loop *)
-              end
-              else first t))
 
 (* Install [f] at window offset [i], copying the shared cold chunk first
    if this is the chunk's first warm slot. *)
@@ -1528,7 +1171,7 @@ let sc_install t i f =
   Array.unsafe_set chunk (i land sc_chunk_mask) f
 
 let warm_short a t =
-  match compile_short_block t a with
+  match compile_short t a with
   | Some f ->
       sc_install t (a - t.sc_base) f;
       f t
@@ -1540,7 +1183,7 @@ let cold_short t =
   exec_short t a
 
 let warm_long a t =
-  let f = compile_long_block t a in
+  let f = compile_long_one t a in
   Array.unsafe_set t.lc a f;
   f t
 
@@ -1556,11 +1199,11 @@ let () =
 
 (* -- The compiled-long-code cache ---------------------------------------------
    Long-closure compilation bakes in only functions of the host code
-   itself — the decoded instruction, its cost category, block cycle
-   bounds computed from [max_access_cost] — and every closure reads its
-   run state through the machine argument.  A warmed closure array is
-   therefore valid for any machine executing the same program object
-   under the same worst-case region cost, so arrays are cached per
+   itself — the decoded instruction, its cost category, the fall-through
+   address — and every closure reads its run state, timing and region
+   costs through the machine argument.  A warmed closure array is
+   therefore valid for any machine executing the same program object,
+   whatever its timing or region layout, so arrays are cached per
    domain, keyed on the code array's physical identity (host programs
    are immutable once assembled, and the generator layer above hands
    repeated runs the same object).  Repeat runs start fully warm and
@@ -1569,8 +1212,7 @@ let () =
    Bounded: a full cache drops its oldest entry. *)
 let lc_cache_max = 64
 
-let lc_cache_key :
-    (H.instr array * int * int * (t -> unit) array) list ref Domain.DLS.key =
+let lc_cache_key : (H.instr array * (t -> unit) array) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let lc_for t =
@@ -1578,14 +1220,8 @@ let lc_for t =
     Array.make (Array.length t.code) cold_long
   else begin
     let cache = Domain.DLS.get lc_cache_key in
-    let mac = t.max_access_cost in
-    let dc = max t.timing.Timing.t2 t.timing.Timing.t_dtb in
-    match
-      List.find_opt
-        (fun (c, m, d, _) -> c == t.code && m = mac && d = dc)
-        !cache
-    with
-    | Some (_, _, _, lc) -> lc
+    match List.find_opt (fun (c, _) -> c == t.code) !cache with
+    | Some (_, lc) -> lc
     | None ->
         let lc = Array.make (Array.length t.code) cold_long in
         let entries = !cache in
@@ -1594,12 +1230,18 @@ let lc_for t =
             List.filteri (fun i _ -> i < lc_cache_max - 1) entries
           else entries
         in
-        cache := (t.code, mac, dc, lc) :: entries;
+        cache := (t.code, lc) :: entries;
         lc
   end
 
+(* Run compiled closures until the machine leaves [Running], [lim] cycles
+   have been charged, or [quantum] INTERP transfers have completed since
+   [qstart] — always stopping on an instruction boundary.  Anything the
+   fast path can't serve (pc out of range, short word outside the window,
+   undecodable opcode) takes one reference [step].  Callers must ensure
+   [lim <= fuel] so the fallback [step] cannot spuriously run out of
+   fuel mid-span. *)
 let exec_threaded_span t ~lim ~qstart ~quantum =
-  t.span_lim <- lim;
   let stats = t.stats in
   while
     t.status == Running && stats.cycles < lim

@@ -83,7 +83,8 @@ val backend : t -> backend
 val enable_short_compile : t -> base:int -> size:int -> unit
 (** Open the threaded backend's short-word compile window over
     [base, base+size): short words executed inside it are compiled to
-    closures on first execution and cached until the word is overwritten,
+    closures on their second execution (the first interprets the word, as
+    [`Decode] does) and cached until the word is overwritten,
     {!drop_short_range} covers it, or {!restore} rewinds memory.  A no-op
     on [`Decode] machines or when [size <= 0]; raises [Invalid_argument]
     if the window exceeds memory. *)

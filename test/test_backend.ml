@@ -2,10 +2,11 @@
    threaded must be observably identical — cycles, every statistics
    field, traps, output, DTB counters, traces — on the golden suites,
    random programs across strategies, sliced execution with random
-   invalidation points, all three shared-DTB policies, and the fault
-   driver (zero-fault and fault-injected, the stale-closure regression:
-   a guard-detected corruption must drop the compiled closure with the
-   DTB entry). *)
+   invalidation points, guest code that rewrites its own short words,
+   one program object run under two timings, all three shared-DTB
+   policies, and the fault driver (zero-fault and fault-injected, the
+   stale-closure regression: a guard-detected corruption must drop the
+   compiled closure with the DTB entry). *)
 
 module Dtb = Uhm_core.Dtb
 module U = Uhm_core.Uhm
@@ -18,6 +19,11 @@ module Trace = Uhm_sched.Trace
 module Mix = Uhm_sched.Mix
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
+module Asm = Uhm_machine.Asm
+module H = Uhm_machine.Host_isa
+module R = Uhm_machine.Host_isa.Regs
+module SF = Uhm_machine.Short_format
+module Timing = Uhm_machine.Timing
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -262,6 +268,123 @@ let test_corruption_differential () =
   Alcotest.(check string) "output" (Machine.output md) (Machine.output mt);
   check_stats "post-corruption" (Machine.stats md) (Machine.stats mt)
 
+(* -- Self-modifying short code --------------------------------------------------
+
+   A short-code loop inside the compile window runs until its closures
+   are warm, then rewrites one of its own later words with [Pop_dir].
+   The store reaches the window through the guest's own [mem_set], not
+   through DTB surgery, so a compiled closure that outlived its word
+   would print the stale operand and drift in cycles. *)
+
+let test_self_modifying_short_loop () =
+  let counter = 60 and s = 1100 in
+  (* long side: BODY decrements the counter (halting at zero) and returns
+     a Goto_stk target — s+3 to skip the rewrite while the loop warms, s+2
+     (with the new word beneath it) once the counter drops below 4.  PRINT
+     outputs the two words the loop pushed. *)
+  let b = Asm.create () in
+  let rewrite = Asm.new_label b and finish = Asm.new_label b in
+  let body = Asm.here b in
+  Asm.li b 2 counter;
+  Asm.load b 0 2 0;
+  Asm.alui b H.Sub 0 0 1;
+  Asm.store b 0 2 0;
+  Asm.jz b 0 finish;
+  Asm.alui b H.Slt 3 0 4;
+  Asm.jnz b 3 rewrite;
+  Asm.li b 4 (s + 3);
+  Asm.push_op b 4;
+  Asm.ret b;
+  Asm.place b rewrite;
+  (* Push_imm has opcode and context 0, so [pack] is linear in the operand *)
+  Asm.alui b H.Mul 5 0 (SF.pack SF.Push_imm 100);
+  Asm.push_op b 5;
+  Asm.li b 4 (s + 2);
+  Asm.push_op b 4;
+  Asm.ret b;
+  Asm.place b finish;
+  Asm.halt b;
+  let print = Asm.here b in
+  Asm.pop_op b 1;
+  Asm.out b 1;
+  Asm.pop_op b 1;
+  Asm.out b 1;
+  Asm.ret b;
+  let program = Asm.finish b in
+  let short =
+    [
+      SF.pack SF.Call_long body;
+      SF.pack SF.Goto_stk 0;
+      SF.pack SF.Pop_dir (s + 4);
+      SF.pack SF.Push_imm 11;
+      SF.pack SF.Push_imm 7 (* rewritten by s+2 *);
+      SF.pack SF.Call_long print;
+      SF.pack SF.Goto s;
+    ]
+  in
+  let make backend =
+    let m =
+      Machine.create ~backend ~program ~mem_words:4096
+        ~regions:
+          [
+            { Machine.rname = "ram"; base = 0; size = 1024; cost = 1 };
+            { Machine.rname = "slow"; base = 1024; size = 1024; cost = 10 };
+          ]
+        ()
+    in
+    Machine.enable_short_compile m ~base:s ~size:16;
+    List.iteri (fun i w -> Machine.poke m (s + i) w) short;
+    Machine.poke m counter 10;
+    Machine.set_reg m R.sp 100;
+    Machine.set_reg m R.rsp 200;
+    Machine.set_pc m (Machine.Short s);
+    m
+  in
+  let md = make `Decode and mt = make `Threaded in
+  let sd = Machine.run md and st = Machine.run mt in
+  Alcotest.(check string) "status" (status_str sd) (status_str st);
+  Alcotest.(check string) "decode halts" "halted" (status_str sd);
+  let warm = String.concat "" (List.init 6 (fun _ -> "7\n11\n")) in
+  Alcotest.(check string) "decode output"
+    (warm ^ "300\n11\n200\n11\n100\n11\n") (Machine.output md);
+  Alcotest.(check string) "output" (Machine.output md) (Machine.output mt);
+  check_stats "self-modifying loop" (Machine.stats md) (Machine.stats mt)
+
+(* -- Long-code cache across timings --------------------------------------------
+
+   Compiled long closures read timing and region costs through the
+   machine, so a program object's cached closure array serves any
+   timing: the second threaded run below reuses the array the first one
+   warmed.  Each run must still equal decode under its own timing. *)
+
+let test_long_cache_across_timings () =
+  List.iter
+    (fun workload ->
+      let p = compile workload in
+      List.iter
+        (fun (sname, strategy) ->
+          List.iter
+            (fun (tname, timing) ->
+              let d =
+                U.run ~timing ~backend:`Decode ~strategy ~kind:Kind.Huffman p
+              in
+              let t =
+                U.run ~timing ~backend:`Threaded ~strategy ~kind:Kind.Huffman p
+              in
+              check_result
+                (String.concat "/" [ workload; sname; tname ])
+                d t)
+            [
+              ("paper", Timing.paper);
+              ("t2=40,t_dtb=5", Timing.make ~t2:40 ~t_dtb:5 ());
+            ])
+        [
+          ("interp", U.Interp);
+          ("dtb", U.Dtb_strategy Dtb.paper_config);
+          ("der", U.Der U.Der_level1);
+        ])
+    [ "fact_iter"; "flat_straightline" ]
+
 (* -- Shared-DTB policies (Mix) ------------------------------------------------ *)
 
 let check_trace label (a : Trace.t) (b : Trace.t) =
@@ -343,6 +466,10 @@ let suite =
         test_corruption_drop_discipline;
       Alcotest.test_case "corrupt+invalidate differential" `Quick
         test_corruption_differential;
+      Alcotest.test_case "self-modifying short loop, both backends" `Quick
+        test_self_modifying_short_loop;
+      Alcotest.test_case "long-code cache across timings" `Quick
+        test_long_cache_across_timings;
       Alcotest.test_case "mix policies, both backends" `Slow
         test_mix_policies_backends;
       Alcotest.test_case "zero-fault driver, both backends" `Slow
