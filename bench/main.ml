@@ -911,8 +911,8 @@ let mix () =
   section
     "X11: multiprogramming -- three programs time-sliced over one shared \
      DTB";
-  let module SX = Uhm_sched.Experiment in
-  let module Mix = Uhm_sched.Mix in
+  let module FE = Uhm_fault.Experiment in
+  let module Mix = Uhm_fault.Mix in
   let programs = List.map (fun name -> (name, compile name)) representative in
   (* single-program reference cycles: the quantum->infinity rows of the
      grid must reproduce these exactly, for every policy *)
@@ -924,18 +924,18 @@ let mix () =
       programs
   in
   let policies = [ Dtb.Flush_on_switch; Dtb.Partitioned; Dtb.Tagged ] in
-  let axes = SX.mix_axes ~policies ~configs:[ Dtb.paper_config ] () in
+  let axes = FE.mix_axes ~policies ~configs:[ Dtb.paper_config ] () in
   let fingerprint =
     [ "bench mix";
       "programs=" ^ String.concat "," (List.map fst programs);
       "policies=" ^ String.concat "," (List.map Dtb.policy_name policies);
       "quanta="
-      ^ String.concat "," (List.map string_of_int SX.default_quanta) ]
+      ^ String.concat "," (List.map string_of_int FE.default_quanta) ]
   in
   let grid =
     run_campaign ~target:"mix" ~fingerprint
       ~cells:(List.length axes) (fun setup ->
-        SX.mix_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
+        FE.mix_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
           ?cell_hook:setup.Campaign.cell_hook ~kind:Kind.Huffman ~policies
           ~configs:[ Dtb.paper_config ] programs)
   in
@@ -962,9 +962,9 @@ let mix () =
           Table.add_row t
             [ Dtb.policy_name policy; quantum_label quantum; "(quarantined)";
               "-"; "-"; "-"; "-"; "" ]
-      | Sweep.Completed (cell : SX.mix_cell) ->
-          let r = cell.SX.mc_result in
-          let at_infinity = cell.SX.mc_quantum = Mix.solo_quantum in
+      | Sweep.Completed (cell : FE.mix_cell) ->
+          let r = cell.FE.mc_result in
+          let at_infinity = cell.FE.mc_quantum = Mix.solo_quantum in
           let vs_solo =
             if not at_infinity then ""
             else if
@@ -976,9 +976,9 @@ let mix () =
             else "DIVERGENT"
           in
           Table.add_row t
-            [ Dtb.policy_name cell.SX.mc_policy;
-              quantum_label cell.SX.mc_quantum;
-              Table.cell_int r.Mix.mr_total_cycles;
+            [ Dtb.policy_name cell.FE.mc_policy;
+              quantum_label cell.FE.mc_quantum;
+              Table.cell_int r.Mix.mr_makespan;
               Table.cell_int r.Mix.mr_switches;
               Table.cell_int r.Mix.mr_flushes;
               Table.cell_pct ~decimals:2 r.Mix.mr_hit_ratio;
@@ -1006,13 +1006,13 @@ let mix () =
           Table.add_row ft
             (Dtb.policy_name policy :: quantum_label quantum
             :: List.map (fun _ -> "-") programs)
-      | Sweep.Completed (cell : SX.mix_cell) ->
+      | Sweep.Completed (cell : FE.mix_cell) ->
           Table.add_row ft
             (Dtb.policy_name policy :: quantum_label quantum
             :: List.map
                  (fun (pr : Mix.program_result) ->
                    Printf.sprintf "%.3fx" pr.Mix.pr_slowdown)
-                 cell.SX.mc_result.Mix.mr_programs))
+                 cell.FE.mc_result.Mix.mr_programs))
     axes grid;
   Table.print ft;
   print_endline

@@ -706,8 +706,8 @@ let perf_cmd =
 (* -- mix ---------------------------------------------------------------------- *)
 
 let mix_cmd =
-  let module Mix = Uhm_sched.Mix in
-  let module SX = Uhm_sched.Experiment in
+  let module Mix = Uhm_fault.Mix in
+  let module FExp = Uhm_fault.Experiment in
   let programs_arg =
     Arg.(value & opt_all string []
          & info [ "p"; "program" ] ~docv:"NAME"
@@ -750,7 +750,7 @@ let mix_cmd =
     (* one cell per policy: mix_axes with singleton scheduler/quantum/config
        axes keeps the cell order identical to the policy list *)
     let axes =
-      SX.mix_axes ~schedulers:[ scheduler ] ~quanta:[ quantum ] ~policies
+      FExp.mix_axes ~schedulers:[ scheduler ] ~quanta:[ quantum ] ~policies
         ~configs:[ config ] ()
     in
     let fingerprint =
@@ -768,13 +768,13 @@ let mix_cmd =
     let slots =
       run_campaign ?journal ?resume ~campaign:"uhmc-mix" ~fingerprint
         ~cells:(List.length axes) (fun setup ->
-          SX.mix_grid_slots ?domains:jobs ~schedulers:[ scheduler ]
+          FExp.mix_grid_slots ?domains:jobs ~schedulers:[ scheduler ]
             ~quanta:[ quantum ] ~cached:setup.Campaign.cached
             ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ~poison ~kind
             ~policies ~configs:[ config ] named)
     in
-    let rows (policy, _, _, _) (cell : SX.mix_cell) =
-      let r = cell.SX.mc_result in
+    let rows (policy, _, _, _) (cell : FExp.mix_cell) =
+      let r = cell.FExp.mc_result in
       Option.iter
         (fun path ->
           let names asid =
@@ -786,7 +786,7 @@ let mix_cmd =
             ~suffix:
               (if List.length policies = 1 then None
                else Some (Dtb.policy_name policy))
-            ~names ~end_cycle:r.Mix.mr_total_cycles r.Mix.mr_trace)
+            ~names ~end_cycle:r.Mix.mr_makespan r.Mix.mr_trace)
         trace_path;
       List.map
         (fun (pr : Mix.program_result) ->
@@ -800,7 +800,7 @@ let mix_cmd =
             Table.cell_int pr.Mix.pr_dtb_evictions ])
         r.Mix.mr_programs
       @ [ [ Dtb.policy_name policy; "(total)"; "";
-            Table.cell_int r.Mix.mr_total_cycles; "";
+            Table.cell_int r.Mix.mr_makespan; "";
             Printf.sprintf "%d sw/%d fl" r.Mix.mr_switches r.Mix.mr_flushes;
             Printf.sprintf "%.4f" r.Mix.mr_hit_ratio; "";
             Table.cell_int r.Mix.mr_evictions ] ]
@@ -1362,7 +1362,7 @@ let faults_cmd =
                 string_of_bool p.FExp.fp_recovered_ok;
                 Printf.sprintf "%.6f" p.FExp.fp_overhead;
                 string_of_int
-                  p.FExp.fp_result.Uhm_fault.Resilient.rr_total_cycles;
+                  p.FExp.fp_result.Uhm_fault.Resilient.rr_makespan;
                 string_of_int p.FExp.fp_baseline_cycles;
                 string_of_int p.FExp.fp_injected;
                 string_of_int p.FExp.fp_detected;
@@ -1390,7 +1390,7 @@ let faults_cmd =
             (Dtb.policy_name p.FExp.fp_policy)
             p.FExp.fp_quantum p.FExp.fp_seed p.FExp.fp_recovered_ok
             p.FExp.fp_overhead
-            p.FExp.fp_result.Uhm_fault.Resilient.rr_total_cycles
+            p.FExp.fp_result.Uhm_fault.Resilient.rr_makespan
             p.FExp.fp_baseline_cycles p.FExp.fp_injected p.FExp.fp_detected
             p.FExp.fp_retries p.FExp.fp_rollbacks p.FExp.fp_downgrades
         in

@@ -137,6 +137,8 @@ let create ?(last_cache = true) cfg ~buffer_base =
   }
 
 let add_drop_hook t f = t.on_drop <- f :: t.on_drop
+let remove_drop_hook t f = t.on_drop <- List.filter (fun g -> g != f) t.on_drop
+let drop_hooks t = List.length t.on_drop
 
 let fire_drop t ~addr ~words =
   List.iter (fun f -> f ~addr ~words) t.on_drop

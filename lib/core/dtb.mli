@@ -171,6 +171,13 @@ val add_drop_hook : t -> (addr:int -> words:int -> unit) -> unit
     threaded execution backend uses this to retire compiled closures
     exactly when the translation they belong to dies. *)
 
+val remove_drop_hook : t -> (addr:int -> words:int -> unit) -> unit
+(** Unregister a hook given to {!add_drop_hook} (matched physically).
+    A threaded machine's hook is removed when the machine is recycled. *)
+
+val drop_hooks : t -> int
+(** Number of registered drop hooks. *)
+
 (** {2 Statistics} *)
 
 val hits : t -> int

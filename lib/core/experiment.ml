@@ -169,21 +169,21 @@ let dtb_sweep ?domains ~kind ~configs p =
   let encoded = Codec.encode kind p in
   Sweep.map ?domains (dtb_point_of_config encoded) configs
 
+let encode_programs ?domains ~kind programs =
+  Sweep.map ?domains
+    (fun (name, p) -> (name, Codec.encode kind p, Uhm.dir_steps_memoized p))
+    programs
+
 (* the full (program x config) grid as one flat job list, so a parallel
    sweep balances across both axes; regrouped per program afterwards.
-   The encode stage also computes each program's dir_steps (served by
-   the memo from then on), which the point sweep passes to the pool as
-   its cost hint: replay time is proportional to trace length, so
-   long-program points start first and the grid doesn't end on a lone
-   slow worker.  Cell index = flat (program-major, config-minor) grid
-   index, matching the journal layout. *)
+   The encode pre-pass's dir_steps are the point sweep's cost hints:
+   replay time is proportional to trace length, so long-program points
+   start first and the grid doesn't end on a lone slow worker.  Cell
+   index = flat (program-major, config-minor) grid index, matching the
+   journal layout. *)
 let dtb_grid_slots ?domains ?supervision ?cached ?cell_hook ~kind ~configs
     names_and_programs =
-  let encodeds =
-    Sweep.map ?domains
-      (fun (name, p) -> (name, Codec.encode kind p, Uhm.dir_steps_memoized p))
-      names_and_programs
-  in
+  let encodeds = encode_programs ?domains ~kind names_and_programs in
   let points =
     Sweep.map_supervised ?supervision ?cached ?cell_hook ?domains
       ~cost:(fun (_, steps, _) -> steps)

@@ -72,6 +72,16 @@ val dtb_sweep : ?domains:int -> kind:Kind.t -> configs:Dtb.config list
     configurations are evaluated through {!Sweep} ([?domains] as in
     {!Sweep.map}), results in configuration order. *)
 
+val encode_programs :
+  ?domains:int -> kind:Kind.t -> (string * Program.t) list ->
+  (string * Uhm_encoding.Codec.encoded * int) list
+(** The encode pre-pass every grid shares: each named program encoded
+    with [kind], with its reference DIR step count
+    ({!Uhm.dir_steps_memoized}, so later lookups are memo hits) — the
+    SRTF estimate and the grids' cost hint.  One {!Sweep.map} over the
+    programs ([?domains] as there), unsupervised: it is a grid's input,
+    not a cell. *)
+
 val dtb_grid_slots :
   ?domains:int ->
   ?supervision:Sweep.supervision ->

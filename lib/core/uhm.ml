@@ -391,21 +391,20 @@ let attach_threaded_dtb ~backend m ~layout ~dtb =
   | `Threaded ->
       Machine.enable_short_compile m ~base:layout.Layout.dtb_buffer_base
         ~size:layout.Layout.dtb_buffer_size;
-      Dtb.add_drop_hook dtb (fun ~addr ~words ->
-          Machine.drop_short_range m ~addr ~len:words)
+      let hook ~addr ~words = Machine.drop_short_range m ~addr ~len:words in
+      Dtb.add_drop_hook dtb hook;
+      (* a recycled machine must not stay reachable from a shared DTB *)
+      Machine.on_recycle m (fun () -> Dtb.remove_drop_hook dtb hook)
 
 (* The plain INTERP hook (paper Figure 4): charge the DTB access, transfer
    on a hit; on a miss the replacement logic installs the tag and traps to
-   the dynamic translation routine.  [on_translation] is an observability
-   callback (the multiprogramming trace layer); it fires before the
-   replacement logic touches the buffer. *)
-let plain_dtb_interp ~t_dtb ~dtb ~translator_entry ~on_translation =
+   the dynamic translation routine. *)
+let plain_dtb_interp ~t_dtb ~dtb ~translator_entry =
   fun m ~dir_addr ~dctx ->
     Machine.add_cycles m t_dtb;
     match Dtb.lookup dtb ~tag:dir_addr with
     | `Hit buffer_addr -> Machine.set_pc m (Machine.Short buffer_addr)
     | `Miss ->
-        on_translation ~dir_addr;
         Dtb.begin_translation dtb ~tag:dir_addr;
         Machine.set_reg m R.dpc dir_addr;
         Machine.set_reg m R.dctx dctx;
@@ -445,7 +444,6 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
     | None ->
         plain_dtb_interp ~t_dtb ~dtb
           ~translator_entry:gen.Translate_gen.translator_entry
-          ~on_translation:(fun ~dir_addr:_ -> ())
     | Some (cache, payload) ->
         fun m ~dir_addr ~dctx ->
           Machine.add_cycles m t_dtb;
@@ -563,15 +561,15 @@ let prepare_dtb_custom ?(timing = Timing.paper) ?(fuel = default_fuel)
   Machine.set_pc m (Machine.Short bootstrap_addr);
   (m, translator_entry)
 
-let prepare_dtb_shared ?timing ?fuel ?layout ?backend
-    ?(on_translation = fun ~dir_addr:_ -> ()) ~dtb (encoded : Codec.encoded) =
+let prepare_dtb_shared ?timing ?fuel ?layout ?backend ~dtb
+    (encoded : Codec.encoded) =
   let t_dtb =
     (Option.value ~default:Timing.paper timing).Timing.t_dtb
   in
   let m, _ =
     prepare_dtb_custom ?timing ?fuel ?layout ?backend
       ~make_interp:(fun ~translator_entry ->
-        plain_dtb_interp ~t_dtb ~dtb ~translator_entry ~on_translation)
+        plain_dtb_interp ~t_dtb ~dtb ~translator_entry)
       ~dtb encoded
   in
   m

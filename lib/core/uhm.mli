@@ -112,20 +112,21 @@ val run_encoded : ?timing:Timing.t -> ?fuel:int -> ?layout:Uhm_psder.Layout.t
 
 val prepare_dtb_shared : ?timing:Timing.t -> ?fuel:int
   -> ?layout:Uhm_psder.Layout.t -> ?backend:Machine.backend
-  -> ?on_translation:(dir_addr:int -> unit)
   -> dtb:Dtb.t -> Uhm_encoding.Codec.encoded -> Machine.t
 (** Set up (but do not run) a machine that executes [encoded] against a
-    {e shared} DTB owned by the caller — the multiprogramming layer's
-    entry point.  The DTB must have been created at buffer base
+    {e shared} DTB owned by the caller, with the plain INTERP hook and no
+    taps: {!prepare_dtb_custom} without the fault machinery.  The slicing
+    drivers build their machines through [prepare_dtb_custom] (see
+    [Uhm_fault.Tenant]).  The DTB must have been created at buffer base
     [layout.dtb_buffer_base + 1] (the word after the bootstrap INTERP).
     Each program gets its own machine and memory image at the same
     layout, so a shared entry's buffer address is valid in every address
     space; the programs contend for the translation {e directory} (tags,
     capacity, overflow blocks), and a program only ever executes
-    translations it installed itself.  [on_translation] fires at every
-    translation this machine starts (the trace layer's tap).  The caller
-    drives execution with [Machine.run_dir_quantum] and owns
-    [Dtb.switch_to] at context switches. *)
+    translations it installed itself.  The caller drives execution with
+    [Machine.run_dir_quantum] and owns [Dtb.switch_to] at context
+    switches.  On the threaded backend the machine registers a DTB drop
+    hook that {!Machine.recycle} removes again. *)
 
 val prepare_dtb_custom : ?timing:Timing.t -> ?fuel:int
   -> ?layout:Uhm_psder.Layout.t -> ?backend:Machine.backend

@@ -1,11 +1,84 @@
-(* The fault-campaign grid; see experiment.mli. *)
+(* The multiprogramming and fault-campaign grids; see experiment.mli. *)
 
 module Sweep = Uhm_core.Sweep
 module Dtb = Uhm_core.Dtb
-module U = Uhm_core.Uhm
-module Codec = Uhm_encoding.Codec
+module Scheduler = Uhm_sched.Scheduler
 module Trace = Uhm_sched.Trace
 module Machine = Uhm_machine.Machine
+
+let encode_programs = Uhm_core.Experiment.encode_programs
+
+(* -- The multiprogramming grid ----------------------------------------------- *)
+
+type mix_cell = {
+  mc_policy : Dtb.policy;
+  mc_scheduler : Scheduler.policy;
+  mc_quantum : int;
+  mc_config : Dtb.config;
+  mc_result : Mix.result;
+}
+
+let default_quanta = [ 16; 256; Mix.solo_quantum ]
+
+let mix_axes ?(schedulers = [ Scheduler.Round_robin ])
+    ?(quanta = default_quanta) ~policies ~configs () =
+  List.concat_map
+    (fun policy ->
+      List.concat_map
+        (fun scheduler ->
+          List.concat_map
+            (fun quantum ->
+              List.map (fun config -> (policy, scheduler, quantum, config)) configs)
+            quanta)
+        schedulers)
+    policies
+
+(* a cell's host time scales with the simulated work; small quanta under
+   Flush_on_switch retranslate the working set every slice, so weight
+   them as longer jobs *)
+let mix_cost ~total_steps (policy, _, quantum, _) =
+  let slices = max 1 (total_steps / max 1 quantum) in
+  total_steps + match policy with Dtb.Flush_on_switch -> slices * 64 | _ -> 0
+
+let mix_grid_slots ?domains ?schedulers ?quanta ?(trace_capacity = 4096)
+    ?backend ?supervision ?cached ?cell_hook ?cell_fuel ?(poison = []) ~kind
+    ~policies ~configs programs =
+  if programs = [] then invalid_arg "Experiment.mix_grid_slots: no programs";
+  let encodeds = encode_programs ?domains ~kind programs in
+  let total_steps =
+    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
+  in
+  let encoded_programs = List.map (fun (n, e, _) -> (n, e)) encodeds in
+  let cells =
+    List.mapi (fun i c -> (i, c)) (mix_axes ?schedulers ?quanta ~policies ~configs ())
+  in
+  Sweep.map_supervised ?supervision ?cached ?cell_hook ?domains
+    ~cost:(fun (_, c) -> mix_cost ~total_steps c)
+    (fun (i, (policy, scheduler, quantum, config)) ->
+      if List.mem i poison then
+        failwith (Printf.sprintf "cell %d poisoned (campaign testing aid)" i);
+      let result =
+        Mix.run_encoded ?fuel:cell_fuel ?backend ~trace_capacity ~scheduler
+          ~policy ~quantum ~config encoded_programs
+      in
+      (* under supervision a cell whose programs did not halt is a failed
+         cell (to be retried/quarantined), not a result: a trap is poison,
+         and fuel exhaustion is the deterministic wedged-job budget *)
+      List.iter
+        (fun (pr : Mix.program_result) ->
+          match pr.Mix.pr_status with
+          | Machine.Halted -> ()
+          | Machine.Out_of_fuel ->
+              failwith (pr.Mix.pr_name ^ " ran out of fuel")
+          | Machine.Trapped m ->
+              failwith (pr.Mix.pr_name ^ " trapped: " ^ m)
+          | Machine.Running -> assert false)
+        result.Mix.mr_programs;
+      { mc_policy = policy; mc_scheduler = scheduler; mc_quantum = quantum;
+        mc_config = config; mc_result = result })
+    cells
+
+(* -- The fault-campaign grid ------------------------------------------------- *)
 
 type point = {
   fp_class : Injector.fault_class;
@@ -65,11 +138,7 @@ let fault_grid_slots ?domains ?(quanta = [ 64 ]) ?(seed = 1)
   if programs = [] then invalid_arg "Experiment.fault_grid_slots: no programs";
   if classes = [] || rates = [] || policies = [] || configs = [] || quanta = []
   then invalid_arg "Experiment.fault_grid_slots: empty grid axis";
-  let encodeds =
-    Sweep.map ?domains
-      (fun (name, p) -> (name, Codec.encode kind p, U.dir_steps_memoized p))
-      programs
-  in
+  let encodeds = encode_programs ?domains ~kind programs in
   let total_steps = List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds in
   let encoded_programs = List.map (fun (n, e, _) -> (n, e)) encodeds in
   (* fault-free baselines, one per (policy, quantum, config) *)
@@ -89,7 +158,7 @@ let fault_grid_slots ?domains ?(quanta = [ 64 ]) ?(seed = 1)
           Resilient.run_encoded ~trace_capacity:1 ~policy ~quantum ~config
             ~fconfig:Resilient.zero encoded_programs
         in
-        ((policy, quantum, config), (program_summary r, r.Resilient.rr_total_cycles)))
+        ((policy, quantum, config), (program_summary r, r.Resilient.rr_makespan)))
       baseline_keys
   in
   let cells =
@@ -140,7 +209,7 @@ let fault_grid_slots ?domains ?(quanta = [ 64 ]) ?(seed = 1)
     let overhead =
       if base_cycles = 0 then 0.
       else
-        float_of_int result.Resilient.rr_total_cycles
+        float_of_int result.Resilient.rr_makespan
         /. float_of_int base_cycles
     in
     let sum f =

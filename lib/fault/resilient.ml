@@ -1,12 +1,6 @@
-(* The resilience driver: a program mix sliced round-robin over a shared
-   DTB, each program under the fault machinery of the Tenant engine; see
-   resilient.mli.
-
-   The loop is Uhm_sched.Scheduler.run's round-robin (pick order,
-   context-switch sequencing, clock arithmetic), so with the zero config
-   the run is cycle-identical — event trace included — to
-   [Uhm_sched.Mix.run_encoded]; a differential test pins that
-   equivalence. *)
+(* The closed-mix driver: a fixed program mix sliced over a shared DTB,
+   each program under the fault machinery of the Tenant engine; see
+   resilient.mli.  Mix is this driver at the zero config. *)
 
 module Machine = Uhm_machine.Machine
 module Timing = Uhm_machine.Timing
@@ -25,6 +19,9 @@ type program_report = {
   pr_output : string;
   pr_cycles : int;
   pr_slices : int;
+  pr_dtb_hits : int;
+  pr_dtb_misses : int;
+  pr_dtb_evictions : int;
   pr_arch_hash : int;
   pr_downgraded : bool;
   pr_injected : int;
@@ -35,18 +32,22 @@ type program_report = {
 
 type result = {
   rr_policy : Dtb.policy;
+  rr_scheduler : Scheduler.policy;
   rr_quantum : int;
   rr_config : Dtb.config;
   rr_fconfig : config;
   rr_programs : program_report list;
-  rr_total_cycles : int;
+  rr_makespan : int;
   rr_switches : int;
   rr_flushes : int;
+  rr_hit_ratio : float;
+  rr_evictions : int;
   rr_trace : Trace.t;
 }
 
 let run_encoded ?(timing = Timing.paper) ?fuel ?(layout = Layout.default)
-    ?backend ?(trace_capacity = 65536) ~policy ~quantum ~config ~fconfig
+    ?backend ?(trace_capacity = 65536) ?(scheduler = Scheduler.Round_robin)
+    ~policy ~quantum ~config ~fconfig
     (programs : (string * Codec.encoded) list) =
   if programs = [] then invalid_arg "Resilient.run_encoded: no programs";
   if quantum < 1 then
@@ -69,77 +70,90 @@ let run_encoded ?(timing = Timing.paper) ?fuel ?(layout = Layout.default)
   let procs =
     Array.of_list
       (List.mapi
-         (fun asid (name, encoded) ->
-           (name, Tenant.create env ~asid ~stream:asid ~interp0:false encoded))
+         (fun asid (_, encoded) ->
+           Tenant.create env ~asid ~stream:asid ~interp0:false encoded)
          programs)
   in
+  (* DTB activity during each program's slices (an eviction is charged
+     to the program whose miss performed it, whoever owned the victim) *)
+  let hits = Array.make n 0
+  and misses = Array.make n 0
+  and evictions = Array.make n 0 in
   let clock = ref 0 in
   let switches = ref 0 in
   let flushes0 = Dtb.flushes dtb in
-  let last_index = ref (-1) in
-  let pick () =
-    let rec scan k =
-      if k = n then None
-      else
-        let i = (!last_index + 1 + k) mod n in
-        if (snd procs.(i)).finished = None then Some i else scan (k + 1)
-    in
-    scan 0
-  in
-  let running = ref true in
-  while !running do
-    match pick () with
-    | None -> running := false
+  let last = ref (-1) in
+  let rec loop () =
+    match
+      Scheduler.pick ~policy:scheduler ~slots:n ~last:!last
+        ~remaining:(fun i -> Tenant.remaining procs.(i))
+    with
+    | None -> ()
     | Some i ->
-        let p = snd procs.(i) in
+        let p = procs.(i) in
         (* downgraded programs no longer consult the DTB, but the switch
            still changes the current address space — under
            Flush_on_switch that flush is part of the policy's cost *)
-        if i <> !last_index then begin
-          let from_asid = if !last_index < 0 then None else Some !last_index in
+        if i <> !last then begin
+          let from_asid = if !last < 0 then None else Some !last in
           Scheduler.switch ~trace dtb ~at:!clock ~from_asid ~to_asid:i;
           incr switches
         end;
-        last_index := i;
+        last := i;
+        let h0 = Dtb.hits dtb and m0 = Dtb.misses dtb
+        and e0 = Dtb.evictions dtb in
         clock := !clock + Tenant.slice env p ~clock:!clock ~quantum;
+        hits.(i) <- hits.(i) + (Dtb.hits dtb - h0);
+        misses.(i) <- misses.(i) + (Dtb.misses dtb - m0);
+        evictions.(i) <- evictions.(i) + (Dtb.evictions dtb - e0);
         Trace.record trace ~at_cycle:!clock
           (match p.finished with
           | Some status -> Trace.Completion { asid = i; ok = status = Machine.Halted }
-          | None -> Trace.Quantum_expiry { asid = i })
-  done;
+          | None -> Trace.Quantum_expiry { asid = i });
+        loop ()
+  in
+  loop ();
   let reports =
-    Array.to_list procs
-    |> List.map (fun (name, (p : Tenant.t)) ->
-           let output, hash, _ = Tenant.end_state env p in
-           let r =
-             {
-               pr_name = name;
-               pr_asid = p.asid;
-               pr_status =
-                 (match p.finished with Some s -> s | None -> assert false);
-               pr_output = output;
-               pr_cycles = Tenant.cycles p;
-               pr_slices = p.slices;
-               pr_arch_hash = hash;
-               pr_downgraded = p.mode = Downgraded;
-               pr_injected = p.injected;
-               pr_detected = p.detected;
-               pr_retries = p.retried;
-               pr_rollbacks = p.rolled_back;
-             }
-           in
-           Machine.recycle p.machine;
-           r)
+    List.mapi
+      (fun i (name, _) ->
+        let p = procs.(i) in
+        let output, hash, _ = Tenant.end_state env p in
+        let r =
+          {
+            pr_name = name;
+            pr_asid = i;
+            pr_status =
+              (match p.finished with Some s -> s | None -> assert false);
+            pr_output = output;
+            pr_cycles = Tenant.cycles p;
+            pr_slices = p.slices;
+            pr_dtb_hits = hits.(i);
+            pr_dtb_misses = misses.(i);
+            pr_dtb_evictions = evictions.(i);
+            pr_arch_hash = hash;
+            pr_downgraded = p.mode = Downgraded;
+            pr_injected = p.injected;
+            pr_detected = p.detected;
+            pr_retries = p.retried;
+            pr_rollbacks = p.rolled_back;
+          }
+        in
+        Machine.recycle p.machine;
+        r)
+      programs
   in
   {
     rr_policy = policy;
+    rr_scheduler = scheduler;
     rr_quantum = quantum;
     rr_config = config;
     rr_fconfig = fconfig;
     rr_programs = reports;
-    rr_total_cycles = !clock;
+    rr_makespan = !clock;
     rr_switches = !switches;
     rr_flushes = Dtb.flushes dtb - flushes0;
+    rr_hit_ratio = Dtb.hit_ratio dtb;
+    rr_evictions = Dtb.evictions dtb;
     rr_trace = trace;
   }
 

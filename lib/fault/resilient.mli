@@ -1,17 +1,20 @@
-(** Fault injection, guarded translations and recovery over the
-    dynamic-translation path, for a fixed program mix.
+(** The closed-mix driver: a fixed program mix time-sliced over one
+    shared DTB, with fault injection, guarded translations and recovery
+    over the dynamic-translation path.
 
-    The driver runs the mix round-robin over a shared DTB exactly as
-    [Uhm_sched.Mix] does, and hands every slice to the {!Tenant} engine,
-    which threads three resilience layers through the hook points:
+    The driver owns the global virtual clock, asks
+    {!Uhm_sched.Scheduler.pick} which program runs next (round-robin by
+    default), performs every context switch through
+    {!Uhm_sched.Scheduler.switch}, and hands every slice to the
+    {!Tenant} engine, which threads three resilience layers through the
+    hook points:
 
     - {b Injection} ({!Injector}): at every INTERP boundary, faults due
       at the current DIR step are applied — DTB tag-key bit flips,
       translation-buffer word bit flips, dropped translator installs,
-      and level-1 data-word bit flips.  With {!zero} (or any spec whose
-      rates are all zero) the run is {e cycle- and trace-identical} to
-      [Mix.run_encoded].  Each program draws from the injector stream
-      keyed by its ASID.
+      and level-1 data-word bit flips.  With {!zero} the run is the plain
+      multiprogrammed mix: {!Mix.run_encoded} is this driver at {!zero}.
+      Each program draws from the injector stream keyed by its ASID.
 
     - {b Detection and recovery}: per-entry {!Guard} checksums are
       verified on every DTB hit (cost [t_guard] per word, charged to the
@@ -44,6 +47,7 @@
 module Machine := Uhm_machine.Machine
 module Dtb := Uhm_core.Dtb
 module Trace := Uhm_sched.Trace
+module Scheduler := Uhm_sched.Scheduler
 
 type config = Tenant.config = {
   injector : Injector.spec;
@@ -62,7 +66,7 @@ type config = Tenant.config = {
 }
 
 val zero : config
-(** No faults, no guards, no checkpoints: byte-identical to [Mix]. *)
+(** No faults, no guards, no checkpoints: the plain mix ({!Mix}). *)
 
 val protected : ?checkpoint_every:int -> Injector.spec -> config
 (** Guards on, checkpoints on iff the spec can produce [Mem_word]
@@ -76,6 +80,11 @@ type program_report = {
   pr_output : string;
   pr_cycles : int;      (** across a downgrade transition, if any *)
   pr_slices : int;
+  pr_dtb_hits : int;    (** DTB lookups during this program's slices *)
+  pr_dtb_misses : int;
+  pr_dtb_evictions : int;  (** evictions {e performed during} this
+                               program's slices (the victims may have
+                               belonged to anyone) *)
   pr_arch_hash : int;   (** fingerprint of sp/fp/dtop, the live operand
                             stack and the live data region — the
                             recovery invariant's state summary *)
@@ -88,13 +97,16 @@ type program_report = {
 
 type result = {
   rr_policy : Dtb.policy;
+  rr_scheduler : Scheduler.policy;
   rr_quantum : int;
   rr_config : Dtb.config;
   rr_fconfig : config;
   rr_programs : program_report list;
-  rr_total_cycles : int;
-  rr_switches : int;
+  rr_makespan : int;    (** global virtual time at the last completion *)
+  rr_switches : int;    (** dispatches of a different program *)
   rr_flushes : int;
+  rr_hit_ratio : float; (** over all programs' lookups *)
+  rr_evictions : int;
   rr_trace : Trace.t;
 }
 
@@ -104,14 +116,18 @@ val run_encoded :
   ?layout:Uhm_psder.Layout.t ->
   ?backend:Machine.backend ->
   ?trace_capacity:int ->
+  ?scheduler:Scheduler.policy ->
   policy:Dtb.policy ->
   quantum:int ->
   config:Dtb.config ->
   fconfig:config ->
   (string * Uhm_encoding.Codec.encoded) list ->
   result
-(** Round-robin over the mix with [quantum] DIR steps per slice (a
-    downgraded program is sliced by an equivalent cycle budget).
+(** Slice the mix to completion under [scheduler] (default
+    {!Uhm_sched.Scheduler.Round_robin}) with [quantum] DIR steps per
+    slice (a downgraded program is sliced by an equivalent cycle
+    budget); programs get ASIDs 0..n-1 in list order.  [trace_capacity]
+    bounds the event ring (default 65536).
     [backend] (default [`Decode]) selects every machine's execution
     backend, including a downgraded program's replacement interpreter;
     under a zero-fault injector the two backends are result- and

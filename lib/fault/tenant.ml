@@ -143,6 +143,7 @@ type mode = Translating | Downgraded
 type t = {
   asid : int;
   encoded : Codec.encoded;
+  dir_steps : int;                (* reference DIR steps: the SRTF estimate *)
   interp0 : bool;
   inj : Injector.t;
   guard : Guard.t;
@@ -169,8 +170,15 @@ type t = {
 
 let cycles t = t.base_cycles + (Machine.stats t.machine).Machine.cycles
 
+let remaining t =
+  match t.finished with
+  | Some _ -> None
+  | None ->
+      Some (max 0 (t.dir_steps - (Machine.stats t.machine).Machine.interp_count))
+
 (* Global virtual time mid-slice: the clock at slice start plus what the
-   program has run since (Scheduler.run's translation tap). *)
+   program has run since, so every event of a slice lands where it fired
+   on the global clock. *)
 let tell_v env t kind = Trace.record env.trace ~at_cycle:(t.vbase + cycles t) kind
 
 let recovery_event env t ~step =
@@ -330,6 +338,7 @@ let create env ~asid ~stream ~interp0 encoded =
     {
       asid;
       encoded;
+      dir_steps = U.dir_steps_memoized encoded.Codec.program;
       interp0;
       inj = Injector.create fc.injector ~asid:stream;
       guard = Guard.create ();

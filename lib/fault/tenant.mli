@@ -16,10 +16,11 @@
       exhausted per-address retry budget) downgrades the program at the
       next slice boundary onto a pure-interpretation machine.
 
-    The drivers own the clock, the pick order and the context switches;
-    they hand each chosen program to {!slice}.  [Resilient.run_encoded]
-    slices a fixed mix round-robin; the serve kernel slices one attempt
-    per admitted job. *)
+    The drivers own the clock and ask {!Uhm_sched.Scheduler.pick} which
+    program runs next, switch to it with {!Uhm_sched.Scheduler.switch}
+    and hand it to {!slice}.  [Resilient.run_encoded] slices a fixed
+    mix (and [Mix] is that driver at the zero config); the serve kernel
+    slices one attempt per admitted job. *)
 
 module Machine := Uhm_machine.Machine
 module Dtb := Uhm_core.Dtb
@@ -96,6 +97,7 @@ type mode = Translating | Downgraded
 type t = private {
   asid : int;
   encoded : Uhm_encoding.Codec.encoded;
+  dir_steps : int;               (** reference DIR step count *)
   interp0 : bool;                (** interpreted from the start *)
   inj : Injector.t;
   guard : Guard.t;
@@ -128,6 +130,12 @@ val create :
 
 val cycles : t -> int
 (** Cycles run so far, across a downgrade. *)
+
+val remaining : t -> int option
+(** [None] once finished; otherwise the shortest-remaining-first
+    estimate, [dir_steps] less the INTERP transfers the current machine
+    has executed — the [remaining] argument of
+    {!Uhm_sched.Scheduler.pick}. *)
 
 val slice : env -> t -> clock:int -> quantum:int -> int
 (** Run one slice of [quantum] DIR steps (a downgraded program gets the

@@ -141,6 +141,7 @@ type t = {
   mutable dir_mode : dir_fetch_mode;
   mutable dir_buffered_unit : int;  (* IFU holds one 16-bit unit; -1 = empty *)
   mutable code_fetch_hook : (int -> int) option;
+  mutable at_recycle : unit -> unit;  (* run once by [recycle] *)
   (* threaded backend state (inert under [`Decode]) *)
   threaded : bool;
   mutable lc : (t -> unit) array;
@@ -330,6 +331,7 @@ let create ?(timing = Timing.paper) ?(fuel = 1_000_000_000)
     dir_mode = Dir_uncached;
     dir_buffered_unit = -1;
     code_fetch_hook = None;
+    at_recycle = ignore;
     threaded = (backend = `Threaded);
     lc = [||];
     sc_base = max_int;
@@ -430,10 +432,17 @@ let mem_set t addr v =
       Array.unsafe_set chunk (i land sc_chunk_mask) !cold_short_cell
   end
 
+let on_recycle t f =
+  let g = t.at_recycle in
+  t.at_recycle <- (fun () -> g (); f ())
+
 (* Return the machine's pages and page table to the domain-local pool.
    The machine must not be used afterwards: its memory now aliases pool
    storage that the next [create] on this domain will hand out again. *)
 let recycle t =
+  let f = t.at_recycle in
+  t.at_recycle <- ignore;
+  f ();
   let pool = Domain.DLS.get pool_key in
   let mem = t.mem in
   for i = 0 to Array.length mem - 1 do

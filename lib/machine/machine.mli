@@ -210,6 +210,11 @@ val restore : t -> checkpoint -> unit
 val checkpoint_pages : checkpoint -> int
 (** Number of memory pages the checkpoint copied (its cost driver). *)
 
+val on_recycle : t -> (unit -> unit) -> unit
+(** Register [f] to run when the machine is {!recycle}d (after any
+    earlier registrations) — e.g. to unregister an observer that holds
+    the machine. *)
+
 val recycle : t -> unit
 (** Return the machine's copy-on-write pages and page table to a
     domain-local pool reused by subsequent {!create} calls on the same

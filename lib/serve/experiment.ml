@@ -2,8 +2,6 @@
 
 module Sweep = Uhm_core.Sweep
 module Dtb = Uhm_core.Dtb
-module U = Uhm_core.Uhm
-module Codec = Uhm_encoding.Codec
 module Machine = Uhm_machine.Machine
 module Scheduler = Uhm_sched.Scheduler
 module Injector = Uhm_fault.Injector
@@ -47,13 +45,11 @@ let load_cost ~mean_steps ~jobs (policy, quantum, _) =
   let slices = max 1 (total / max 1 quantum) in
   total + match policy with Dtb.Flush_on_switch -> slices * 64 | _ -> 0
 
-(* The template pool, encoded once in parallel as in the mix grid, and
-   the mean reference DIR steps per template that the cost hints use. *)
+(* The template pool, encoded once in parallel, and the mean reference
+   DIR steps per template that the cost hints use. *)
 let encode_pool ?domains ~kind programs =
   let encodeds =
-    Sweep.map ?domains
-      (fun (name, p) -> (name, Codec.encode kind p, U.dir_steps_memoized p))
-      programs
+    Uhm_core.Experiment.encode_programs ?domains ~kind programs
   in
   ( List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
     / List.length encodeds,

@@ -16,22 +16,21 @@
    neither deadlines nor brownout exist, so every chaos branch below is
    dead and the run is the plain service.
 
-   The slice keeps Uhm_sched.Scheduler.run's pick order, context switch
-   (Scheduler.switch) and clock arithmetic.  That is not incidental: in
-   the closed-system limit — all arrivals at cycle 0, as many slots as
-   jobs — a zero-config run must reproduce the scheduler's cycle counts
-   and trace rollups bit for bit, which test/test_serve.ml pins against
-   Mix. *)
+   The slice shares the closed-mix driver's (Resilient.run_encoded's)
+   pick order (Scheduler.pick), context switch (Scheduler.switch) and
+   clock arithmetic.  That is not incidental: in the closed-system limit
+   — all arrivals at cycle 0, as many slots as jobs — a zero-config run
+   must reproduce Mix's cycle counts and trace rollups bit for bit,
+   which test/test_serve.ml pins. *)
 
 module Machine = Uhm_machine.Machine
 module Timing = Uhm_machine.Timing
 module Dtb = Uhm_core.Dtb
-module U = Uhm_core.Uhm
 module Codec = Uhm_encoding.Codec
 module Layout = Uhm_psder.Layout
 module Scheduler = Uhm_sched.Scheduler
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
 module Tenant = Uhm_fault.Tenant
@@ -249,8 +248,8 @@ type jstate = {
 }
 
 (* One attempt of one job bound to an ASID slot: the Tenant engine's
-   program, with the job it serves and the SRTF remaining-work estimate. *)
-type tenant = { t_js : jstate; t_total_dir_steps : int; t : Tenant.t }
+   program and the job it serves. *)
+type tenant = { t_js : jstate; t : Tenant.t }
 
 (* A finished run: the service-level result plus the per-job state and
    policy counters that Chaos.run folds into its reports. *)
@@ -476,7 +475,6 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
   let make_tenant ~slot ~interp0 (js : jstate) ~attempt =
     {
       t_js = js;
-      t_total_dir_steps = U.dir_steps_memoized js.js_encoded.Codec.program;
       t =
         Tenant.create env ~asid:slot
           ~stream:((js.js_id * 131) + (attempt - 1))
@@ -486,7 +484,7 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
 
   (* Fold one finished (or voided) attempt's machinery stats into the
      job's cross-attempt accumulators. *)
-  let absorb { t_js = js; t; _ } =
+  let absorb { t_js = js; t } =
     js.js_cycles <- js.js_cycles + Tenant.cycles t;
     js.js_injected <- js.js_injected + t.Tenant.injected;
     js.js_detected <- js.js_detected + t.Tenant.detected;
@@ -739,33 +737,8 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
         end
   in
 
-  let pick () =
-    match scheduler with
-    | Scheduler.Round_robin ->
-        let rec scan k =
-          if k = slots then None
-          else
-            let i = (!last_index + 1 + k) mod slots in
-            if active.(i) <> None then Some i else scan (k + 1)
-        in
-        scan 0
-    | Scheduler.Shortest_remaining ->
-        let best = ref None in
-        Array.iteri
-          (fun i t ->
-            match t with
-            | None -> ()
-            | Some a ->
-                let remaining =
-                  max 0
-                    (a.t_total_dir_steps
-                    - (Machine.stats a.t.Tenant.machine).Machine.interp_count)
-                in
-                (match !best with
-                | Some (_, r) when r <= remaining -> ()
-                | _ -> best := Some (i, remaining)))
-          active;
-        Option.map fst !best
+  let remaining i =
+    match active.(i) with Some a -> Tenant.remaining a.t | None -> None
   in
 
   let slice i =
@@ -791,7 +764,9 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
     brownout_tick ();
     admit ();
     evict_cold ();
-    match pick () with
+    match
+      Scheduler.pick ~policy:scheduler ~slots ~last:!last_index ~remaining
+    with
     | Some i -> slice i
     | None -> (
         (* nothing resident: jump the clock to the next event that can

@@ -1,11 +1,11 @@
 (** The open-arrival translation service: streaming admission of guest
     programs onto a bounded pool of ASID slots sharing one DTB.
 
-    Where {!Uhm_sched.Mix} runs a {e closed} set of programs to
+    Where {!Uhm_fault.Mix} runs a {e closed} set of programs to
     completion, this layer serves an {e open} stream: jobs arrive over
     virtual time (see {!Arrival}), wait in a bounded admission queue,
     are bound to an ASID slot when one frees up, run under the
-    {!Uhm_sched.Scheduler} disciplines against the shared DTB, and
+    {!Uhm_sched.Scheduler} pick order against the shared DTB, and
     retire.  Thousands of jobs thus flow through a handful of
     architectural ASIDs — the slot space is the DTB's namespace
     ([Partitioned] caps it at the set count), so slots are recycled, and
@@ -25,9 +25,9 @@
     Everything is deterministic in the seed: the driver is serial, one
     virtual clock, and in the closed-system limit (all arrivals at cycle
     0, as many slots as jobs, no economy) it reproduces
-    {!Uhm_sched.Scheduler.run}'s dispatch sequence, cycle counts and
-    trace rollups bit for bit — the regression anchor that pins the open
-    system to the scheduler's goldens. *)
+    {!Uhm_fault.Mix}'s dispatch sequence, cycle counts and trace rollups
+    bit for bit — the regression anchor that pins the open system to the
+    closed mix's goldens. *)
 
 module Dtb := Uhm_core.Dtb
 module Machine := Uhm_machine.Machine

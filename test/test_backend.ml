@@ -16,7 +16,7 @@ module Kind = Uhm_encoding.Kind
 module Codec = Uhm_encoding.Codec
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
 module Asm = Uhm_machine.Asm
@@ -385,6 +385,38 @@ let test_long_cache_across_timings () =
         ])
     [ "fact_iter"; "flat_straightline" ]
 
+(* -- Drop hooks die with their machine ----------------------------------------
+
+   Each threaded machine registers a closure-retiring drop hook on its
+   DTB.  On a shared DTB that outlives its tenants (the serve kernel's),
+   a hook left behind by a recycled machine keeps the machine reachable
+   and is called on every later entry death.  Recycling must detach it:
+   the hook count never exceeds the live machines. *)
+
+let test_drop_hooks_follow_machines () =
+  let _, encoded = encode "fact_iter" in
+  let layout = Layout.default in
+  let dtb =
+    Dtb.create_shared ~policy:Dtb.Flush_on_switch ~programs:3 Dtb.paper_config
+      ~buffer_base:(layout.Layout.dtb_buffer_base + 1)
+  in
+  let live = Queue.create () in
+  for _ = 1 to 100 do
+    let m = U.prepare_dtb_shared ~layout ~backend:`Threaded ~dtb encoded in
+    Queue.push m live;
+    (* warm closures, then flush: every registered hook fires *)
+    ignore (Machine.run_dir_quantum m ~quantum:8);
+    Dtb.flush dtb;
+    if Queue.length live > 3 then Machine.recycle (Queue.pop live);
+    check_bool
+      (Printf.sprintf "%d hooks <= %d live machines" (Dtb.drop_hooks dtb)
+         (Queue.length live))
+      true
+      (Dtb.drop_hooks dtb <= Queue.length live)
+  done;
+  Queue.iter Machine.recycle live;
+  check_int "no hook outlives its machine" 0 (Dtb.drop_hooks dtb)
+
 (* -- Shared-DTB policies (Mix) ------------------------------------------------ *)
 
 let check_trace label (a : Trace.t) (b : Trace.t) =
@@ -400,8 +432,8 @@ let test_mix_policies_backends () =
       in
       let d = run `Decode and t = run `Threaded in
       let label = Dtb.policy_name policy in
-      check_int (label ^ ": total cycles") d.Mix.mr_total_cycles
-        t.Mix.mr_total_cycles;
+      check_int (label ^ ": total cycles") d.Mix.mr_makespan
+        t.Mix.mr_makespan;
       check_int (label ^ ": switches") d.Mix.mr_switches t.Mix.mr_switches;
       check_int (label ^ ": flushes") d.Mix.mr_flushes t.Mix.mr_flushes;
       check_int (label ^ ": evictions") d.Mix.mr_evictions t.Mix.mr_evictions;
@@ -418,8 +450,8 @@ let test_mix_policies_backends () =
 (* -- Fault driver ------------------------------------------------------------- *)
 
 let check_resilient label (d : Resilient.result) (t : Resilient.result) =
-  check_int (label ^ ": total cycles") d.Resilient.rr_total_cycles
-    t.Resilient.rr_total_cycles;
+  check_int (label ^ ": total cycles") d.Resilient.rr_makespan
+    t.Resilient.rr_makespan;
   check_int (label ^ ": switches") d.Resilient.rr_switches
     t.Resilient.rr_switches;
   check_int (label ^ ": flushes") d.Resilient.rr_flushes t.Resilient.rr_flushes;
@@ -470,6 +502,8 @@ let suite =
         test_self_modifying_short_loop;
       Alcotest.test_case "long-code cache across timings" `Quick
         test_long_cache_across_timings;
+      Alcotest.test_case "drop hooks follow recycled machines" `Quick
+        test_drop_hooks_follow_machines;
       Alcotest.test_case "mix policies, both backends" `Slow
         test_mix_policies_backends;
       Alcotest.test_case "zero-fault driver, both backends" `Slow

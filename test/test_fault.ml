@@ -13,7 +13,7 @@ module Kind = Uhm_encoding.Kind
 module Codec = Uhm_encoding.Codec
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 module Injector = Uhm_fault.Injector
 module Guard = Uhm_fault.Guard
 module Resilient = Uhm_fault.Resilient
@@ -276,8 +276,8 @@ let test_zero_fault_differential () =
           ~config:Dtb.paper_config ~fconfig:Resilient.zero programs
       in
       let pn = Dtb.policy_name policy in
-      check_int (pn ^ ": total cycles") mix.Mix.mr_total_cycles
-        res.Resilient.rr_total_cycles;
+      check_int (pn ^ ": total cycles") mix.Mix.mr_makespan
+        res.Resilient.rr_makespan;
       check_int (pn ^ ": switches") mix.Mix.mr_switches
         res.Resilient.rr_switches;
       check_int (pn ^ ": flushes") mix.Mix.mr_flushes res.Resilient.rr_flushes;
@@ -512,7 +512,7 @@ let test_campaign_grid () =
       p.Experiment.fp_recovered_ok, p.Experiment.fp_overhead,
       p.Experiment.fp_injected, p.Experiment.fp_detected,
       p.Experiment.fp_retries, p.Experiment.fp_rollbacks,
-      p.Experiment.fp_result.Resilient.rr_total_cycles )
+      p.Experiment.fp_result.Resilient.rr_makespan )
   in
   check_bool "grid is domain-count independent" true
     (List.map strip points = List.map strip (grid 1))
@@ -611,7 +611,7 @@ let test_faulted_goldens () =
           ~fconfig:(Resilient.protected injector) (Lazy.force inv_programs)
       in
       let at = Printf.sprintf "%s/%s" (Injector.class_name cls) (Dtb.policy_name policy) in
-      check_int (at ^ ": total cycles") total r.Resilient.rr_total_cycles;
+      check_int (at ^ ": total cycles") total r.Resilient.rr_makespan;
       check_int (at ^ ": switches") switches r.Resilient.rr_switches;
       check_int (at ^ ": flushes") flushes r.Resilient.rr_flushes;
       check_int (at ^ ": trace events") recorded (Trace.recorded r.Resilient.rr_trace);

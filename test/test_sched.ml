@@ -1,7 +1,7 @@
 (* Tests for the multiprogramming subsystem: shared-DTB ownership
    policies (including last-translation-cache coherence across flush and
-   invalidation), the quantum-to-infinity golden equalities, the
-   contention ordering of the policies at small quanta, SRTF completion
+   invalidation), the quantum-to-infinity golden equalities, literal
+   preempted goldens for the closed mix, the contention ordering of the policies at small quanta, SRTF completion
    order, the bounded event-trace ring, and Chrome trace export. *)
 
 module Dtb = Uhm_core.Dtb
@@ -11,7 +11,7 @@ module Kind = Uhm_encoding.Kind
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
 module Scheduler = Uhm_sched.Scheduler
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -168,7 +168,7 @@ let test_solo_quantum policy () =
   in
   check_int "total cycles = sum of solo goldens"
     (List.fold_left ( + ) 0 golden_cycles)
-    r.Mix.mr_total_cycles;
+    r.Mix.mr_makespan;
   check_int "one dispatch per program" 3 r.Mix.mr_switches;
   check_int "flushes"
     (match policy with Dtb.Flush_on_switch -> 2 | _ -> 0)
@@ -258,6 +258,95 @@ let test_fairness_slowdown () =
               /. float_of_int pr.Mix.pr_solo_cycles))
         < 1e-12))
     contended.Mix.mr_programs solo.Mix.mr_programs
+
+(* -- Preempted goldens: the closed mix at q=16 -------------------------------- *)
+
+(* Literal numbers for a preempted mix (fact_iter, gcd,
+   flat_straightline at q=16, paper geometry), one row per sharing
+   policy x scheduler, checked on both backends.  Mix, Resilient and
+   Serve all slice through Tenant.slice, so the differential pins
+   between them cannot see a drift there; these can.  Each row: total
+   cycles, switches, flushes, evictions; per program (cycles, slices,
+   misses); Trace.recorded; an MD5 of the event window. *)
+
+let trace_event_line (e : Trace.event) =
+  let k =
+    match e.Trace.kind with
+    | Trace.Switch { from_asid; to_asid } ->
+        Printf.sprintf "switch %s %d"
+          (match from_asid with Some a -> string_of_int a | None -> "-")
+          to_asid
+    | Trace.Dtb_flush { asid } -> Printf.sprintf "flush %d" asid
+    | Trace.Translation { asid; dir_addr } ->
+        Printf.sprintf "translation %d %d" asid dir_addr
+    | Trace.Quantum_expiry { asid } -> Printf.sprintf "expiry %d" asid
+    | Trace.Completion { asid; ok } -> Printf.sprintf "completion %d %b" asid ok
+    | _ -> Alcotest.fail "unexpected event in a closed zero-fault mix"
+  in
+  Printf.sprintf "%d %s" e.Trace.at_cycle k
+
+let trace_digest tr =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n" (List.map trace_event_line (Trace.events tr))))
+
+let preempted_goldens =
+  [
+    ( Dtb.Flush_on_switch, Scheduler.Round_robin,
+      ( 2205058, 557, 556, 0,
+        [ (189038, 150, 2052); (1758184, 4168, 3047); (257836, 203, 3236) ],
+        13969, "1923ea697a20b3be9e3cc24796a1ae1d" ) );
+    ( Dtb.Flush_on_switch, Scheduler.Shortest_remaining,
+      ( 1859397, 3, 2, 2980,
+        [ (55896, 150, 37); (1545665, 4168, 65); (257836, 203, 3236) ],
+        7864, "dafcdf88b07046d97d33ef66307b953c" ) );
+    ( Dtb.Tagged, Scheduler.Round_robin,
+      ( 1877103, 557, 0, 3322,
+        [ (62716, 150, 135); (1556551, 4168, 207); (257836, 203, 3236) ],
+        8656, "f122ced7d7b074b0eb671c77ada5bbea" ) );
+    ( Dtb.Tagged, Scheduler.Shortest_remaining,
+      ( 1859397, 3, 0, 3082,
+        [ (55896, 150, 37); (1545665, 4168, 65); (257836, 203, 3236) ],
+        7862, "6f643d9b6d535f13562acec75073dd69" ) );
+    ( Dtb.Partitioned, Scheduler.Round_robin,
+      ( 2182454, 557, 0, 6904,
+        [ (55896, 150, 37); (1868722, 4168, 3812); (257836, 203, 3236) ],
+        12163, "50ca1ea9439ea3a95fb319d9c714aac8" ) );
+    ( Dtb.Partitioned, Scheduler.Shortest_remaining,
+      ( 2182454, 3, 0, 6904,
+        [ (55896, 150, 37); (1868722, 4168, 3812); (257836, 203, 3236) ],
+        11609, "456e9e27ff42037d241cb0b6df9403e2" ) );
+  ]
+
+let test_preempted_goldens backend () =
+  let programs =
+    List.map (fun n -> (n, compile n)) [ "fact_iter"; "gcd"; "flat_straightline" ]
+  in
+  List.iter
+    (fun (policy, scheduler, (total, switches, flushes, evictions, per, recorded, digest)) ->
+      let at =
+        Printf.sprintf "%s/%s" (Dtb.policy_name policy)
+          (Scheduler.policy_name scheduler)
+      in
+      let r =
+        Mix.run ~backend ~scheduler ~policy ~quantum:16
+          ~config:Dtb.paper_config ~kind:Kind.Huffman programs
+      in
+      check_int (at ^ ": total cycles") total r.Mix.mr_makespan;
+      check_int (at ^ ": switches") switches r.Mix.mr_switches;
+      check_int (at ^ ": flushes") flushes r.Mix.mr_flushes;
+      check_int (at ^ ": evictions") evictions r.Mix.mr_evictions;
+      List.iter2
+        (fun (cycles, slices, misses) (pr : Mix.program_result) ->
+          let at = at ^ " " ^ pr.Mix.pr_name in
+          check_bool (at ^ " halted") true (pr.Mix.pr_status = Machine.Halted);
+          check_int (at ^ " cycles") cycles pr.Mix.pr_cycles;
+          check_int (at ^ " slices") slices pr.Mix.pr_slices;
+          check_int (at ^ " misses") misses pr.Mix.pr_dtb_misses)
+        per r.Mix.mr_programs;
+      check_int (at ^ ": events recorded") recorded (Trace.recorded r.Mix.mr_trace);
+      check_string (at ^ ": event digest") digest (trace_digest r.Mix.mr_trace))
+    preempted_goldens
 
 (* -- Small quanta: the contention ordering of the policies ------------------- *)
 
@@ -385,7 +474,7 @@ let test_chrome_export () =
   let doc =
     Trace.to_chrome
       ~names:(fun asid -> names.(asid))
-      ~end_cycle:r.Mix.mr_total_cycles r.Mix.mr_trace
+      ~end_cycle:r.Mix.mr_makespan r.Mix.mr_trace
   in
   match Perf.parse_json doc with
   | exception Failure m -> Alcotest.failf "export is not valid JSON: %s" m
@@ -468,6 +557,10 @@ let suite =
       Alcotest.test_case "quantum=inf reproduces solo goldens (partitioned)"
         `Slow
         (test_solo_quantum Dtb.Partitioned);
+      Alcotest.test_case "preempted goldens at q=16 (decode)" `Slow
+        (test_preempted_goldens `Decode);
+      Alcotest.test_case "preempted goldens at q=16 (threaded)" `Slow
+        (test_preempted_goldens `Threaded);
       Alcotest.test_case "fairness: slowdown vs solo run" `Slow
         test_fairness_slowdown;
       Alcotest.test_case "hit-ratio ordering flush < partitioned < tagged"

@@ -15,7 +15,7 @@ module Machine = Uhm_machine.Machine
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
 module Scheduler = Uhm_sched.Scheduler
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 module Arrival = Uhm_serve.Arrival
 module Percentile = Uhm_serve.Percentile
 module Serve = Uhm_serve.Serve
@@ -244,7 +244,7 @@ let run_closed ~policy ~scheduler ~quantum =
 let check_closed_pin ~policy ~scheduler ~quantum =
   let name = Printf.sprintf "q=%d" quantum in
   let mix, served = run_closed ~policy ~scheduler ~quantum in
-  check_int (name ^ " total cycles") mix.Mix.mr_total_cycles
+  check_int (name ^ " total cycles") mix.Mix.mr_makespan
     served.Serve.sv_summary.Serve.s_total_cycles;
   check_int (name ^ " switches") mix.Mix.mr_switches
     served.Serve.sv_summary.Serve.s_switches;
