@@ -912,7 +912,7 @@ let mix () =
     "X11: multiprogramming -- three programs time-sliced over one shared \
      DTB";
   let module FE = Uhm_fault.Experiment in
-  let module Mix = Uhm_fault.Mix in
+  let module Resilient = Uhm_fault.Resilient in
   let programs = List.map (fun name -> (name, compile name)) representative in
   (* single-program reference cycles: the quantum->infinity rows of the
      grid must reproduce these exactly, for every policy *)
@@ -930,7 +930,8 @@ let mix () =
       "programs=" ^ String.concat "," (List.map fst programs);
       "policies=" ^ String.concat "," (List.map Dtb.policy_name policies);
       "quanta="
-      ^ String.concat "," (List.map string_of_int FE.default_quanta) ]
+      ^ String.concat "," (List.map string_of_int FE.default_quanta);
+      "cell=" ^ FE.cell_format ]
   in
   let grid =
     run_campaign ~target:"mix" ~fingerprint
@@ -948,7 +949,9 @@ let mix () =
           ("evictions", Table.Right); ("vs solo", Table.Left) ]
       ()
   in
-  let quantum_label q = if q = Mix.solo_quantum then "inf" else string_of_int q in
+  let quantum_label q =
+    if q = Resilient.solo_quantum then "inf" else string_of_int q
+  in
   let prev_policy = ref None in
   List.iter2
     (fun (policy, _, quantum, _) slot ->
@@ -964,25 +967,31 @@ let mix () =
               "-"; "-"; "-"; "-"; "" ]
       | Sweep.Completed (cell : FE.mix_cell) ->
           let r = cell.FE.mc_result in
-          let at_infinity = cell.FE.mc_quantum = Mix.solo_quantum in
+          let at_infinity = cell.FE.mc_quantum = Resilient.solo_quantum in
           let vs_solo =
             if not at_infinity then ""
             else if
               List.for_all2
-                (fun cycles (pr : Mix.program_result) ->
-                  pr.Mix.pr_cycles = cycles)
-                solo r.Mix.mr_programs
+                (fun cycles (pr : Resilient.program_report) ->
+                  pr.Resilient.pr_cycles = cycles)
+                solo r.Resilient.rr_programs
             then "= solo (exact)"
-            else "DIVERGENT"
+            else begin
+              (* fail the run: the cross-check is the point of the row *)
+              incr quarantined_cells;
+              Printf.eprintf "bench: mix: %s at quantum=inf diverges from solo\n%!"
+                (Dtb.policy_name cell.FE.mc_policy);
+              "DIVERGENT"
+            end
           in
           Table.add_row t
             [ Dtb.policy_name cell.FE.mc_policy;
               quantum_label cell.FE.mc_quantum;
-              Table.cell_int r.Mix.mr_makespan;
-              Table.cell_int r.Mix.mr_switches;
-              Table.cell_int r.Mix.mr_flushes;
-              Table.cell_pct ~decimals:2 r.Mix.mr_hit_ratio;
-              Table.cell_int r.Mix.mr_evictions; vs_solo ])
+              Table.cell_int r.Resilient.rr_makespan;
+              Table.cell_int r.Resilient.rr_switches;
+              Table.cell_int r.Resilient.rr_flushes;
+              Table.cell_pct ~decimals:2 r.Resilient.rr_hit_ratio;
+              Table.cell_int r.Resilient.rr_evictions; vs_solo ])
     axes grid;
   Table.print t;
   print_endline
@@ -1009,10 +1018,12 @@ let mix () =
       | Sweep.Completed (cell : FE.mix_cell) ->
           Table.add_row ft
             (Dtb.policy_name policy :: quantum_label quantum
-            :: List.map
-                 (fun (pr : Mix.program_result) ->
-                   Printf.sprintf "%.3fx" pr.Mix.pr_slowdown)
-                 cell.FE.mc_result.Mix.mr_programs))
+            :: List.map2
+                 (fun (pr : Resilient.program_report) solo ->
+                   Printf.sprintf "%.3fx"
+                     (Resilient.slowdown ~cycles:pr.Resilient.pr_cycles ~solo))
+                 cell.FE.mc_result.Resilient.rr_programs
+                 cell.FE.mc_solo_cycles))
     axes grid;
   Table.print ft;
   print_endline
@@ -1324,6 +1335,7 @@ let load () =
      DTB sharing policy";
   let module LX = Uhm_serve.Experiment in
   let module Serve = Uhm_serve.Serve in
+  let module Chaos = Uhm_serve.Chaos in
   let njobs = getenv_num "UHM_LOAD_JOBS" int_of_string_opt 400 in
   let seed = 1 and asid_slots = 8 and quantum = 64 in
   (* the light end of the suite (solo runs of 56k-118k cycles), so the
@@ -1334,7 +1346,11 @@ let load () =
   (* queue bound >= arrivals: nothing is shed, so the tail of the sojourn
      distribution is never truncated and p99 stays monotone in load *)
   let admission = { Serve.queue_capacity = njobs; shed_above = None } in
-  let axes = LX.load_axes ~quanta:[ quantum ] ~rates ~policies () in
+  (* the plain service is the serving grid at fault rate 0 alone *)
+  let axes =
+    LX.resilience_axes ~quanta:[ quantum ] ~rates ~fault_rates:[ 0. ]
+      ~policies ()
+  in
   let fingerprint =
     [ "bench load"; "programs=" ^ String.concat "," pool;
       "policies=" ^ String.concat "," (List.map Dtb.policy_name policies);
@@ -1342,15 +1358,16 @@ let load () =
       Printf.sprintf "jobs=%d" njobs; Printf.sprintf "seed=%d" seed;
       Printf.sprintf "slots=%d" asid_slots;
       Printf.sprintf "quantum=%d" quantum;
-      Printf.sprintf "queue=%d" admission.Serve.queue_capacity ]
+      Printf.sprintf "queue=%d" admission.Serve.queue_capacity;
+      "cell=" ^ LX.cell_format ]
   in
   let grid =
     run_campaign ~target:"load" ~fingerprint
       ~cells:(List.length axes) (fun setup ->
-        LX.load_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
+        LX.resilience_grid_slots ?domains:!jobs ~cached:setup.Campaign.cached
           ?cell_hook:setup.Campaign.cell_hook ~quanta:[ quantum ] ~admission
           ~seed ~jobs:njobs ~slots:asid_slots ~kind:Kind.Huffman ~policies
-          ~rates ~config:Dtb.paper_config
+          ~fault_rates:[ 0. ] ~rates ~config:Dtb.paper_config
           (List.map (fun name -> (name, compile name)) pool))
   in
   let t =
@@ -1366,7 +1383,7 @@ let load () =
   let prev_policy = ref None in
   let points = ref [] in
   List.iter2
-    (fun (policy, _, rate) slot ->
+    (fun (policy, _, _, rate) slot ->
       (match !prev_policy with
       | Some p when p <> policy -> Table.add_rule t
       | _ -> ());
@@ -1377,11 +1394,11 @@ let load () =
           Table.add_row t
             [ Dtb.policy_name policy; Printf.sprintf "%g" rate;
               "(quarantined)"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-" ]
-      | Sweep.Completed (cell : LX.load_cell) ->
-          let s = cell.LX.lc_result.Serve.sv_summary in
+      | Sweep.Completed (cell : LX.resilience_cell) ->
+          let s = cell.LX.rc_result.Chaos.cv_serve.Serve.sv_summary in
           Table.add_row t
-            [ Dtb.policy_name cell.LX.lc_policy;
-              Printf.sprintf "%g" cell.LX.lc_rate;
+            [ Dtb.policy_name cell.LX.rc_policy;
+              Printf.sprintf "%g" cell.LX.rc_rate;
               Table.cell_int s.Serve.s_jobs;
               Table.cell_int s.Serve.s_completed;
               Table.cell_int s.Serve.s_p50; Table.cell_int s.Serve.s_p95;
@@ -1392,9 +1409,9 @@ let load () =
               Table.cell_pct ~decimals:2 s.Serve.s_hit_ratio ];
           points :=
             {
-              Uhm_core.Perf.lp_policy = Dtb.policy_name cell.LX.lc_policy;
-              lp_rate = cell.LX.lc_rate;
-              lp_quantum = cell.LX.lc_quantum;
+              Uhm_core.Perf.lp_policy = Dtb.policy_name cell.LX.rc_policy;
+              lp_rate = cell.LX.rc_rate;
+              lp_quantum = cell.LX.rc_quantum;
               lp_jobs = s.Serve.s_jobs;
               lp_completed = s.Serve.s_completed;
               lp_shed = s.Serve.s_shed;

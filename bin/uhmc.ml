@@ -706,7 +706,7 @@ let perf_cmd =
 (* -- mix ---------------------------------------------------------------------- *)
 
 let mix_cmd =
-  let module Mix = Uhm_fault.Mix in
+  let module Resilient = Uhm_fault.Resilient in
   let module FExp = Uhm_fault.Experiment in
   let programs_arg =
     Arg.(value & opt_all string []
@@ -745,7 +745,7 @@ let mix_cmd =
       if policies = [] then [ Dtb.Flush_on_switch; Dtb.Tagged; Dtb.Partitioned ]
       else policies
     in
-    let quantum = if quantum <= 0 then Mix.solo_quantum else quantum in
+    let quantum = if quantum <= 0 then Resilient.solo_quantum else quantum in
     let named = load_programs ~fuse programs in
     (* one cell per policy: mix_axes with singleton scheduler/quantum/config
        axes keeps the cell order identical to the policy list *)
@@ -763,7 +763,8 @@ let mix_cmd =
         "fuse=" ^ string_of_bool fuse;
         "sets=" ^ string_of_int config.Dtb.sets;
         "assoc=" ^ string_of_int config.Dtb.assoc;
-        "cell_fuel=" ^ fuel_name cell_fuel ]
+        "cell_fuel=" ^ fuel_name cell_fuel;
+        "cell=" ^ FExp.cell_format ]
     in
     let slots =
       run_campaign ?journal ?resume ~campaign:"uhmc-mix" ~fingerprint
@@ -778,32 +779,39 @@ let mix_cmd =
       Option.iter
         (fun path ->
           let names asid =
-            match List.nth_opt r.Mix.mr_programs asid with
-            | Some pr -> pr.Mix.pr_name
+            match List.nth_opt r.Resilient.rr_programs asid with
+            | Some pr -> pr.Resilient.pr_name
             | None -> Printf.sprintf "asid%d" asid
           in
           write_trace ~path
             ~suffix:
               (if List.length policies = 1 then None
                else Some (Dtb.policy_name policy))
-            ~names ~end_cycle:r.Mix.mr_makespan r.Mix.mr_trace)
+            ~names ~end_cycle:r.Resilient.rr_makespan r.Resilient.rr_trace)
         trace_path;
-      List.map
-        (fun (pr : Mix.program_result) ->
-          [ Dtb.policy_name policy; pr.Mix.pr_name;
-            Table.cell_int pr.Mix.pr_dir_steps;
-            Table.cell_int pr.Mix.pr_cycles;
-            Printf.sprintf "%.3fx" pr.Mix.pr_slowdown;
-            Table.cell_int pr.Mix.pr_slices;
-            Printf.sprintf "%.4f" pr.Mix.pr_hit_ratio;
-            Table.cell_int pr.Mix.pr_dtb_misses;
-            Table.cell_int pr.Mix.pr_dtb_evictions ])
-        r.Mix.mr_programs
+      List.map2
+        (fun (pr : Resilient.program_report) solo ->
+          let looked_up = pr.Resilient.pr_dtb_hits + pr.Resilient.pr_dtb_misses in
+          [ Dtb.policy_name policy; pr.Resilient.pr_name;
+            Table.cell_int pr.Resilient.pr_dir_steps;
+            Table.cell_int pr.Resilient.pr_cycles;
+            Printf.sprintf "%.3fx"
+              (Resilient.slowdown ~cycles:pr.Resilient.pr_cycles ~solo);
+            Table.cell_int pr.Resilient.pr_slices;
+            Printf.sprintf "%.4f"
+              (if looked_up = 0 then 0.
+               else
+                 float_of_int pr.Resilient.pr_dtb_hits
+                 /. float_of_int looked_up);
+            Table.cell_int pr.Resilient.pr_dtb_misses;
+            Table.cell_int pr.Resilient.pr_dtb_evictions ])
+        r.Resilient.rr_programs cell.FExp.mc_solo_cycles
       @ [ [ Dtb.policy_name policy; "(total)"; "";
-            Table.cell_int r.Mix.mr_makespan; "";
-            Printf.sprintf "%d sw/%d fl" r.Mix.mr_switches r.Mix.mr_flushes;
-            Printf.sprintf "%.4f" r.Mix.mr_hit_ratio; "";
-            Table.cell_int r.Mix.mr_evictions ] ]
+            Table.cell_int r.Resilient.rr_makespan; "";
+            Printf.sprintf "%d sw/%d fl" r.Resilient.rr_switches
+              r.Resilient.rr_flushes;
+            Printf.sprintf "%.4f" r.Resilient.rr_hit_ratio; "";
+            Table.cell_int r.Resilient.rr_evictions ] ]
     in
     let exit_if_quarantined =
       print_campaign_table
@@ -833,6 +841,7 @@ let mix_cmd =
 
 let load_cmd =
   let module Serve = Uhm_serve.Serve in
+  let module Chaos = Uhm_serve.Chaos in
   let module LX = Uhm_serve.Experiment in
   let programs_arg =
     Arg.(value & opt_all string [ "fact_iter"; "gcd" ]
@@ -935,7 +944,11 @@ let load_cmd =
       else None
     in
     let named = load_programs ~fuse programs in
-    let axes = LX.load_axes ~quanta:[ quantum ] ~rates ~policies () in
+    (* the plain service is the serving grid at fault rate 0 alone *)
+    let axes =
+      LX.resilience_axes ~quanta:[ quantum ] ~rates ~fault_rates:[ 0. ]
+        ~policies ()
+    in
     let fingerprint =
       [ "uhmc load";
         "programs=" ^ String.concat "," programs;
@@ -960,18 +973,20 @@ let load_cmd =
                 e.Serve.evict_watermark);
         "sets=" ^ string_of_int config.Dtb.sets;
         "assoc=" ^ string_of_int config.Dtb.assoc;
-        "cell_fuel=" ^ fuel_name cell_fuel ]
+        "cell_fuel=" ^ fuel_name cell_fuel;
+        "cell=" ^ LX.cell_format ]
     in
     let slots_out =
       run_campaign ?journal ?resume ~campaign:"uhmc-load" ~fingerprint
         ~cells:(List.length axes) (fun setup ->
-          LX.load_grid_slots ?domains:jobs ~scheduler ~quanta:[ quantum ]
-            ~shape ~admission ?economy ~cached:setup.Campaign.cached
-            ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ~poison ~seed
-            ~jobs:njobs ~slots ~kind ~policies ~rates ~config named)
+          LX.resilience_grid_slots ?domains:jobs ~scheduler
+            ~quanta:[ quantum ] ~shape ~admission ?economy
+            ~cached:setup.Campaign.cached ?cell_hook:setup.Campaign.cell_hook
+            ?cell_fuel ~poison ~seed ~jobs:njobs ~slots ~kind ~policies
+            ~fault_rates:[ 0. ] ~rates ~config named)
     in
-    let rows (policy, _, rate) (cell : LX.load_cell) =
-      let r = cell.LX.lc_result in
+    let rows (policy, _, _, rate) (cell : LX.resilience_cell) =
+      let r = cell.LX.rc_result.Chaos.cv_serve in
       let s = r.Serve.sv_summary in
       Option.iter
         (fun path ->
@@ -1014,9 +1029,9 @@ let load_cmd =
           @ List.map
               (fun b -> (Printf.sprintf "slo@%d" b, Table.Right))
               slo_bounds)
-        ~labels:(fun (policy, _, rate) ->
+        ~labels:(fun (policy, _, _, rate) ->
           [ Dtb.policy_name policy; Printf.sprintf "%g" rate ])
-        ~describe:(fun (policy, _, rate) ->
+        ~describe:(fun (policy, _, _, rate) ->
           Printf.sprintf "%s, rate %g" (Dtb.policy_name policy) rate)
         ~rows axes slots_out
     in

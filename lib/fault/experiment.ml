@@ -15,10 +15,13 @@ type mix_cell = {
   mc_scheduler : Scheduler.policy;
   mc_quantum : int;
   mc_config : Dtb.config;
-  mc_result : Mix.result;
+  mc_result : Resilient.result;
+  mc_solo_cycles : int list;
 }
 
-let default_quanta = [ 16; 256; Mix.solo_quantum ]
+let cell_format = "mix_cell/2"
+
+let default_quanta = [ 16; 256; Resilient.solo_quantum ]
 
 let mix_axes ?(schedulers = [ Scheduler.Round_robin ])
     ?(quanta = default_quanta) ~policies ~configs () =
@@ -58,24 +61,31 @@ let mix_grid_slots ?domains ?schedulers ?quanta ?(trace_capacity = 4096)
       if List.mem i poison then
         failwith (Printf.sprintf "cell %d poisoned (campaign testing aid)" i);
       let result =
-        Mix.run_encoded ?fuel:cell_fuel ?backend ~trace_capacity ~scheduler
-          ~policy ~quantum ~config encoded_programs
+        Resilient.run_encoded ?fuel:cell_fuel ?backend ~trace_capacity
+          ~scheduler ~policy ~quantum ~config ~fconfig:Resilient.zero
+          encoded_programs
       in
       (* under supervision a cell whose programs did not halt is a failed
          cell (to be retried/quarantined), not a result: a trap is poison,
          and fuel exhaustion is the deterministic wedged-job budget *)
       List.iter
-        (fun (pr : Mix.program_result) ->
-          match pr.Mix.pr_status with
+        (fun (pr : Resilient.program_report) ->
+          match pr.Resilient.pr_status with
           | Machine.Halted -> ()
           | Machine.Out_of_fuel ->
-              failwith (pr.Mix.pr_name ^ " ran out of fuel")
+              failwith (pr.Resilient.pr_name ^ " ran out of fuel")
           | Machine.Trapped m ->
-              failwith (pr.Mix.pr_name ^ " trapped: " ^ m)
+              failwith (pr.Resilient.pr_name ^ " trapped: " ^ m)
           | Machine.Running -> assert false)
-        result.Mix.mr_programs;
+        result.Resilient.rr_programs;
       { mc_policy = policy; mc_scheduler = scheduler; mc_quantum = quantum;
-        mc_config = config; mc_result = result })
+        mc_config = config; mc_result = result;
+        mc_solo_cycles =
+          List.map
+            (fun (_, encoded) ->
+              (Resilient.solo ?fuel:cell_fuel ?backend ~config encoded)
+                .Resilient.sr_cycles)
+            encoded_programs })
     cells
 
 (* -- The fault-campaign grid ------------------------------------------------- *)

@@ -1,15 +1,17 @@
 (** The two closed-mix grids, evaluated on the {!Uhm_core.Sweep} pool:
     the multiprogramming grid (programs x sharing policy x scheduler x
-    quantum x DTB geometry, one {!Mix} run per cell) and the
-    fault-campaign grid (program mix x fault class x rate x sharing
-    policy x quantum x DTB geometry, one {!Resilient} run per cell).
-    Both encode their programs once with
+    quantum x DTB geometry) and the fault-campaign grid (program mix x
+    fault class x rate x sharing policy x quantum x DTB geometry), one
+    {!Resilient.run_encoded} per cell — at {!Resilient.zero} in the
+    first.  Both encode their programs once with
     {!Uhm_core.Experiment.encode_programs}.
 
     {2 The multiprogramming grid}
 
     Every cell runs the same program mix to completion under time-slicing
-    and reports per-program cycles and DTB statistics ({!Mix.result}).
+    and reports per-program cycles and DTB statistics
+    ({!Resilient.result}) plus each program's memoised solo cycles
+    ({!Resilient.solo}), the denominator of {!Resilient.slowdown}.
     Cells are independent (each builds its own shared DTB and machines),
     so the grid parallelises like any other sweep and the result list is
     byte-identical at any domain count.  The sweep is given each cell's
@@ -37,11 +39,20 @@ type mix_cell = {
   mc_scheduler : Scheduler.policy;
   mc_quantum : int;
   mc_config : Dtb.config;
-  mc_result : Mix.result;
+  mc_result : Resilient.result;  (** run at {!Resilient.zero} *)
+  mc_solo_cycles : int list;
+      (** each program's {!Resilient.solo} cycles on [mc_config] (with
+          the grid's [cell_fuel]), in ASID order *)
 }
 
+val cell_format : string
+(** A token naming the [mix_cell] layout.  Journals hold cells as
+    untyped [Marshal] payloads, so a campaign fingerprint includes it:
+    a journal written under another layout is refused on resume instead
+    of being misread. *)
+
 val default_quanta : int list
-(** [16; 256; solo_quantum] — heavy contention, light contention, and the
+(** [16; 256; Resilient.solo_quantum] — heavy contention, light contention, and the
     quantum-to-infinity limit that must reproduce single-program golden
     numbers. *)
 

@@ -1,6 +1,7 @@
 (* The closed-mix driver: a fixed program mix sliced over a shared DTB,
    each program under the fault machinery of the Tenant engine; see
-   resilient.mli.  Mix is this driver at the zero config. *)
+   resilient.mli.  At the zero config it is the plain multiprogrammed
+   mix, and one program at the never-preempt quantum is the solo run. *)
 
 module Machine = Uhm_machine.Machine
 module Timing = Uhm_machine.Timing
@@ -18,6 +19,7 @@ type program_report = {
   pr_status : Machine.status;
   pr_output : string;
   pr_cycles : int;
+  pr_dir_steps : int;
   pr_slices : int;
   pr_dtb_hits : int;
   pr_dtb_misses : int;
@@ -126,6 +128,7 @@ let run_encoded ?(timing = Timing.paper) ?fuel ?(layout = Layout.default)
               (match p.finished with Some s -> s | None -> assert false);
             pr_output = output;
             pr_cycles = Tenant.cycles p;
+            pr_dir_steps = p.dir_steps;
             pr_slices = p.slices;
             pr_dtb_hits = hits.(i);
             pr_dtb_misses = misses.(i);
@@ -157,8 +160,65 @@ let run_encoded ?(timing = Timing.paper) ?fuel ?(layout = Layout.default)
     rr_trace = trace;
   }
 
-let run ?timing ?fuel ?layout ?backend ?trace_capacity ~policy ~quantum
-    ~config ~fconfig ~kind programs =
-  run_encoded ?timing ?fuel ?layout ?backend ?trace_capacity ~policy ~quantum
-    ~config ~fconfig
+let run ?timing ?fuel ?layout ?backend ?trace_capacity ?scheduler ~policy
+    ~quantum ~config ~fconfig ~kind programs =
+  run_encoded ?timing ?fuel ?layout ?backend ?trace_capacity ?scheduler
+    ~policy ~quantum ~config ~fconfig
     (List.map (fun (name, p) -> (name, Codec.encode kind p)) programs)
+
+(* -- The solo run ------------------------------------------------------------
+
+   One program alone on the machine: the reference every multiprogrammed
+   figure is measured against.  Memoised like [Uhm.dir_steps_memoized] —
+   bounded, mutex-protected, shared across domains — keyed physically on
+   the encoding (re-encoding the same source gives a new key) and
+   structurally on everything the run depends on.  The backend is not in
+   the key: the two backends are pinned result-identical.  Races fill the
+   same entry twice, which is wasted work but never wrong. *)
+
+let solo_quantum = max_int
+
+type solo_result = {
+  sr_status : Machine.status;
+  sr_output : string;
+  sr_arch_hash : int;
+  sr_cycles : int;
+}
+
+(* entries are ((encoding, settings), result), the encoding compared
+   physically *)
+let solo_mutex = Mutex.create ()
+let solo_memo = ref []
+let solo_memo_max = 128
+
+let solo ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
+    ~config encoded =
+  let settings = (config, timing, fuel, layout) in
+  let same ((e, s), _) = e == encoded && s = settings in
+  Mutex.lock solo_mutex;
+  let cached = List.find_opt same !solo_memo in
+  Mutex.unlock solo_mutex;
+  match cached with
+  | Some (_, r) -> r
+  | None ->
+      let p =
+        List.hd
+          (run_encoded ~timing ?fuel ~layout ?backend ~trace_capacity:16
+             ~policy:Dtb.Flush_on_switch ~quantum:solo_quantum ~config
+             ~fconfig:zero [ ("solo", encoded) ])
+            .rr_programs
+      in
+      let r =
+        { sr_status = p.pr_status; sr_output = p.pr_output;
+          sr_arch_hash = p.pr_arch_hash; sr_cycles = p.pr_cycles }
+      in
+      Mutex.lock solo_mutex;
+      let others = List.filter (fun e -> not (same e)) !solo_memo in
+      solo_memo :=
+        ((encoded, settings), r)
+        :: List.filteri (fun i _ -> i < solo_memo_max - 1) others;
+      Mutex.unlock solo_mutex;
+      r
+
+let slowdown ~cycles ~solo =
+  if solo = 0 then 1. else float_of_int cycles /. float_of_int solo

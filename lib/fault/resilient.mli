@@ -13,8 +13,10 @@
       at the current DIR step are applied — DTB tag-key bit flips,
       translation-buffer word bit flips, dropped translator installs,
       and level-1 data-word bit flips.  With {!zero} the run is the plain
-      multiprogrammed mix: {!Mix.run_encoded} is this driver at {!zero}.
-      Each program draws from the injector stream keyed by its ASID.
+      multiprogrammed mix, and one program alone at {!solo_quantum} is
+      the solo run ({!solo}) that mix slowdowns and served answers are
+      measured against.  Each program draws from the injector stream
+      keyed by its ASID.
 
     - {b Detection and recovery}: per-entry {!Guard} checksums are
       verified on every DTB hit (cost [t_guard] per word, charged to the
@@ -66,7 +68,16 @@ type config = Tenant.config = {
 }
 
 val zero : config
-(** No faults, no guards, no checkpoints: the plain mix ({!Mix}). *)
+(** No faults, no guards, no checkpoints: the plain multiprogrammed
+    mix.  Because slicing stops only at INTERP boundaries and the shared
+    DTB under every policy serves a program the translations it
+    installed itself, each program's output under [zero] is identical to
+    its solo run; only cycle counts and DTB statistics change with
+    contention.  With [quantum >=] every program's [pr_dir_steps]
+    nothing is preempted, and per-program cycles equal the solo run's
+    exactly (under [Flush_on_switch] trivially; under [Tagged] /
+    [Partitioned] because the set mapping a program sees is unchanged
+    and foreign entries only occupy ways it has not yet claimed). *)
 
 val protected : ?checkpoint_every:int -> Injector.spec -> config
 (** Guards on, checkpoints on iff the spec can produce [Mem_word]
@@ -79,6 +90,8 @@ type program_report = {
   pr_status : Machine.status;
   pr_output : string;
   pr_cycles : int;      (** across a downgrade transition, if any *)
+  pr_dir_steps : int;   (** reference DIR step count (the SRTF
+                            estimate's total) *)
   pr_slices : int;
   pr_dtb_hits : int;    (** DTB lookups during this program's slices *)
   pr_dtb_misses : int;
@@ -143,6 +156,7 @@ val run :
   ?layout:Uhm_psder.Layout.t ->
   ?backend:Machine.backend ->
   ?trace_capacity:int ->
+  ?scheduler:Scheduler.policy ->
   policy:Dtb.policy ->
   quantum:int ->
   config:Dtb.config ->
@@ -151,6 +165,53 @@ val run :
   (string * Uhm_dir.Program.t) list ->
   result
 (** {!run_encoded} after encoding each program with [kind]. *)
+
+(** {1 The solo run} *)
+
+val solo_quantum : int
+(** A quantum larger than any program ([max_int]): no preemption ever
+    fires, so round-robin degenerates to sequential execution and every
+    program reproduces its solo cycle count exactly. *)
+
+type solo_result = {
+  sr_status : Machine.status;
+  sr_output : string;
+  sr_arch_hash : int;
+  sr_cycles : int;
+}
+
+val solo :
+  ?timing:Uhm_machine.Timing.t ->
+  ?fuel:int ->
+  ?layout:Uhm_psder.Layout.t ->
+  ?backend:Machine.backend ->
+  config:Dtb.config ->
+  Uhm_encoding.Codec.encoded ->
+  solo_result
+(** The program run alone: {!run_encoded} of the one program under
+    [Flush_on_switch] at {!solo_quantum} and {!zero}, on a [config]
+    geometry of its own.  Its cycles are the denominator of every
+    slowdown (a closed mix's and a served job's) and its status, output
+    and arch fingerprint the reference every served answer is verified
+    against.  It equals the single-program
+    [Uhm.run_encoded ~strategy:(Dtb_strategy config)] run in cycles,
+    status and output.  Memoised (bounded, mutex-protected, shared
+    across domains), keyed physically on the encoding and structurally
+    on [config], [timing], [fuel] and [layout] after defaults are
+    applied; [backend] is not in the key because the two backends are
+    result-identical.  A grid or a service thus pays for each distinct
+    solo run once per process. *)
+
+val slowdown : cycles:int -> solo:int -> float
+(** [cycles / solo], the price of sharing the machine; [1.0] when [solo]
+    is 0.  The solo denominator always uses the {e full} geometry, so
+    the metric prices everything sharing costs: exactly 1.0 at
+    {!solo_quantum} under [Flush_on_switch] (each program starts cold
+    with the whole buffer — precisely the solo run), and under the other
+    policies whenever the geometry still leaves each program its working
+    set.  Under [Partitioned] at a tight geometry it exceeds 1.0 {e even
+    without preemption}: the shrunken partition itself is a cost of
+    sharing, and the metric deliberately charges for it. *)
 
 val interp_cycles_per_dir : int
 (** Cycles one DIR instruction of pure interpretation is worth: the

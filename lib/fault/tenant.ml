@@ -3,8 +3,9 @@
    One program on one machine over a shared DTB, with every fault hook:
    injection at INTERP boundaries, guarded hits with
    invalidate-retranslate and backoff, dropped installs, checkpoint
-   rollback and watchdog downgrade.  Resilient.run_encoded and the serve
-   kernel both slice their programs through [slice] below. *)
+   rollback and watchdog downgrade.  Resilient.run_encoded (and through
+   it the closed mix and the solo run) and the serve kernel all slice
+   their programs through [slice] below. *)
 
 module Machine = Uhm_machine.Machine
 module Timing = Uhm_machine.Timing
@@ -143,7 +144,8 @@ type mode = Translating | Downgraded
 type t = {
   asid : int;
   encoded : Codec.encoded;
-  dir_steps : int;                (* reference DIR steps: the SRTF estimate *)
+  dir_steps : int;                (* reference DIR steps: the SRTF estimate,
+                                     reported as pr_dir_steps *)
   interp0 : bool;
   inj : Injector.t;
   guard : Guard.t;

@@ -19,8 +19,9 @@
     The drivers own the clock and ask {!Uhm_sched.Scheduler.pick} which
     program runs next, switch to it with {!Uhm_sched.Scheduler.switch}
     and hand it to {!slice}.  [Resilient.run_encoded] slices a fixed
-    mix (and [Mix] is that driver at the zero config); the serve kernel
-    slices one attempt per admitted job. *)
+    mix (at the zero config, the plain multiprogrammed mix and, for one
+    program, the memoised [Resilient.solo] run); the serve kernel slices
+    one attempt per admitted job. *)
 
 module Machine := Uhm_machine.Machine
 module Dtb := Uhm_core.Dtb

@@ -71,13 +71,15 @@ type result = {
   cv_summary : chaos_summary;
 }
 
-type solo_ref = Kernel.solo_ref = {
+type solo_ref = Resilient.solo_result = {
   sr_status : Machine.status;
   sr_output : string;
   sr_arch_hash : int;
+  sr_cycles : int;
 }
 
-let solo_reference = Kernel.solo_reference
+let solo_reference ?timing ?fuel ?layout ?backend ~config (_, encoded) =
+  Resilient.solo ?timing ?fuel ?layout ?backend ~config encoded
 
 let run ?timing ?fuel ?layout ?backend ?trace_capacity ?scheduler ?admission
     ?economy ~policy ~quantum ~config ~fconfig ~slots ~templates ~arrivals () =

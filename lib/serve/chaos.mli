@@ -134,10 +134,11 @@ type result = {
   cv_summary : chaos_summary;
 }
 
-type solo_ref = Kernel.solo_ref = {
+type solo_ref = Resilient.solo_result = {
   sr_status : Machine.status;
   sr_output : string;
   sr_arch_hash : int;
+  sr_cycles : int;
 }
 
 val solo_reference :
@@ -150,7 +151,10 @@ val solo_reference :
   solo_ref
 (** The fault-free solo run a completion is verified against — exposed so
     tests and experiment grids can re-verify end states independently of
-    the driver's own bookkeeping. *)
+    the driver's own bookkeeping.  It is {!Uhm_fault.Resilient.solo} of
+    the template's encoding (the name is ignored): memoised across runs
+    and domains, so the service and every caller share one solo
+    simulation per template and settings. *)
 
 val run :
   ?timing:Uhm_machine.Timing.t ->

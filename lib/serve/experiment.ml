@@ -1,9 +1,8 @@
-(* The offered-load experiment grid; see experiment.mli. *)
+(* The offered-load and fault-rate experiment grid; see experiment.mli. *)
 
 module Sweep = Uhm_core.Sweep
 module Dtb = Uhm_core.Dtb
 module Machine = Uhm_machine.Machine
-module Scheduler = Uhm_sched.Scheduler
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
 
@@ -19,31 +18,8 @@ let process_of shape rate =
   | Open_poisson -> Arrival.Poisson { rate }
   | Open_bursty { burst; idle } -> Arrival.Bursty { rate; burst; idle }
 
-type load_cell = {
-  lc_policy : Dtb.policy;
-  lc_quantum : int;
-  lc_rate : float;
-  lc_config : Dtb.config;
-  lc_result : Serve.result;
-}
-
 let default_rates = [ 4.0; 12.0; 40.0 ]
-
-let load_axes ?(quanta = [ 64 ]) ~rates ~policies () =
-  List.concat_map
-    (fun policy ->
-      List.concat_map
-        (fun quantum -> List.map (fun rate -> (policy, quantum, rate)) rates)
-        quanta)
-    policies
-
-(* a cell's host time scales with the simulated work: every job runs its
-   template to completion, and small quanta under Flush_on_switch
-   retranslate working sets every slice *)
-let load_cost ~mean_steps ~jobs (policy, quantum, _) =
-  let total = mean_steps * jobs in
-  let slices = max 1 (total / max 1 quantum) in
-  total + match policy with Dtb.Flush_on_switch -> slices * 64 | _ -> 0
+let cell_format = "resilience_cell/1"
 
 (* The template pool, encoded once in parallel, and the mean reference
    DIR steps per template that the cost hints use. *)
@@ -54,69 +30,6 @@ let encode_pool ?domains ~kind programs =
   ( List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
     / List.length encodeds,
     List.map (fun (n, e, _) -> (n, e)) encodeds )
-
-let load_cell_of ~trace_capacity ?scheduler ?backend ?shape:(sh = Open_poisson)
-    ?admission ?economy ?cell_fuel ?weights ~seed ~jobs ~slots ~config templates
-    (policy, quantum, rate) =
-  let arrivals =
-    Arrival.generate ?weights ~seed ~templates:(List.length templates) ~jobs
-      (process_of sh rate)
-  in
-  {
-    lc_policy = policy;
-    lc_quantum = quantum;
-    lc_rate = rate;
-    lc_config = config;
-    lc_result =
-      Serve.run ?fuel:cell_fuel ?backend ~trace_capacity ?scheduler ?admission
-        ?economy ~policy ~quantum ~config ~slots ~templates ~arrivals ();
-  }
-
-let load_grid_slots ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
-    ?backend ?shape ?admission ?economy ?supervision ?cached ?cell_hook
-    ?cell_fuel ?weights ?(poison = []) ~seed ~jobs ~slots ~kind ~policies
-    ~rates ~config programs =
-  if programs = [] then invalid_arg "Experiment.load_grid_slots: no programs";
-  let mean_steps, templates = encode_pool ?domains ~kind programs in
-  let cells =
-    List.mapi (fun i c -> (i, c)) (load_axes ?quanta ~rates ~policies ())
-  in
-  Sweep.map_supervised ?supervision ?cached ?cell_hook ?domains
-    ~cost:(fun (_, c) -> load_cost ~mean_steps ~jobs c)
-    (fun (i, axes) ->
-      if List.mem i poison then
-        failwith (Printf.sprintf "cell %d poisoned (campaign testing aid)" i);
-      let cell =
-        load_cell_of ~trace_capacity ?scheduler ?backend ?shape ?admission
-          ?economy ?cell_fuel ?weights ~seed ~jobs ~slots ~config templates
-          axes
-      in
-      (* a retired job that did not halt is a failed cell under
-         supervision; shed jobs are normal service, not failure *)
-      List.iter
-        (fun (j : Serve.job) ->
-          match j.Serve.j_status with
-          | Serve.Shed | Serve.Completed Machine.Halted -> ()
-          | Serve.Completed Machine.Out_of_fuel ->
-              failwith
-                (Printf.sprintf "job %d (%s) ran out of fuel" j.Serve.j_id
-                   j.Serve.j_name)
-          | Serve.Completed (Machine.Trapped m) ->
-              failwith
-                (Printf.sprintf "job %d (%s) trapped: %s" j.Serve.j_id
-                   j.Serve.j_name m)
-          | Serve.Completed Machine.Running -> assert false
-          | Serve.Failed n ->
-              (* plain Serve.run never produces Failed; a load cell that
-                 does has a broken invariant and must quarantine *)
-              failwith
-                (Printf.sprintf "job %d (%s) failed after %d attempts"
-                   j.Serve.j_id j.Serve.j_name n))
-        cell.lc_result.Serve.sv_jobs;
-      cell)
-    cells
-
-(* -- The resilience grid: fault rate x offered load x policy ---------------- *)
 
 type resilience_cell = {
   rc_policy : Dtb.policy;
@@ -164,11 +77,17 @@ let resilience_axes ?(quanta = [ 64 ]) ~rates ~fault_rates ~policies () =
         quanta)
     policies
 
-(* faults inflate a cell's work: every detection re-runs a translation,
-   every void re-runs the whole job.  The multiplier is a scheduling
-   hint, not an accounting identity. *)
-let resilience_cost ~mean_steps ~jobs (policy, quantum, fault_rate, rate) =
-  let base = load_cost ~mean_steps ~jobs (policy, quantum, rate) in
+(* a cell's host time scales with the simulated work: every job runs its
+   template to completion, small quanta under Flush_on_switch retranslate
+   working sets every slice, and faults inflate the work (every detection
+   re-runs a translation, every void the whole job).  The fault
+   multiplier is a scheduling hint, not an accounting identity. *)
+let resilience_cost ~mean_steps ~jobs (policy, quantum, fault_rate, _) =
+  let total = mean_steps * jobs in
+  let slices = max 1 (total / max 1 quantum) in
+  let base =
+    total + match policy with Dtb.Flush_on_switch -> slices * 64 | _ -> 0
+  in
   base + int_of_float (float_of_int base *. 200.0 *. fault_rate)
 
 let resilience_cell_of ~trace_capacity ?scheduler ?backend
@@ -219,23 +138,28 @@ let resilience_grid_slots ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
           ?checkpoint_every ?deadline ?brownout ~fault_seed ~seed ~jobs ~slots
           ~config templates axes
       in
-      (* the no-wrong-answers invariant is the supervised failure
-         condition: an accepted completion whose end state does not match
-         its fault-free solo run quarantines the cell.  Failed jobs are
-         the designed outcome of exhausted retries, not a cell failure. *)
-      let reports =
-        Array.of_list cell.rc_result.Chaos.cv_reports
-      in
+      (* the supervised failure condition: an accepted completion whose
+         end state does not match its fault-free solo run (the
+         no-wrong-answers invariant), or one that did not halt — a trap
+         is poison, and fuel exhaustion is the deterministic wedged-job
+         budget.  Shed and Failed jobs are service outcomes (admission
+         control, exhausted retries), not a cell failure. *)
+      let reports = Array.of_list cell.rc_result.Chaos.cv_reports in
       List.iter
         (fun (j : Serve.job) ->
+          let fail what =
+            failwith
+              (Printf.sprintf "job %d (%s) %s" j.Serve.j_id j.Serve.j_name what)
+          in
           match j.Serve.j_status with
           | Serve.Shed | Serve.Failed _ -> ()
-          | Serve.Completed _ ->
-              if not (reports.(j.Serve.j_id)).Chaos.cj_state_ok then
-                failwith
-                  (Printf.sprintf
-                     "job %d (%s) accepted with a corrupted end state"
-                     j.Serve.j_id j.Serve.j_name))
+          | Serve.Completed _
+            when not reports.(j.Serve.j_id).Chaos.cj_state_ok ->
+              fail "accepted with a corrupted end state"
+          | Serve.Completed Machine.Halted -> ()
+          | Serve.Completed Machine.Out_of_fuel -> fail "ran out of fuel"
+          | Serve.Completed (Machine.Trapped m) -> fail ("trapped: " ^ m)
+          | Serve.Completed Machine.Running -> assert false)
         cell.rc_result.Chaos.cv_serve.Serve.sv_jobs;
       cell)
     cells

@@ -1,14 +1,16 @@
-(** The saturation-study grid: offered load x policy x quantum, each cell
-    one complete open-arrival serve run, evaluated on the
+(** The serving grid: fault rate x offered load x policy x quantum,
+    each cell one complete open-arrival {!Chaos.run}, evaluated on the
     {!Uhm_core.Sweep} pool.
 
     Cells are independent full simulations (each builds its own DTB,
     arrival stream and machines), so the grid parallelises like any
     other sweep and the result list is byte-identical at any domain
-    count; campaign supervision ({!load_grid_slots}) gives it journaled
-    kill/resume for free.  The output — latency percentiles
-    and throughput per offered load — is the latency-vs-load curve, the
-    system's first saturation study. *)
+    count; campaign supervision gives it journaled kill/resume for free.
+    The output is the degradation surface — SLO attainment, goodput and
+    tail latency as functions of the injected fault rate — and, at
+    fault rate 0 alone, the latency-vs-load curve of the plain service:
+    at rate 0 {!resilience_fconfig} is {!Chaos.zero}, so each cell's
+    [cv_serve] is exactly what {!Serve.run} returns, trace included. *)
 
 module Dtb := Uhm_core.Dtb
 module Sweep := Uhm_core.Sweep
@@ -26,75 +28,16 @@ val shape_name : shape -> string
 (** Stable description for fingerprints: ["poisson"],
     ["bursty(burst=8,idle=5000)"]. *)
 
-type load_cell = {
-  lc_policy : Dtb.policy;
-  lc_quantum : int;
-  lc_rate : float;       (** offered load, jobs per million cycles *)
-  lc_config : Dtb.config;
-  lc_result : Serve.result;
-}
-
 val default_rates : float list
 (** [4.0; 12.0; 40.0] jobs per million cycles: below, around, and past
     the knee for a pool of the suite's light templates (service times
     around 50k–120k cycles, so capacity lands near 10 jobs/Mcycle). *)
 
-val load_axes :
-  ?quanta:int list ->
-  rates:float list ->
-  policies:Dtb.policy list ->
-  unit ->
-  (Dtb.policy * int * float) list
-(** Cell axes in submission order: policies outermost, then quanta
-    (default [[64]]), then rates — so each policy's latency curve is a
-    contiguous run of cells. *)
-
-val load_grid_slots :
-  ?domains:int ->
-  ?scheduler:Scheduler.policy ->
-  ?quanta:int list ->
-  ?trace_capacity:int ->
-  ?backend:Uhm_machine.Machine.backend ->
-  ?shape:shape ->
-  ?admission:Serve.admission ->
-  ?economy:Serve.economy ->
-  ?supervision:Sweep.supervision ->
-  ?cached:(int -> load_cell option) ->
-  ?cell_hook:(index:int -> attempts:int -> load_cell Sweep.slot -> unit) ->
-  ?cell_fuel:int ->
-  ?weights:float list ->
-  ?poison:int list ->
-  seed:int ->
-  jobs:int ->
-  slots:int ->
-  kind:Uhm_encoding.Kind.t ->
-  policies:Dtb.policy list ->
-  rates:float list ->
-  config:Dtb.config ->
-  (string * Uhm_dir.Program.t) list ->
-  load_cell Sweep.slot list
-(** One serve run per {!load_axes} cell over the given template pool
-    (encoded once, in parallel, like the mix grid's pre-pass), under
-    campaign supervision: a failing cell is retried and then quarantined
-    instead of aborting the grid, and [cached]/[cell_hook] plug in a
-    {!Uhm_campaign} journal.  A cell in which any {e retired} job did not
-    halt fails (and is quarantined) — shed jobs are normal service, not
-    failure.  [shape] defaults to [Open_poisson]; [trace_capacity] to a
-    small ring (4096) since grids keep every cell's trace alive;
-    [cell_fuel] bounds each job's machine so a wedged guest cannot hang
-    a cell; [weights] skews the template pick per {!Arrival.generate}
-    (heavy-tailed pools); [poison] is the quarantine-path testing aid, as
-    in the mix grid.  Completed slots are byte-identical at any domain
-    count. *)
-
-(** {1 The resilience grid}
-
-    Fault rate x offered load x policy, each cell one complete
-    {!Chaos.run}: the same independent-cell discipline as the load grid,
-    so the grid parallelises on the sweep pool, is byte-identical at any
-    domain count, and gets journaled kill/resume under campaign
-    supervision.  The output is the degradation surface: SLO attainment,
-    goodput and tail latency as functions of the injected fault rate. *)
+val cell_format : string
+(** A token naming the [resilience_cell] layout.  Journals hold cells as
+    untyped [Marshal] payloads, so a campaign fingerprint includes it:
+    a journal written under another layout is refused on resume instead
+    of being misread. *)
 
 type resilience_cell = {
   rc_policy : Dtb.policy;
@@ -126,7 +69,9 @@ val resilience_fconfig :
     rate split evenly over {!Uhm_fault.Injector.all_classes}, job-level
     retry (default limit 2, backoff 4096) — and no brownout unless
     given.  Rate [0.0] yields {!Uhm_fault.Resilient.zero} machinery, so
-    the control column pays no guard or checkpoint overhead.  Raises
+    the control column pays no guard or checkpoint overhead; with the
+    default retry limit and backoff and no deadline or brownout it is
+    {!Chaos.zero} itself, the plain service.  Raises
     [Invalid_argument] on a negative or non-finite rate. *)
 
 val resilience_axes :
@@ -171,14 +116,26 @@ val resilience_grid_slots :
   config:Dtb.config ->
   (string * Uhm_dir.Program.t) list ->
   resilience_cell Sweep.slot list
-(** One {!Chaos.run} per {!resilience_axes} cell under campaign
-    supervision, every cell's policy built by {!resilience_fconfig} from
-    the cell's fault rate (same [fault_seed], default 4242, for every
-    cell: columns differ only in rate).  [cell_fuel] matters more here
-    than in the load grid — a corrupted attempt can loop, and must trap
-    out rather than hold its slot indefinitely.  The supervised failure
-    condition is the no-wrong-answers invariant itself: a cell
-    in which any accepted completion's end state differs from its
-    fault-free solo run is retried and then quarantined.  [Failed] jobs
-    (exhausted retries) are the designed outcome, not a cell failure.
-    [poison] is the quarantine-path testing aid, as in the load grid. *)
+(** One {!Chaos.run} per {!resilience_axes} cell over the given template
+    pool (encoded once, in parallel, like the mix grid's pre-pass),
+    under campaign supervision: a failing cell is retried and then
+    quarantined instead of aborting the grid, and [cached]/[cell_hook]
+    plug in a {!Uhm_campaign} journal.  Every cell's policy is built by
+    {!resilience_fconfig} from the cell's fault rate (same [fault_seed],
+    default 4242, for every cell: columns differ only in rate).
+
+    A cell fails in exactly two cases: an accepted ([Completed]) job's
+    end state differs from its fault-free solo run — the
+    no-wrong-answers invariant — or an accepted job did not halt (a
+    trap is poison; fuel exhaustion is the wedged-job budget).  [Shed]
+    and [Failed] jobs are service outcomes (admission control,
+    exhausted retries), not a cell failure.
+
+    [shape] defaults to [Open_poisson]; [trace_capacity] to a small ring
+    (4096) since grids keep every cell's trace alive; [cell_fuel] bounds
+    each job's machine (and its solo reference) so a wedged or corrupted
+    attempt traps out rather than holding its slot indefinitely;
+    [weights] skews the template pick per {!Arrival.generate}
+    (heavy-tailed pools); [poison] is the quarantine-path testing aid,
+    as in the mix grid: the listed cell indices raise on every attempt.
+    Completed slots are byte-identical at any domain count. *)

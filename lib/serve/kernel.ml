@@ -20,8 +20,11 @@
    pick order (Scheduler.pick), context switch (Scheduler.switch) and
    clock arithmetic.  That is not incidental: in the closed-system limit
    — all arrivals at cycle 0, as many slots as jobs — a zero-config run
-   must reproduce Mix's cycle counts and trace rollups bit for bit,
-   which test/test_serve.ml pins. *)
+   must reproduce Resilient.run_encoded's cycle counts and trace rollups
+   at Resilient.zero bit for bit, which test/test_serve.ml pins.  The
+   kernel runs no solo simulation of its own: a job's slowdown
+   denominator and the reference its answer is verified against are the
+   one memoised Resilient.solo run of its template. *)
 
 module Machine = Uhm_machine.Machine
 module Timing = Uhm_machine.Timing
@@ -30,7 +33,6 @@ module Codec = Uhm_encoding.Codec
 module Layout = Uhm_psder.Layout
 module Scheduler = Uhm_sched.Scheduler
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_fault.Mix
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
 module Tenant = Uhm_fault.Tenant
@@ -201,29 +203,6 @@ let zero =
     c_brownout = None;
   }
 
-type solo_ref = { sr_status : Machine.status; sr_output : string; sr_arch_hash : int }
-
-(* The fault-free solo run of one template: the reference every accepted
-   completion is verified against ("never a wrong answer" made literal).
-   Run through the same Resilient machinery at the never-preempt quantum,
-   so status, output and arch fingerprint come from the identical
-   execution semantics as the in-service attempt. *)
-let solo_reference ?timing ?fuel ?layout ?backend ~config (name, encoded) =
-  let r =
-    Resilient.run_encoded ?timing ?fuel ?layout ?backend ~trace_capacity:16
-      ~policy:Dtb.Flush_on_switch ~quantum:Mix.solo_quantum ~config
-      ~fconfig:Resilient.zero
-      [ (name, encoded) ]
-  in
-  match r.Resilient.rr_programs with
-  | [ p ] ->
-      {
-        sr_status = p.Resilient.pr_status;
-        sr_output = p.Resilient.pr_output;
-        sr_arch_hash = p.Resilient.pr_arch_hash;
-      }
-  | _ -> assert false
-
 (* -- The kernel -------------------------------------------------------------- *)
 
 (* Per-job bookkeeping that survives across attempts. *)
@@ -367,14 +346,8 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
      can actually fire: the zero-config run must be branch-for-branch the
      plain service *)
   let verify = Tenant.armed env in
-  let solo_cache : (int, solo_ref) Hashtbl.t = Hashtbl.create 8 in
-  let solo_of tidx =
-    match Hashtbl.find_opt solo_cache tidx with
-    | Some r -> r
-    | None ->
-        let r = solo_reference ~timing ?fuel ~layout ?backend ~config tmpl.(tidx) in
-        Hashtbl.add solo_cache tidx r;
-        r
+  let solo (js : jstate) =
+    Resilient.solo ~timing ?fuel ~layout ?backend ~config js.js_encoded
   in
 
   (* Pull every arrival the virtual clock has reached into the admission
@@ -497,7 +470,7 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
   (* The job record of a retired job, completed or failed, against the
      memoised solo run. *)
   let finish s (js : jstate) status =
-    let solo = Mix.solo_cycles ~timing ?fuel ~config js.js_encoded in
+    let solo = (solo js).Resilient.sr_cycles in
     let sojourn = !clock - js.js_arrival in
     jobs.(js.js_id) <-
       Some
@@ -513,8 +486,7 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
           j_queue_delay = js.js_first_admit - js.js_arrival;
           j_sojourn = sojourn;
           j_solo_cycles = solo;
-          j_slowdown =
-            (if solo = 0 then 1. else float_of_int sojourn /. float_of_int solo);
+          j_slowdown = Resilient.slowdown ~cycles:sojourn ~solo;
           j_status = status;
         };
     sojourn
@@ -556,10 +528,10 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
       intact
       && ((not verify)
          ||
-         let sr = solo_of js.js_template in
-         status = sr.sr_status
-         && String.equal output sr.sr_output
-         && hash = sr.sr_arch_hash)
+         let sr = solo js in
+         status = sr.Resilient.sr_status
+         && String.equal output sr.Resilient.sr_output
+         && hash = sr.Resilient.sr_arch_hash)
     in
     js.js_state_ok <- ok;
     if ok then begin

@@ -1,8 +1,8 @@
 (** The open-arrival translation service: streaming admission of guest
     programs onto a bounded pool of ASID slots sharing one DTB.
 
-    Where {!Uhm_fault.Mix} runs a {e closed} set of programs to
-    completion, this layer serves an {e open} stream: jobs arrive over
+    Where {!Uhm_fault.Resilient.run_encoded} runs a {e closed} set of
+    programs to completion, this layer serves an {e open} stream: jobs arrive over
     virtual time (see {!Arrival}), wait in a bounded admission queue,
     are bound to an ASID slot when one frees up, run under the
     {!Uhm_sched.Scheduler} pick order against the shared DTB, and
@@ -24,10 +24,13 @@
 
     Everything is deterministic in the seed: the driver is serial, one
     virtual clock, and in the closed-system limit (all arrivals at cycle
-    0, as many slots as jobs, no economy) it reproduces
-    {!Uhm_fault.Mix}'s dispatch sequence, cycle counts and trace rollups
-    bit for bit — the regression anchor that pins the open system to the
-    closed mix's goldens. *)
+    0, as many slots as jobs, no economy) it reproduces the closed
+    mix's ({!Uhm_fault.Resilient.run_encoded} at
+    {!Uhm_fault.Resilient.zero}) dispatch sequence, cycle counts and
+    trace rollups bit for bit — the regression anchor that pins the open
+    system to the closed mix's goldens.  Each job's slowdown denominator
+    is its template's memoised {!Uhm_fault.Resilient.solo} run; the
+    service runs no solo simulation of its own. *)
 
 module Dtb := Uhm_core.Dtb
 module Machine := Uhm_machine.Machine
@@ -85,8 +88,11 @@ type job = Kernel.job = {
   j_cycles : int;        (** service cycles actually executed *)
   j_queue_delay : int;   (** [j_admit - j_arrival]; 0 if shed *)
   j_sojourn : int;       (** [j_finish - j_arrival]; 0 if shed *)
-  j_solo_cycles : int;   (** the memoised solo run (PR 5's denominator) *)
-  j_slowdown : float;    (** [j_sojourn / j_solo_cycles]; 0 if shed *)
+  j_solo_cycles : int;   (** the template's {!Uhm_fault.Resilient.solo}
+                             cycles; 0 if shed *)
+  j_slowdown : float;    (** {!Uhm_fault.Resilient.slowdown} of
+                             [j_sojourn] over [j_solo_cycles]; 0 if
+                             shed *)
   j_status : job_status;
 }
 

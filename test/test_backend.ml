@@ -16,7 +16,6 @@ module Kind = Uhm_encoding.Kind
 module Codec = Uhm_encoding.Codec
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_fault.Mix
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
 module Asm = Uhm_machine.Asm
@@ -417,7 +416,7 @@ let test_drop_hooks_follow_machines () =
   Queue.iter Machine.recycle live;
   check_int "no hook outlives its machine" 0 (Dtb.drop_hooks dtb)
 
-(* -- Shared-DTB policies (Mix) ------------------------------------------------ *)
+(* -- Shared-DTB policies (the closed mix) ------------------------------------ *)
 
 let check_trace label (a : Trace.t) (b : Trace.t) =
   check_int (label ^ ": recorded") (Trace.recorded a) (Trace.recorded b);
@@ -428,23 +427,24 @@ let test_mix_policies_backends () =
   List.iter
     (fun policy ->
       let run backend =
-        Mix.run_encoded ~backend ~policy ~quantum:16 ~config:Dtb.paper_config mix
+        Resilient.run_encoded ~backend ~policy ~quantum:16
+          ~config:Dtb.paper_config ~fconfig:Resilient.zero mix
       in
       let d = run `Decode and t = run `Threaded in
       let label = Dtb.policy_name policy in
-      check_int (label ^ ": total cycles") d.Mix.mr_makespan
-        t.Mix.mr_makespan;
-      check_int (label ^ ": switches") d.Mix.mr_switches t.Mix.mr_switches;
-      check_int (label ^ ": flushes") d.Mix.mr_flushes t.Mix.mr_flushes;
-      check_int (label ^ ": evictions") d.Mix.mr_evictions t.Mix.mr_evictions;
+      check_int (label ^ ": total cycles") d.Resilient.rr_makespan
+        t.Resilient.rr_makespan;
+      check_int (label ^ ": switches") d.Resilient.rr_switches t.Resilient.rr_switches;
+      check_int (label ^ ": flushes") d.Resilient.rr_flushes t.Resilient.rr_flushes;
+      check_int (label ^ ": evictions") d.Resilient.rr_evictions t.Resilient.rr_evictions;
       check_bool (label ^ ": hit ratio") true
-        (d.Mix.mr_hit_ratio = t.Mix.mr_hit_ratio);
+        (d.Resilient.rr_hit_ratio = t.Resilient.rr_hit_ratio);
       List.iter2
-        (fun (pd : Mix.program_result) (pt : Mix.program_result) ->
-          check_bool (label ^ "/" ^ pd.Mix.pr_name ^ ": program result") true
+        (fun (pd : Resilient.program_report) (pt : Resilient.program_report) ->
+          check_bool (label ^ "/" ^ pd.Resilient.pr_name ^ ": program result") true
             (pd = pt))
-        d.Mix.mr_programs t.Mix.mr_programs;
-      check_trace label d.Mix.mr_trace t.Mix.mr_trace)
+        d.Resilient.rr_programs t.Resilient.rr_programs;
+      check_trace label d.Resilient.rr_trace t.Resilient.rr_trace)
     [ Dtb.Flush_on_switch; Dtb.Tagged; Dtb.Partitioned ]
 
 (* -- Fault driver ------------------------------------------------------------- *)

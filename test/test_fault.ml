@@ -1,7 +1,7 @@
 (* Tests for the resilience subsystem: injector determinism, guard
-   checksums, DTB corruption/invalidation hooks, checkpoint rollback, the
-   zero-fault differential against Mix (cycle- and trace-identical), the
-   QCheck recovery invariant, directed triggers for each recovery
+   checksums, DTB corruption/invalidation hooks, checkpoint rollback,
+   the solo run (its memo key and its equality with the single-program
+   run), the QCheck recovery invariant, directed triggers for each recovery
    mechanism (guard detection, retry backoff, checkpoint rollback,
    watchdog downgrade), the campaign grid, and the runaway-program fuel
    guard. *)
@@ -13,7 +13,6 @@ module Kind = Uhm_encoding.Kind
 module Codec = Uhm_encoding.Codec
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_fault.Mix
 module Injector = Uhm_fault.Injector
 module Guard = Uhm_fault.Guard
 module Resilient = Uhm_fault.Resilient
@@ -259,48 +258,86 @@ let test_checkpoint_roundtrip () =
   ignore (Machine.run m);
   check_string "replay reproduces the final output" final_out (Machine.output m)
 
-(* -- The zero-fault differential: byte-identical to Mix ------------------------ *)
+(* -- The solo run -------------------------------------------------------------- *)
 
-let diff_mix = [ "fact_iter"; "gcd"; "flat_straightline" ]
-
-let test_zero_fault_differential () =
-  let programs = List.map encode diff_mix in
-  List.iter
-    (fun policy ->
-      let mix =
-        Mix.run_encoded ~trace_capacity:65536 ~policy ~quantum:64
-          ~config:Dtb.paper_config programs
-      in
-      let res =
-        Resilient.run_encoded ~trace_capacity:65536 ~policy ~quantum:64
-          ~config:Dtb.paper_config ~fconfig:Resilient.zero programs
-      in
-      let pn = Dtb.policy_name policy in
-      check_int (pn ^ ": total cycles") mix.Mix.mr_makespan
-        res.Resilient.rr_makespan;
-      check_int (pn ^ ": switches") mix.Mix.mr_switches
-        res.Resilient.rr_switches;
-      check_int (pn ^ ": flushes") mix.Mix.mr_flushes res.Resilient.rr_flushes;
+(* The memo is keyed on the encoding, not the DIR program: one compiled
+   program encoded two ways has two solo runs.  Keyed on the program, the
+   Digram encoding would be served the Huffman cycles (55896) and a
+   never-preempted Digram mix would report a 0.993x slowdown. *)
+let test_solo_keyed_on_encoding () =
+  let p = compile "fact_iter" in
+  let huffman = Codec.encode Kind.Huffman p and digram = Codec.encode Kind.Digram p in
+  let solo e = (Resilient.solo ~config:Dtb.paper_config e).Resilient.sr_cycles in
+  let single e =
+    (U.run_encoded ~strategy:(U.Dtb_strategy Dtb.paper_config) e).U.cycles
+  in
+  check_int "huffman solo cycles" 55896 (solo huffman);
+  check_int "digram solo cycles" 55499 (solo digram);
+  check_int "huffman = single-program run" (single huffman) (solo huffman);
+  check_int "digram = single-program run" (single digram) (solo digram);
+  (* the grid encodes the same program object with Digram after the
+     Huffman solo run filled the memo *)
+  match
+    Experiment.mix_grid_slots ~domains:1 ~quanta:[ Resilient.solo_quantum ]
+      ~kind:Kind.Digram ~policies:[ Dtb.Flush_on_switch ]
+      ~configs:[ Dtb.paper_config ] [ ("fact_iter", p) ]
+  with
+  | [ Uhm_core.Sweep.Completed cell ] ->
+      Alcotest.(check (list int)) "grid solo cycles" [ 55499 ]
+        cell.Experiment.mc_solo_cycles;
       List.iter2
-        (fun (a : Mix.program_result) (b : Resilient.program_report) ->
-          check_string (pn ^ ": name") a.Mix.pr_name b.Resilient.pr_name;
-          check_bool (pn ^ ": status") true
-            (a.Mix.pr_status = b.Resilient.pr_status);
-          check_string (pn ^ ": output") a.Mix.pr_output b.Resilient.pr_output;
-          check_int (pn ^ ": cycles") a.Mix.pr_cycles b.Resilient.pr_cycles;
-          check_int (pn ^ ": slices") a.Mix.pr_slices b.Resilient.pr_slices;
-          check_bool (pn ^ ": nothing injected") true
-            (b.Resilient.pr_injected = 0 && b.Resilient.pr_detected = 0
-            && b.Resilient.pr_retries = 0 && b.Resilient.pr_rollbacks = 0
-            && not b.Resilient.pr_downgraded))
-        mix.Mix.mr_programs res.Resilient.rr_programs;
-      (* the event traces are structurally identical, cycle stamps included *)
-      check_bool (pn ^ ": identical event traces") true
-        (Trace.events mix.Mix.mr_trace = Trace.events res.Resilient.rr_trace);
-      check_int (pn ^ ": identical recorded counts")
-        (Trace.recorded mix.Mix.mr_trace)
-        (Trace.recorded res.Resilient.rr_trace))
-    [ Dtb.Flush_on_switch; Dtb.Tagged; Dtb.Partitioned ]
+        (fun (pr : Resilient.program_report) solo ->
+          check_string "slowdown" "1.000"
+            (Printf.sprintf "%.3f"
+               (Resilient.slowdown ~cycles:pr.Resilient.pr_cycles ~solo));
+          check_bool "slowdown exactly 1.0" true
+            (Resilient.slowdown ~cycles:pr.Resilient.pr_cycles ~solo = 1.0))
+        cell.Experiment.mc_result.Resilient.rr_programs
+        cell.Experiment.mc_solo_cycles
+  | _ -> Alcotest.fail "expected one completed cell"
+
+(* One solo run serves the mix's slowdowns, the service's slowdowns and
+   the chaos verification, which used to be a plain single-program run
+   for the first two: pin that the two executions agree. *)
+let test_solo_equals_single_program () =
+  let programs =
+    List.map (fun n -> (n, compile n)) [ "fact_iter"; "gcd"; "flat_straightline" ]
+    @ [ ("ftn_euclid", Uhm_ftn.Suite.compile (Uhm_ftn.Suite.find "ftn_euclid")) ]
+  in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun config ->
+              List.iter
+                (fun fuel ->
+                  List.iter
+                    (fun backend ->
+                      (* a fresh encoding per backend: the memo leaves the
+                         backend out of its key *)
+                      let e = Codec.encode kind p in
+                      let at =
+                        Printf.sprintf "%s/%s/%d sets/fuel %s/%s" name
+                          (Kind.name kind) config.Dtb.sets
+                          (match fuel with None -> "-" | Some f -> string_of_int f)
+                          (match backend with `Decode -> "decode" | `Threaded -> "threaded")
+                      in
+                      let sr = Resilient.solo ?fuel ~backend ~config e in
+                      let u =
+                        U.run_encoded ?fuel ~backend
+                          ~strategy:(U.Dtb_strategy config) e
+                      in
+                      check_int (at ^ ": cycles") u.U.cycles sr.Resilient.sr_cycles;
+                      check_bool (at ^ ": status") true
+                        (u.U.status = sr.Resilient.sr_status);
+                      check_string (at ^ ": output") u.U.output
+                        sr.Resilient.sr_output)
+                    [ `Decode; `Threaded ])
+                [ None; Some 50_000 ])
+            [ Dtb.paper_config; small_config ])
+        [ Kind.Huffman; Kind.Digram ])
+    programs
 
 (* -- The recovery invariant --------------------------------------------------- *)
 
@@ -699,8 +736,10 @@ let suite =
         `Quick test_dtb_abort_translation;
       Alcotest.test_case "checkpoint/restore/replay roundtrip" `Quick
         test_checkpoint_roundtrip;
-      Alcotest.test_case "zero faults: cycle- and trace-identical to mix"
-        `Slow test_zero_fault_differential;
+      Alcotest.test_case "solo memo keyed on the encoding" `Quick
+        test_solo_keyed_on_encoding;
+      Alcotest.test_case "solo run = single-program run" `Slow
+        test_solo_equals_single_program;
       QCheck_alcotest.to_alcotest prop_recovery_invariant;
       Alcotest.test_case "trigger: guard detection and retry" `Slow
         test_trigger_guard_detection;

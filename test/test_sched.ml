@@ -11,7 +11,8 @@ module Kind = Uhm_encoding.Kind
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
 module Scheduler = Uhm_sched.Scheduler
-module Mix = Uhm_fault.Mix
+module Resilient = Uhm_fault.Resilient
+module Codec = Uhm_encoding.Codec
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -19,6 +20,9 @@ let check_string = Alcotest.(check string)
 let compile name = Suite.compile (Suite.find name)
 
 let small_config = { Dtb.sets = 8; assoc = 2; unit_words = 4; overflow_blocks = 16 }
+
+(* the closed mix: the closed-mix driver at the zero fault config *)
+let run_mix = Resilient.run ~fconfig:Resilient.zero
 
 let install dtb ~tag =
   (match Dtb.lookup dtb ~tag with `Hit _ -> () | `Miss -> ());
@@ -163,108 +167,104 @@ let golden_misses = [ 37; 36; 3236 ]
 let test_solo_quantum policy () =
   let programs = List.map (fun n -> (n, compile n)) golden_mix in
   let r =
-    Mix.run ~policy ~quantum:Mix.solo_quantum ~config:Dtb.paper_config
+    run_mix ~policy ~quantum:Resilient.solo_quantum ~config:Dtb.paper_config
       ~kind:Kind.Huffman programs
   in
   check_int "total cycles = sum of solo goldens"
     (List.fold_left ( + ) 0 golden_cycles)
-    r.Mix.mr_makespan;
-  check_int "one dispatch per program" 3 r.Mix.mr_switches;
+    r.Resilient.rr_makespan;
+  check_int "one dispatch per program" 3 r.Resilient.rr_switches;
   check_int "flushes"
     (match policy with Dtb.Flush_on_switch -> 2 | _ -> 0)
-    r.Mix.mr_flushes;
+    r.Resilient.rr_flushes;
   List.iteri
-    (fun i (pr : Mix.program_result) ->
+    (fun i (pr : Resilient.program_report) ->
       let name = List.nth golden_mix i in
-      check_int (name ^ " asid") i pr.Mix.pr_asid;
-      check_bool (name ^ " halted") true (pr.Mix.pr_status = Machine.Halted);
+      check_int (name ^ " asid") i pr.Resilient.pr_asid;
+      check_bool (name ^ " halted") true (pr.Resilient.pr_status = Machine.Halted);
       check_string (name ^ " output") (List.nth golden_outputs i)
-        pr.Mix.pr_output;
+        pr.Resilient.pr_output;
       check_int (name ^ " cycles = solo golden") (List.nth golden_cycles i)
-        pr.Mix.pr_cycles;
+        pr.Resilient.pr_cycles;
       check_int (name ^ " misses = solo golden") (List.nth golden_misses i)
-        pr.Mix.pr_dtb_misses;
-      check_int (name ^ " ran in one slice") 1 pr.Mix.pr_slices)
-    r.Mix.mr_programs
+        pr.Resilient.pr_dtb_misses;
+      check_int (name ^ " ran in one slice") 1 pr.Resilient.pr_slices)
+    r.Resilient.rr_programs
 
 (* -- Fairness: slowdown vs a solo run ---------------------------------------- *)
 
 let test_fairness_slowdown () =
   let programs =
     [ ("fib_a", compile "fib_rec"); ("fact", compile "fact_iter") ]
+    |> List.map (fun (n, p) -> (n, Codec.encode Kind.Huffman p))
   in
   let config = { Dtb.paper_config with Dtb.sets = 32; assoc = 4 } in
+  (* each program's cycles in the mix against its solo run on the mix's
+     geometry *)
+  let run ~policy ~quantum ~config =
+    let r =
+      Resilient.run_encoded ~policy ~quantum ~config ~fconfig:Resilient.zero
+        programs
+    in
+    List.map2
+      (fun (pr : Resilient.program_report) (_, e) ->
+        let solo = (Resilient.solo ~config e).Resilient.sr_cycles in
+        (pr, solo, Resilient.slowdown ~cycles:pr.Resilient.pr_cycles ~solo))
+      r.Resilient.rr_programs programs
+  in
   (* at the solo quantum and the paper geometry every program runs
      exactly as if alone, so the slowdown must be exactly 1.0 under
      every policy — no tolerance *)
   List.iter
     (fun policy ->
-      let r =
-        Mix.run ~policy ~quantum:Mix.solo_quantum ~config:Dtb.paper_config
-          ~kind:Kind.Huffman programs
-      in
       List.iter
-        (fun (pr : Mix.program_result) ->
+        (fun ((pr : Resilient.program_report), solo, slowdown) ->
           check_int
-            (pr.Mix.pr_name ^ ": solo denominator = own cycles")
-            pr.Mix.pr_cycles pr.Mix.pr_solo_cycles;
-          check_bool (pr.Mix.pr_name ^ ": slowdown exactly 1.0") true
-            (pr.Mix.pr_slowdown = 1.0))
-        r.Mix.mr_programs)
+            (pr.Resilient.pr_name ^ ": solo denominator = own cycles")
+            pr.Resilient.pr_cycles solo;
+          check_bool (pr.Resilient.pr_name ^ ": slowdown exactly 1.0") true
+            (slowdown = 1.0))
+        (run ~policy ~quantum:Resilient.solo_quantum ~config:Dtb.paper_config))
     [ Dtb.Flush_on_switch; Dtb.Partitioned; Dtb.Tagged ];
   (* under Flush_on_switch the exactness survives any geometry: each
      program starts cold with the whole buffer, which IS the solo run *)
-  let rf =
-    Mix.run ~policy:Dtb.Flush_on_switch ~quantum:Mix.solo_quantum ~config
-      ~kind:Kind.Huffman programs
-  in
   List.iter
-    (fun (pr : Mix.program_result) ->
-      check_bool (pr.Mix.pr_name ^ ": flush solo-exact at tight geometry")
-        true
-        (pr.Mix.pr_slowdown = 1.0))
-    rf.Mix.mr_programs;
+    (fun ((pr : Resilient.program_report), _, slowdown) ->
+      check_bool (pr.Resilient.pr_name ^ ": flush solo-exact at tight geometry")
+        true (slowdown = 1.0))
+    (run ~policy:Dtb.Flush_on_switch ~quantum:Resilient.solo_quantum ~config);
   (* under Partitioned at a tight geometry the metric charges for the
      shrunken partition even without preemption *)
-  let rp =
-    Mix.run ~policy:Dtb.Partitioned ~quantum:Mix.solo_quantum ~config
-      ~kind:Kind.Huffman programs
-  in
   check_bool "partition cost priced without preemption" true
     (List.exists
-       (fun (pr : Mix.program_result) -> pr.Mix.pr_slowdown > 1.0)
-       rp.Mix.mr_programs);
+       (fun (_, _, slowdown) -> slowdown > 1.0)
+       (run ~policy:Dtb.Partitioned ~quantum:Resilient.solo_quantum ~config));
   (* under contention: the denominator is quantum-independent, the ratio
      is cycles/solo, and a flushing mix can only slow programs down *)
-  let run quantum =
-    Mix.run ~policy:Dtb.Flush_on_switch ~quantum ~config ~kind:Kind.Huffman
-      programs
-  in
-  let contended = run 16 and solo = run Mix.solo_quantum in
+  let run quantum = run ~policy:Dtb.Flush_on_switch ~quantum ~config in
+  let contended = run 16 and solo = run Resilient.solo_quantum in
   List.iter2
-    (fun (pr : Mix.program_result) (ps : Mix.program_result) ->
+    (fun ((pr : Resilient.program_report), solo_c, slowdown) (_, solo_s, _) ->
       check_int
-        (pr.Mix.pr_name ^ ": solo denominator independent of quantum")
-        ps.Mix.pr_solo_cycles pr.Mix.pr_solo_cycles;
+        (pr.Resilient.pr_name ^ ": solo denominator independent of quantum")
+        solo_s solo_c;
       check_bool
         (Printf.sprintf "%s: slowdown %.3f >= 1 under flushing contention"
-           pr.Mix.pr_name pr.Mix.pr_slowdown)
-        true
-        (pr.Mix.pr_slowdown >= 1.0);
-      check_bool (pr.Mix.pr_name ^ ": slowdown = cycles / solo cycles") true
+           pr.Resilient.pr_name slowdown)
+        true (slowdown >= 1.0);
+      check_bool (pr.Resilient.pr_name ^ ": slowdown = cycles / solo cycles") true
         (Float.abs
-           (pr.Mix.pr_slowdown
-           -. (float_of_int pr.Mix.pr_cycles
-              /. float_of_int pr.Mix.pr_solo_cycles))
+           (slowdown
+           -. (float_of_int pr.Resilient.pr_cycles /. float_of_int solo_c))
         < 1e-12))
-    contended.Mix.mr_programs solo.Mix.mr_programs
+    contended solo
 
 (* -- Preempted goldens: the closed mix at q=16 -------------------------------- *)
 
 (* Literal numbers for a preempted mix (fact_iter, gcd,
    flat_straightline at q=16, paper geometry), one row per sharing
-   policy x scheduler, checked on both backends.  Mix, Resilient and
-   Serve all slice through Tenant.slice, so the differential pins
+   policy x scheduler, checked on both backends.  The closed mix, the
+   solo run and Serve all slice through Tenant.slice, so the differential pins
    between them cannot see a drift there; these can.  Each row: total
    cycles, switches, flushes, evictions; per program (cycles, slices,
    misses); Trace.recorded; an MD5 of the event window. *)
@@ -329,23 +329,23 @@ let test_preempted_goldens backend () =
           (Scheduler.policy_name scheduler)
       in
       let r =
-        Mix.run ~backend ~scheduler ~policy ~quantum:16
+        run_mix ~backend ~scheduler ~policy ~quantum:16
           ~config:Dtb.paper_config ~kind:Kind.Huffman programs
       in
-      check_int (at ^ ": total cycles") total r.Mix.mr_makespan;
-      check_int (at ^ ": switches") switches r.Mix.mr_switches;
-      check_int (at ^ ": flushes") flushes r.Mix.mr_flushes;
-      check_int (at ^ ": evictions") evictions r.Mix.mr_evictions;
+      check_int (at ^ ": total cycles") total r.Resilient.rr_makespan;
+      check_int (at ^ ": switches") switches r.Resilient.rr_switches;
+      check_int (at ^ ": flushes") flushes r.Resilient.rr_flushes;
+      check_int (at ^ ": evictions") evictions r.Resilient.rr_evictions;
       List.iter2
-        (fun (cycles, slices, misses) (pr : Mix.program_result) ->
-          let at = at ^ " " ^ pr.Mix.pr_name in
-          check_bool (at ^ " halted") true (pr.Mix.pr_status = Machine.Halted);
-          check_int (at ^ " cycles") cycles pr.Mix.pr_cycles;
-          check_int (at ^ " slices") slices pr.Mix.pr_slices;
-          check_int (at ^ " misses") misses pr.Mix.pr_dtb_misses)
-        per r.Mix.mr_programs;
-      check_int (at ^ ": events recorded") recorded (Trace.recorded r.Mix.mr_trace);
-      check_string (at ^ ": event digest") digest (trace_digest r.Mix.mr_trace))
+        (fun (cycles, slices, misses) (pr : Resilient.program_report) ->
+          let at = at ^ " " ^ pr.Resilient.pr_name in
+          check_bool (at ^ " halted") true (pr.Resilient.pr_status = Machine.Halted);
+          check_int (at ^ " cycles") cycles pr.Resilient.pr_cycles;
+          check_int (at ^ " slices") slices pr.Resilient.pr_slices;
+          check_int (at ^ " misses") misses pr.Resilient.pr_dtb_misses)
+        per r.Resilient.rr_programs;
+      check_int (at ^ ": events recorded") recorded (Trace.recorded r.Resilient.rr_trace);
+      check_string (at ^ ": event digest") digest (trace_digest r.Resilient.rr_trace))
     preempted_goldens
 
 (* -- Small quanta: the contention ordering of the policies ------------------- *)
@@ -360,21 +360,21 @@ let test_policy_ordering () =
   let programs = [ ("fib_a", compile "fib_rec"); ("fib_b", compile "fib_rec") ] in
   let config = { Dtb.paper_config with Dtb.sets = 32; assoc = 4 } in
   let run policy =
-    Mix.run ~policy ~quantum:16 ~config ~kind:Kind.Huffman programs
+    run_mix ~policy ~quantum:16 ~config ~kind:Kind.Huffman programs
   in
   let flush = run Dtb.Flush_on_switch in
   let tagged = run Dtb.Tagged in
   let part = run Dtb.Partitioned in
   List.iter
-    (fun (r : Mix.result) ->
+    (fun (r : Resilient.result) ->
       List.iter
-        (fun (pr : Mix.program_result) ->
-          check_bool "halted" true (pr.Mix.pr_status = Machine.Halted);
+        (fun (pr : Resilient.program_report) ->
+          check_bool "halted" true (pr.Resilient.pr_status = Machine.Halted);
           check_string "output correct under contention"
-            Test_golden.fib_rec_output pr.Mix.pr_output)
-        r.Mix.mr_programs)
+            Test_golden.fib_rec_output pr.Resilient.pr_output)
+        r.Resilient.rr_programs)
     [ flush; tagged; part ];
-  let h (r : Mix.result) = r.Mix.mr_hit_ratio in
+  let h (r : Resilient.result) = r.Resilient.rr_hit_ratio in
   check_bool
     (Printf.sprintf "flush (%.4f) < partitioned (%.4f)" (h flush) (h part))
     true
@@ -383,18 +383,18 @@ let test_policy_ordering () =
     (Printf.sprintf "partitioned (%.4f) < tagged (%.4f)" (h part) (h tagged))
     true
     (h part +. 0.02 < h tagged);
-  check_bool "flush actually flushed" true (flush.Mix.mr_flushes > 1000);
-  check_int "tagged never flushes" 0 tagged.Mix.mr_flushes
+  check_bool "flush actually flushed" true (flush.Resilient.rr_flushes > 1000);
+  check_int "tagged never flushes" 0 tagged.Resilient.rr_flushes
 
 (* -- Scheduling policies ----------------------------------------------------- *)
 
-let completions (r : Mix.result) =
+let completions (r : Resilient.result) =
   List.filter_map
     (fun (e : Trace.event) ->
       match e.Trace.kind with
       | Trace.Completion { asid; ok } -> Some (asid, ok)
       | _ -> None)
-    (Trace.events r.Mix.mr_trace)
+    (Trace.events r.Resilient.rr_trace)
 
 let test_srtf_completion_order () =
   (* dir_steps: fib_rec 240744 >> flat_straightline 3236 > fact_iter 2395;
@@ -404,7 +404,7 @@ let test_srtf_completion_order () =
       [ "fib_rec"; "fact_iter"; "flat_straightline" ]
   in
   let r =
-    Mix.run ~scheduler:Scheduler.Shortest_remaining ~policy:Dtb.Tagged
+    run_mix ~scheduler:Scheduler.Shortest_remaining ~policy:Dtb.Tagged
       ~quantum:64 ~config:Dtb.paper_config ~kind:Kind.Huffman programs
   in
   Alcotest.(check (list (pair int bool)))
@@ -414,7 +414,7 @@ let test_srtf_completion_order () =
   (* round-robin interleaves, so the long program still finishes last but
      the two short ones finish in ASID order *)
   let rr =
-    Mix.run ~scheduler:Scheduler.Round_robin ~policy:Dtb.Tagged ~quantum:64
+    run_mix ~scheduler:Scheduler.Round_robin ~policy:Dtb.Tagged ~quantum:64
       ~config:Dtb.paper_config ~kind:Kind.Huffman programs
   in
   Alcotest.(check (list (pair int bool)))
@@ -423,12 +423,12 @@ let test_srtf_completion_order () =
     (completions rr);
   (* contention differs with the interleaving, but the work does not *)
   List.iter2
-    (fun (a : Mix.program_result) (b : Mix.program_result) ->
-      check_int "same DIR steps under either scheduler" a.Mix.pr_dir_steps
-        b.Mix.pr_dir_steps;
-      check_string "same output under either scheduler" a.Mix.pr_output
-        b.Mix.pr_output)
-    r.Mix.mr_programs rr.Mix.mr_programs
+    (fun (a : Resilient.program_report) (b : Resilient.program_report) ->
+      check_int "same DIR steps under either scheduler" a.Resilient.pr_dir_steps
+        b.Resilient.pr_dir_steps;
+      check_string "same output under either scheduler" a.Resilient.pr_output
+        b.Resilient.pr_output)
+    r.Resilient.rr_programs rr.Resilient.rr_programs
 
 (* -- The event-trace ring ---------------------------------------------------- *)
 
@@ -437,10 +437,10 @@ let test_trace_ring_bounded () =
     [ ("fact_a", compile "fact_iter"); ("fact_b", compile "fact_iter") ]
   in
   let r =
-    Mix.run ~trace_capacity:32 ~policy:Dtb.Tagged ~quantum:16
+    run_mix ~trace_capacity:32 ~policy:Dtb.Tagged ~quantum:16
       ~config:Dtb.paper_config ~kind:Kind.Huffman programs
   in
-  let tr = r.Mix.mr_trace in
+  let tr = r.Resilient.rr_trace in
   check_int "ring capacity" 32 (Trace.capacity tr);
   check_bool "events were dropped" true (Trace.dropped tr > 0);
   check_int "window is exactly the capacity" 32 (List.length (Trace.events tr));
@@ -457,8 +457,8 @@ let test_trace_ring_bounded () =
       0 (Trace.tallies tr)
   in
   check_int "tallied dispatches = switches (exact despite drops)"
-    r.Mix.mr_switches dispatches;
-  check_bool "far more switches than the ring holds" true (r.Mix.mr_switches > 64)
+    r.Resilient.rr_switches dispatches;
+  check_bool "far more switches than the ring holds" true (r.Resilient.rr_switches > 64)
 
 (* -- Chrome trace export ----------------------------------------------------- *)
 
@@ -468,13 +468,13 @@ let test_chrome_export () =
     Array.to_list (Array.map (fun n -> (n, compile n)) names)
   in
   let r =
-    Mix.run ~policy:Dtb.Flush_on_switch ~quantum:64 ~config:Dtb.paper_config
+    run_mix ~policy:Dtb.Flush_on_switch ~quantum:64 ~config:Dtb.paper_config
       ~kind:Kind.Huffman programs
   in
   let doc =
     Trace.to_chrome
       ~names:(fun asid -> names.(asid))
-      ~end_cycle:r.Mix.mr_makespan r.Mix.mr_trace
+      ~end_cycle:r.Resilient.rr_makespan r.Resilient.rr_trace
   in
   match Perf.parse_json doc with
   | exception Failure m -> Alcotest.failf "export is not valid JSON: %s" m
@@ -528,10 +528,10 @@ let test_validation () =
     | exception Invalid_argument _ -> ()
   in
   expect_invalid "quantum 0" (fun () ->
-      Mix.run ~policy:Dtb.Tagged ~quantum:0 ~config:Dtb.paper_config
+      run_mix ~policy:Dtb.Tagged ~quantum:0 ~config:Dtb.paper_config
         ~kind:Kind.Huffman one);
   expect_invalid "no programs" (fun () ->
-      Mix.run ~policy:Dtb.Tagged ~quantum:16 ~config:Dtb.paper_config
+      run_mix ~policy:Dtb.Tagged ~quantum:16 ~config:Dtb.paper_config
         ~kind:Kind.Huffman []);
   expect_invalid "partitions wider than the sets" (fun () ->
       ignore

@@ -1,9 +1,10 @@
 (* Tests for the open-arrival translation service: the Prng extraction
    goldens, the exact nearest-rank percentile estimator against a sort
    oracle, seeded arrival-process statistics, the closed-system limit
-   that pins the serve driver to Mix's cycle counts and trace rollups
-   bit for bit, literal goldens for the open service's numbers,
-   determinism of large seeded runs at any domain count,
+   that pins the serve driver to the closed mix's cycle counts and trace
+   rollups bit for bit, literal goldens for the open service's numbers,
+   determinism of large seeded runs and of the serving grid at any
+   domain count, the grid's failed-cell rule,
    admission-queue behaviour, the eviction economy, and the dropped-
    event surfacing in Chrome exports. *)
 
@@ -15,7 +16,7 @@ module Machine = Uhm_machine.Machine
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
 module Scheduler = Uhm_sched.Scheduler
-module Mix = Uhm_fault.Mix
+module Resilient = Uhm_fault.Resilient
 module Arrival = Uhm_serve.Arrival
 module Percentile = Uhm_serve.Percentile
 module Serve = Uhm_serve.Serve
@@ -216,12 +217,13 @@ let test_bursty_and_trace_arrivals () =
   check_string "describe poisson" "poisson(rate=2.5)"
     (Arrival.describe (Arrival.Poisson { rate = 2.5 }))
 
-(* -- Tentpole: the closed-system limit pins to Mix -------------------------- *)
+(* -- The closed-system limit pins to the closed mix ------------------------- *)
 
 (* All arrivals at cycle 0, as many slots as jobs, no economy: the serve
-   driver must reproduce Mix's dispatch sequence, per-program cycle
-   counts, DTB statistics and per-ASID trace rollups bit for bit, under
-   all three sharing policies and both schedulers. *)
+   driver must reproduce the closed mix's (Resilient at the zero config)
+   dispatch sequence, per-program cycle counts, DTB statistics and
+   per-ASID trace rollups bit for bit, under all three sharing policies
+   and both schedulers. *)
 let closed_programs = [ "fact_iter"; "gcd"; "fib_rec" ]
 
 let run_closed ~policy ~scheduler ~quantum =
@@ -230,7 +232,8 @@ let run_closed ~policy ~scheduler ~quantum =
     List.map (fun (n, p) -> (n, Codec.encode Kind.Huffman p)) programs
   in
   let mix =
-    Mix.run_encoded ~scheduler ~policy ~quantum ~config:small_config encodeds
+    Resilient.run_encoded ~scheduler ~policy ~quantum ~config:small_config
+      ~fconfig:Resilient.zero encodeds
   in
   let arrivals =
     List.mapi (fun i _ -> { Arrival.at = 0; template = i }) encodeds
@@ -239,47 +242,50 @@ let run_closed ~policy ~scheduler ~quantum =
     Serve.run ~scheduler ~policy ~quantum ~config:small_config
       ~slots:(List.length encodeds) ~templates:encodeds ~arrivals ()
   in
-  (mix, served)
+  (mix, served, encodeds)
 
 let check_closed_pin ~policy ~scheduler ~quantum =
   let name = Printf.sprintf "q=%d" quantum in
-  let mix, served = run_closed ~policy ~scheduler ~quantum in
-  check_int (name ^ " total cycles") mix.Mix.mr_makespan
+  let mix, served, encodeds = run_closed ~policy ~scheduler ~quantum in
+  check_int (name ^ " total cycles") mix.Resilient.rr_makespan
     served.Serve.sv_summary.Serve.s_total_cycles;
-  check_int (name ^ " switches") mix.Mix.mr_switches
+  check_int (name ^ " switches") mix.Resilient.rr_switches
     served.Serve.sv_summary.Serve.s_switches;
-  check_int (name ^ " flushes") mix.Mix.mr_flushes
+  check_int (name ^ " flushes") mix.Resilient.rr_flushes
     served.Serve.sv_summary.Serve.s_flushes;
   Alcotest.(check (float 1e-9))
-    (name ^ " hit ratio") mix.Mix.mr_hit_ratio
+    (name ^ " hit ratio") mix.Resilient.rr_hit_ratio
     served.Serve.sv_summary.Serve.s_hit_ratio;
   check_int (name ^ " all jobs completed")
-    (List.length mix.Mix.mr_programs)
+    (List.length mix.Resilient.rr_programs)
     served.Serve.sv_summary.Serve.s_completed;
   List.iter2
-    (fun (pr : Mix.program_result) (j : Serve.job) ->
-      check_string (name ^ " name") pr.Mix.pr_name j.Serve.j_name;
-      check_int (name ^ " asid") pr.Mix.pr_asid j.Serve.j_asid;
-      check_int (name ^ " cycles") pr.Mix.pr_cycles j.Serve.j_cycles;
-      check_int (name ^ " solo") pr.Mix.pr_solo_cycles j.Serve.j_solo_cycles;
+    (fun ((pr : Resilient.program_report), (_, encoded)) (j : Serve.job) ->
+      check_string (name ^ " name") pr.Resilient.pr_name j.Serve.j_name;
+      check_int (name ^ " asid") pr.Resilient.pr_asid j.Serve.j_asid;
+      check_int (name ^ " cycles") pr.Resilient.pr_cycles j.Serve.j_cycles;
+      check_int (name ^ " solo")
+        (Resilient.solo ~config:small_config encoded).Resilient.sr_cycles
+        j.Serve.j_solo_cycles;
       (match j.Serve.j_status with
-      | Serve.Completed s when s = pr.Mix.pr_status -> ()
+      | Serve.Completed s when s = pr.Resilient.pr_status -> ()
       | _ -> Alcotest.fail (name ^ ": status mismatch"));
       check_int (name ^ " queue delay") 0 j.Serve.j_queue_delay)
-    mix.Mix.mr_programs served.Serve.sv_jobs;
+    (List.combine mix.Resilient.rr_programs encodeds)
+    served.Serve.sv_jobs;
   (* per-ASID trace rollups: the PR 3 counter families must be
      bit-identical (admits are new, and only on the serve side) *)
   List.iter
-    (fun (pr : Mix.program_result) ->
-      let m = Trace.counts mix.Mix.mr_trace pr.Mix.pr_asid in
-      let s = Trace.counts served.Serve.sv_trace pr.Mix.pr_asid in
+    (fun (pr : Resilient.program_report) ->
+      let m = Trace.counts mix.Resilient.rr_trace pr.Resilient.pr_asid in
+      let s = Trace.counts served.Serve.sv_trace pr.Resilient.pr_asid in
       check_int (name ^ " dispatches") m.Trace.c_dispatches
         s.Trace.c_dispatches;
       check_int (name ^ " flush rollup") m.Trace.c_flushes s.Trace.c_flushes;
       check_int (name ^ " translations") m.Trace.c_translations
         s.Trace.c_translations;
       check_int (name ^ " expiries") m.Trace.c_expiries s.Trace.c_expiries)
-    mix.Mix.mr_programs
+    mix.Resilient.rr_programs
 
 let test_closed_pin_policies () =
   List.iter
@@ -297,7 +303,7 @@ let test_closed_pin_srtf () =
 
 let test_closed_pin_solo_quantum () =
   check_closed_pin ~policy:Dtb.Tagged ~scheduler:Scheduler.Round_robin
-    ~quantum:Mix.solo_quantum
+    ~quantum:Resilient.solo_quantum
 
 (* -- The served numbers, pinned --------------------------------------------- *)
 
@@ -445,15 +451,21 @@ let test_determinism_large_run () =
   check_bool "tallies identical" true
     (Trace.tallies a.Serve.sv_trace = Trace.tallies b.Serve.sv_trace)
 
+(* The serving grid at fault rate 0 alone is the load study (uhmc load,
+   bench load): its cells are byte-identical at any domain count. *)
+let load_grid ?cell_fuel ~domains programs =
+  Experiment.resilience_grid_slots ~domains ?cell_fuel ~seed:3 ~jobs:120
+    ~slots:4 ~kind:Kind.Huffman
+    ~policies:[ Dtb.Flush_on_switch; Dtb.Tagged ]
+    ~fault_rates:[ 0. ] ~rates:[ 1000.0; 4000.0 ] ~config:small_config
+    programs
+
 let test_load_grid_domain_independence () =
   let programs =
     List.map (fun n -> (n, compile n)) [ "fact_iter"; "gcd" ]
   in
   let go domains =
-    Experiment.load_grid_slots ~domains ~seed:3 ~jobs:120 ~slots:4
-      ~kind:Kind.Huffman
-      ~policies:[ Dtb.Flush_on_switch; Dtb.Tagged ]
-      ~rates:[ 1000.0; 4000.0 ] ~config:small_config programs
+    load_grid ~domains programs
     |> List.map (function
          | Uhm_core.Sweep.Completed c -> c
          | Uhm_core.Sweep.Quarantined _ -> Alcotest.fail "cell quarantined")
@@ -461,18 +473,41 @@ let test_load_grid_domain_independence () =
   let one = go 1 and four = go 4 in
   check_int "cell count" 4 (List.length one);
   List.iter2
-    (fun (a : Experiment.load_cell) (b : Experiment.load_cell) ->
+    (fun (a : Experiment.resilience_cell) (b : Experiment.resilience_cell) ->
+      let serve (c : Experiment.resilience_cell) =
+        c.Experiment.rc_result.Uhm_serve.Chaos.cv_serve
+      in
       check_bool "axes match" true
-        (a.Experiment.lc_policy = b.Experiment.lc_policy
-        && a.Experiment.lc_quantum = b.Experiment.lc_quantum
-        && a.Experiment.lc_rate = b.Experiment.lc_rate);
+        (a.Experiment.rc_policy = b.Experiment.rc_policy
+        && a.Experiment.rc_quantum = b.Experiment.rc_quantum
+        && a.Experiment.rc_fault_rate = b.Experiment.rc_fault_rate
+        && a.Experiment.rc_rate = b.Experiment.rc_rate);
       check_bool "jobs byte-identical" true
-        (a.Experiment.lc_result.Serve.sv_jobs
-        = b.Experiment.lc_result.Serve.sv_jobs);
+        ((serve a).Serve.sv_jobs = (serve b).Serve.sv_jobs);
       check_bool "summary byte-identical" true
-        (a.Experiment.lc_result.Serve.sv_summary
-        = b.Experiment.lc_result.Serve.sv_summary))
+        ((serve a).Serve.sv_summary = (serve b).Serve.sv_summary))
     one four
+
+(* The grid's one failed-cell rule: an accepted job that did not halt
+   fails its cell.  With a per-job fuel budget below every template's
+   solo cost, every job runs out of fuel, so every cell is retried and
+   then quarantined, naming the fuel exhaustion. *)
+let test_load_grid_fuel_quarantines () =
+  let programs =
+    List.map (fun n -> (n, compile n)) [ "fact_iter"; "gcd" ]
+  in
+  let slots = load_grid ~cell_fuel:1000 ~domains:1 programs in
+  check_int "cell count" 4 (List.length slots);
+  List.iter
+    (function
+      | Uhm_core.Sweep.Completed _ -> Alcotest.fail "cell completed"
+      | Uhm_core.Sweep.Quarantined q ->
+          check_bool
+            ("reason names fuel exhaustion: " ^ q.Uhm_core.Sweep.q_reason)
+            true
+            (Astring_contains.contains q.Uhm_core.Sweep.q_reason
+               "ran out of fuel"))
+    slots
 
 let test_admission_queue () =
   let templates = open_templates () in
@@ -633,6 +668,8 @@ let suite =
         test_determinism_large_run;
       Alcotest.test_case "load grid domain-independent" `Quick
         test_load_grid_domain_independence;
+      Alcotest.test_case "load grid: out-of-fuel jobs quarantine" `Quick
+        test_load_grid_fuel_quarantines;
       Alcotest.test_case "admission queue bounds and shedding" `Quick
         test_admission_queue;
       Alcotest.test_case "eviction economy" `Quick test_eviction_economy;
