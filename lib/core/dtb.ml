@@ -77,10 +77,6 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable overflow_allocs : int;
-  (* observers of entry death, one call per buffer block released: the
-     threaded backend drops its compiled closures for exactly the words
-     whose directory entry dies (eviction, abort, invalidate, flush) *)
-  mutable on_drop : (addr:int -> words:int -> unit) list;
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -133,25 +129,7 @@ let create ?(last_cache = true) cfg ~buffer_base =
     misses = 0;
     evictions = 0;
     overflow_allocs = 0;
-    on_drop = [];
   }
-
-let add_drop_hook t f = t.on_drop <- f :: t.on_drop
-let remove_drop_hook t f = t.on_drop <- List.filter (fun g -> g != f) t.on_drop
-let drop_hooks t = List.length t.on_drop
-
-let fire_drop t ~addr ~words =
-  List.iter (fun f -> f ~addr ~words) t.on_drop
-
-(* An entry is dying: report its primary unit and every overflow block it
-   chained. *)
-let drop_entry t e =
-  match t.on_drop with
-  | [] -> ()
-  | _ ->
-      fire_drop t ~addr:e.unit_addr ~words:t.cfg.unit_words;
-      List.iter (fun block -> fire_drop t ~addr:block ~words:t.cfg.unit_words)
-        e.chain
 
 let rec ceil_log2 n = if n <= 1 then 0 else 1 + ceil_log2 ((n + 1) / 2)
 
@@ -256,7 +234,6 @@ let begin_translation t ~tag =
   let e = ways.(!victim) in
   if e.tag >= 0 then begin
     t.evictions <- t.evictions + 1;
-    drop_entry t e;
     (* the replacement logic releases the victim's overflow chain *)
     t.free_blocks <- e.chain @ t.free_blocks;
     e.chain <- []
@@ -319,7 +296,6 @@ let abort_translation t =
   | Some e ->
       if t.last_tag = e.tag then t.last_tag <- -1;
       e.tag <- -1;
-      drop_entry t e;
       t.free_blocks <- e.chain @ t.free_blocks;
       e.chain <- [];
       t.open_entry <- None
@@ -350,12 +326,7 @@ let flush t =
      the tag array; clearing the array without clearing the shortcut would
      let a stale hit survive the flush *)
   t.last_tag <- -1;
-  t.flushes <- t.flushes + 1;
-  (* one range drop covering the whole buffer (primaries + overflow) *)
-  (match t.on_drop with
-  | [] -> ()
-  | _ ->
-      fire_drop t ~addr:t.entries.(0).(0).unit_addr ~words:(buffer_words t))
+  t.flushes <- t.flushes + 1
 
 let invalidate_asid t ~asid =
   if t.asid_bits = 0 && t.sharing <> None then
@@ -373,7 +344,6 @@ let invalidate_asid t ~asid =
           if e.tag >= 0 && e.tag land mask = asid then begin
             incr dropped;
             e.tag <- -1;
-            drop_entry t e;
             t.free_blocks <- e.chain @ t.free_blocks;
             e.chain <- []
           end)
@@ -477,7 +447,6 @@ let invalidate t ~tag =
       if e.tag = key then begin
         dropped := true;
         e.tag <- -1;
-        drop_entry t e;
         t.free_blocks <- e.chain @ t.free_blocks;
         e.chain <- []
       end)

@@ -159,25 +159,6 @@ val corrupt_resident_tag : t -> pick:int -> flip:int -> (int * int) option
 
 val current_asid : t -> int
 
-val add_drop_hook : t -> (addr:int -> words:int -> unit) -> unit
-(** Register an observer of entry death.  Whenever a directory entry is
-    dropped — LRU eviction in {!begin_translation}, {!abort_translation},
-    {!invalidate}, {!invalidate_asid} — the hook fires once per buffer
-    block the entry owned ([addr] = block base, [words] = the unit size);
-    a {!flush} (explicit or by [Flush_on_switch]) fires it once for the
-    whole buffer range.  {!corrupt_resident_tag} does {e not} fire: the
-    buffer words themselves are untouched by a tag upset, and the
-    subsequent guard-detected {!invalidate} reports the drop.  The
-    threaded execution backend uses this to retire compiled closures
-    exactly when the translation they belong to dies. *)
-
-val remove_drop_hook : t -> (addr:int -> words:int -> unit) -> unit
-(** Unregister a hook given to {!add_drop_hook} (matched physically).
-    A threaded machine's hook is removed when the machine is recycled. *)
-
-val drop_hooks : t -> int
-(** Number of registered drop hooks. *)
-
 (** {2 Statistics} *)
 
 val hits : t -> int

@@ -382,20 +382,6 @@ let dtb_emit_hooks ~dtb ~emitted_words ~h_interp ~h_decode_assist =
     h_decode_assist;
   }
 
-(* Wire the threaded backend to the DTB lifecycle: closures may be cached
-   for any word of the buffer region (including the bootstrap INTERP), and
-   die exactly when the directory entry owning them does. *)
-let attach_threaded_dtb ~backend m ~layout ~dtb =
-  match backend with
-  | `Decode -> ()
-  | `Threaded ->
-      Machine.enable_short_compile m ~base:layout.Layout.dtb_buffer_base
-        ~size:layout.Layout.dtb_buffer_size;
-      let hook ~addr ~words = Machine.drop_short_range m ~addr ~len:words in
-      Dtb.add_drop_hook dtb hook;
-      (* a recycled machine must not stay reachable from a shared DTB *)
-      Machine.on_recycle m (fun () -> Dtb.remove_drop_hook dtb hook)
-
 (* The plain INTERP hook (paper Figure 4): charge the DTB access, transfer
    on a hit; on a miss the replacement logic installs the tag and traps to
    the dynamic translation routine. *)
@@ -436,7 +422,12 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
   let dtb = Dtb.create cfg ~buffer_base:(bootstrap_addr + 1) in
   if 1 + Dtb.buffer_words dtb > layout.Layout.dtb_buffer_size then
     invalid_arg "Uhm.run: DTB buffer does not fit its memory region";
-  attach_threaded_dtb ~backend m ~layout ~dtb;
+  (* threaded machines may compile any word of the buffer region, the
+     bootstrap INTERP included (a no-op on decode machines); a closure
+     lives until its word is rewritten, so the DTB needs no reference to
+     the machine *)
+  Machine.enable_short_compile m ~base:layout.Layout.dtb_buffer_base
+    ~size:layout.Layout.dtb_buffer_size;
   let t_dtb = timing.Timing.t_dtb in
   let emitted_words = ref 0 in
   let h_interp =
@@ -532,7 +523,9 @@ let prepare_dtb_custom ?(timing = Timing.paper) ?(fuel = default_fuel)
   if 1 + Dtb.buffer_words dtb > layout.Layout.dtb_buffer_size then
     invalid_arg
       "Uhm.prepare_dtb_custom: DTB buffer does not fit its memory region";
-  attach_threaded_dtb ~backend m ~layout ~dtb;
+  (* the buffer's compile window, as in [run_dtb] *)
+  Machine.enable_short_compile m ~base:layout.Layout.dtb_buffer_base
+    ~size:layout.Layout.dtb_buffer_size;
   let translator_entry = gen.Translate_gen.translator_entry in
   Machine.set_hooks m
     {

@@ -89,8 +89,9 @@ val run : ?timing:Timing.t -> ?fuel:int -> ?layout:Uhm_psder.Layout.t
     [backend] (default [`Decode]) selects the host execution backend; see
     {!Machine.backend}.  [`Threaded] produces identical results and
     statistics, only faster in host wall-clock time.  For DTB strategies
-    the compiled-closure cache is wired to the DTB lifecycle: closures die
-    exactly with the directory entry that owns their words.
+    short words in the translation buffer are compiled too; a closure
+    lives until its word is rewritten, which every new translation into
+    that slot does.
 
     [decode_assist] (interpreted and DTB strategies only) replaces the
     software decode routine with a single-instruction hardware decode unit —
@@ -125,8 +126,10 @@ val prepare_dtb_shared : ?timing:Timing.t -> ?fuel:int
     capacity, overflow blocks), and a program only ever executes
     translations it installed itself.  The caller drives execution with
     [Machine.run_dir_quantum] and owns [Dtb.switch_to] at context
-    switches.  On the threaded backend the machine registers a DTB drop
-    hook that {!Machine.recycle} removes again. *)
+    switches.  On the threaded backend the machine opens its short-word
+    compile window over the buffer region; the DTB keeps no reference to
+    the machine, since an entry's death changes no memory and leaves
+    every compiled word valid. *)
 
 val prepare_dtb_custom : ?timing:Timing.t -> ?fuel:int
   -> ?layout:Uhm_psder.Layout.t -> ?backend:Machine.backend

@@ -12,6 +12,10 @@
     single word — see the proof sketch in [guard.ml] — so with guards
     enabled a corrupted translation is never executed.
 
+    Recording an installation keeps a running checksum and appends the
+    word addresses to a reused buffer; a check re-reads the live words
+    without allocating.
+
     Cycle costs are charged by the caller (the resilience driver), which
     knows the machine and the [t_guard] timing parameter; this module is
     pure bookkeeping. *)

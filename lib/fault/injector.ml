@@ -63,11 +63,18 @@ type t = {
   arrivals : arrival list;
   mutable pending : (int * fault_class) list; (* explicit, sorted by step *)
   draw : Prng.t; (* target-selection randoms for explicit events *)
+  mutable next_due : int; (* the first step anything fires at; max_int = never *)
 }
 
 let gap rng p = Prng.geometric rng ~p
 
 let sat_add a b = if a > max_int - b then max_int else a + b
+
+let next_due arrivals pending =
+  List.fold_left
+    (fun m a -> min m a.a_next)
+    (match pending with (s, _) :: _ -> s | [] -> max_int)
+    arrivals
 
 let create spec ~asid =
   if asid < 0 then invalid_arg "Injector.create: negative asid";
@@ -91,45 +98,47 @@ let create spec ~asid =
       spec.explicit
     |> List.sort compare
   in
-  { arrivals; pending; draw = Prng.split root }
+  { arrivals; pending; draw = Prng.split root;
+    next_due = next_due arrivals pending }
 
 (* Target randoms come from the class's own gap stream (gap, r1, r2, gap,
    ...), so the schedule AND the targets of one class are independent of
-   every other class and of the polling stride.  A stream-less injector
-   answers without allocating: the fault-free serve path polls it on
-   every INTERP. *)
+   every other class and of the polling stride.  Below [next_due] the
+   poll answers without allocating: the serve path polls on every
+   INTERP, and almost none of them fires anything. *)
 let due t ~step =
-  match (t.arrivals, t.pending) with
-  | [], [] -> []
-  | _ ->
-      let out = ref [] in
-      List.iter
-        (fun a ->
-          while a.a_next <= step do
-            out :=
-              {
-                f_class = a.a_class;
-                f_step = a.a_next;
-                f_r1 = Prng.next_int a.a_rng;
-                f_r2 = Prng.next_int a.a_rng;
-              }
-              :: !out;
-            a.a_next <- sat_add a.a_next (gap a.a_rng a.a_rate)
-          done)
-        t.arrivals;
-      let rec take () =
-        match t.pending with
-        | (s, c) :: rest when s <= step ->
-            t.pending <- rest;
-            out :=
-              { f_class = c; f_step = s; f_r1 = Prng.next_int t.draw;
-                f_r2 = Prng.next_int t.draw }
-              :: !out;
-            take ()
-        | _ -> ()
-      in
-      take ();
-      (* firing order is by step, stable across classes *)
-      List.stable_sort
-        (fun a b -> compare a.f_step b.f_step)
-        (List.rev !out)
+  if step < t.next_due then []
+  else begin
+    let out = ref [] in
+    List.iter
+      (fun a ->
+        while a.a_next <= step do
+          out :=
+            {
+              f_class = a.a_class;
+              f_step = a.a_next;
+              f_r1 = Prng.next_int a.a_rng;
+              f_r2 = Prng.next_int a.a_rng;
+            }
+            :: !out;
+          a.a_next <- sat_add a.a_next (gap a.a_rng a.a_rate)
+        done)
+      t.arrivals;
+    let rec take () =
+      match t.pending with
+      | (s, c) :: rest when s <= step ->
+          t.pending <- rest;
+          out :=
+            { f_class = c; f_step = s; f_r1 = Prng.next_int t.draw;
+              f_r2 = Prng.next_int t.draw }
+            :: !out;
+          take ()
+      | _ -> ()
+    in
+    take ();
+    t.next_due <- next_due t.arrivals t.pending;
+    (* firing order is by step, stable across classes *)
+    List.stable_sort
+      (fun a b -> compare a.f_step b.f_step)
+      (List.rev !out)
+  end

@@ -65,4 +65,6 @@ val create : spec -> asid:int -> t
 val due : t -> step:int -> fault list
 (** All faults scheduled at or before [step], in firing order, each
     returned exactly once.  [step] must be non-decreasing across calls
-    on one stream (it is the machine's monotonic INTERP count). *)
+    on one stream (it is the machine's monotonic INTERP count).  Before
+    the stream's next scheduled step the answer is [[]], found in O(1)
+    without allocating: the serve path polls on every INTERP. *)

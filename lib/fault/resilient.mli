@@ -144,9 +144,10 @@ val run_encoded :
     [backend] (default [`Decode]) selects every machine's execution
     backend, including a downgraded program's replacement interpreter;
     under a zero-fault injector the two backends are result- and
-    trace-identical.  The threaded backend's compiled closures die with
-    their DTB entry (guard-detected invalidation included), so fault
-    recovery never executes a stale closure.
+    trace-identical.  The threaded backend's compiled closures are
+    reset by every write to their word (an injected bit flip included)
+    and by every rollback, so fault recovery never executes a stale
+    closure.
     Raises [Invalid_argument] on an empty mix, a quantum below 1, or a
     spec that can produce [Mem_word] faults without [checkpoint_every]. *)
 

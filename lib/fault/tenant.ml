@@ -202,6 +202,9 @@ let create env ~asid ~stream ~interp0 encoded =
   let buffer_words = Dtb.buffer_words dtb in
   let self = ref None in
   let t_of () = match !self with Some t -> t | None -> assert false in
+  (* the guard checks' reader over the translating machine, built once
+     it exists rather than on every hit *)
+  let peek = ref (fun (_ : int) -> 0) in
   let apply_fault m (f : Injector.fault) =
     let t = t_of () in
     let applied =
@@ -287,7 +290,7 @@ let create env ~asid ~stream ~interp0 encoded =
         else begin
           let t = t_of () in
           match
-            Guard.check t.guard ~peek:(Machine.peek m) ~dir_addr
+            Guard.check t.guard ~peek:!peek ~dir_addr
               ~start_addr:buffer_addr
           with
           | `Ok words ->
@@ -336,6 +339,7 @@ let create env ~asid ~stream ~interp0 encoded =
              ~on_end_translation ~make_interp ~dtb encoded),
         Translating )
   in
+  peek := Machine.peek machine;
   let t =
     {
       asid;

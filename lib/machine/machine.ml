@@ -55,14 +55,16 @@ let category_index = function
    Simulated memory is sparse: the default layout spans ~1.6M words but a run
    touches only a few pages of it.  Pages start as a shared all-zero page and
    are copied on first write, so creating a machine costs a small page table
-   instead of zeroing megabytes. *)
+   instead of zeroing megabytes.  The same copy-on-write makes checkpoints
+   free: a machine writes in place only the pages it owns (one byte per
+   page), a checkpoint shares the machine's pages and disowns them, and the
+   next write to a disowned page copies it first. *)
 
 let page_bits = 12
 let page_words = 1 lsl page_bits
 let page_mask = page_words - 1
 
-(* Shared by every machine; the copy-on-write check in [mem_set] keeps it
-   all-zero forever. *)
+(* Shared by every machine and never owned, so [mem_set] never writes it. *)
 let zero_page : int array = Array.make page_words 0
 
 (* -- Per-domain memory pool ---------------------------------------------------
@@ -85,15 +87,25 @@ let pool_key : page_pool Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { free_pages = []; free_page_count = 0; free_tables = [] })
 
-let alloc_page () =
+(* A page from the pool (stale contents) or a new one. *)
+let pooled_page () =
   let pool = Domain.DLS.get pool_key in
   match pool.free_pages with
   | page :: rest ->
       pool.free_pages <- rest;
       pool.free_page_count <- pool.free_page_count - 1;
-      Array.fill page 0 page_words 0;
       page
   | [] -> Array.make page_words 0
+
+let alloc_page () =
+  let page = pooled_page () in
+  Array.fill page 0 page_words 0;
+  page
+
+let copy_page src =
+  let page = pooled_page () in
+  Array.blit src 0 page 0 page_words;
+  page
 
 let alloc_page_table pages =
   let pool = Domain.DLS.get pool_key in
@@ -124,6 +136,10 @@ type t = {
   code : H.instr array;
   code_cat : int array;
   mem : int array array;
+  owned : Bytes.t;
+      (* one byte per page: [owned_byte] when the page is this machine's
+         private copy and may be written in place; anything else (the zero
+         page, a page shared with a checkpoint) is copied on write *)
   mem_words : int;
   regions : region array;
   region_cost : int array;
@@ -141,7 +157,6 @@ type t = {
   mutable dir_mode : dir_fetch_mode;
   mutable dir_buffered_unit : int;  (* IFU holds one 16-bit unit; -1 = empty *)
   mutable code_fetch_hook : (int -> int) option;
-  mutable at_recycle : unit -> unit;  (* run once by [recycle] *)
   (* threaded backend state (inert under [`Decode]) *)
   threaded : bool;
   mutable lc : (t -> unit) array;
@@ -183,6 +198,8 @@ let trap fmt = Printf.ksprintf (fun s -> raise (Machine_trap s)) fmt
 let sc_chunk_bits = 8
 let sc_chunk_words = 1 lsl sc_chunk_bits
 let sc_chunk_mask = sc_chunk_words - 1
+
+let owned_byte = '\001'
 
 (* Forward cells for the cold-path machinery: tables are created (and
    invalidated) by functions defined before the execution engine, but cold
@@ -302,6 +319,7 @@ let create ?(timing = Timing.paper) ?(fuel = 1_000_000_000)
     code = program.Asm.code;
     code_cat = code_cat_for program;
     mem = alloc_page_table pages;
+    owned = Bytes.make pages '\000';
     mem_words;
     regions;
     region_cost;
@@ -331,7 +349,6 @@ let create ?(timing = Timing.paper) ?(fuel = 1_000_000_000)
     dir_mode = Dir_uncached;
     dir_buffered_unit = -1;
     code_fetch_hook = None;
-    at_recycle = ignore;
     threaded = (backend = `Threaded);
     lc = [||];
     sc_base = max_int;
@@ -371,34 +388,6 @@ let enable_short_compile t ~base ~size =
         !cold_chunk_cell
   end
 
-(* Drop any compiled closures for words in [addr, addr+len) — the DTB
-   lifecycle's invalidation tap (eviction, flush, ASID invalidation,
-   aborted translation).  Clamped to the window; a no-op when no window is
-   open. *)
-let drop_short_range t ~addr ~len =
-  if t.sc_size > 0 && len > 0 then begin
-    let lo = if addr > t.sc_base then addr else t.sc_base in
-    let hi = min (addr + len) (t.sc_base + t.sc_size) in
-    if hi > lo then begin
-      let cold_chunk = !cold_chunk_cell and cold = !cold_short_cell in
-      let lo = lo - t.sc_base and hi = hi - t.sc_base in
-      let ci = ref (lo lsr sc_chunk_bits) in
-      let last = (hi - 1) lsr sc_chunk_bits in
-      while !ci <= last do
-        let cbase = !ci lsl sc_chunk_bits in
-        let l = max lo cbase and h = min hi (cbase + sc_chunk_words) in
-        let chunk = Array.unsafe_get t.sc_table !ci in
-        if chunk != cold_chunk then
-          (* keep the private chunk and fill it: re-pointing at the
-             shared cold chunk would force a fresh 256-slot copy on the
-             next install, and eviction-heavy programs drop ranges
-             thousands of times per run *)
-          Array.fill chunk (l - cbase) (h - l) cold;
-        incr ci
-      done
-    end
-  end
-
 let timing t = t.timing
 let reg t r = t.regs.(r)
 let set_reg t r v = t.regs.(r) <- v
@@ -409,22 +398,28 @@ let mem_get t addr =
     (Array.unsafe_get t.mem (addr lsr page_bits))
     (addr land page_mask)
 
+(* Make page [pi] this machine's private copy: a fresh zeroed page for the
+   zero page, a copy for a page shared with a checkpoint. *)
+let own_page t pi =
+  let page = Array.unsafe_get t.mem pi in
+  let fresh = if page == zero_page then alloc_page () else copy_page page in
+  Array.unsafe_set t.mem pi fresh;
+  Bytes.unsafe_set t.owned pi owned_byte;
+  fresh
+
 let mem_set t addr v =
   let pi = addr lsr page_bits in
-  let page = Array.unsafe_get t.mem pi in
   let page =
-    if page == zero_page then begin
-      let fresh = alloc_page () in
-      Array.unsafe_set t.mem pi fresh;
-      fresh
-    end
-    else page
+    if Bytes.unsafe_get t.owned pi = owned_byte then Array.unsafe_get t.mem pi
+    else own_page t pi
   in
   Array.unsafe_set page (addr land page_mask) v;
-  (* every write to simulated memory funnels through here, so dropping the
+  (* every write to simulated memory funnels through here, so resetting the
      word's compiled closure at this single point keeps the threaded
      backend's invariant: a compiled slot always agrees with a fresh decode
-     of the word now in memory *)
+     of the word now in memory.  A closure depends on nothing but its word
+     and address, so nothing else (a DTB entry's death, say) needs to
+     touch the table. *)
   if addr >= t.sc_base && addr - t.sc_base < t.sc_size then begin
     let i = addr - t.sc_base in
     let chunk = Array.unsafe_get t.sc_table (i lsr sc_chunk_bits) in
@@ -432,31 +427,31 @@ let mem_set t addr v =
       Array.unsafe_set chunk (i land sc_chunk_mask) !cold_short_cell
   end
 
-let on_recycle t f =
-  let g = t.at_recycle in
-  t.at_recycle <- (fun () -> g (); f ())
+(* Give the machine's owned pages back to the pool (a page shared with a
+   checkpoint stays with the checkpoint) and point every entry at the zero
+   page, unowned. *)
+let release_pages t =
+  let pool = Domain.DLS.get pool_key in
+  let mem = t.mem in
+  for i = 0 to Array.length mem - 1 do
+    if Bytes.unsafe_get t.owned i = owned_byte
+       && pool.free_page_count < max_pooled_pages
+    then begin
+      pool.free_pages <- Array.unsafe_get mem i :: pool.free_pages;
+      pool.free_page_count <- pool.free_page_count + 1
+    end;
+    Array.unsafe_set mem i zero_page
+  done;
+  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000'
 
 (* Return the machine's pages and page table to the domain-local pool.
    The machine must not be used afterwards: its memory now aliases pool
    storage that the next [create] on this domain will hand out again. *)
 let recycle t =
-  let f = t.at_recycle in
-  t.at_recycle <- ignore;
-  f ();
+  release_pages t;
   let pool = Domain.DLS.get pool_key in
-  let mem = t.mem in
-  for i = 0 to Array.length mem - 1 do
-    let page = Array.unsafe_get mem i in
-    if page != zero_page then begin
-      if pool.free_page_count < max_pooled_pages then begin
-        pool.free_pages <- page :: pool.free_pages;
-        pool.free_page_count <- pool.free_page_count + 1
-      end;
-      Array.unsafe_set mem i zero_page
-    end
-  done;
   if List.length pool.free_tables < max_pooled_tables then
-    pool.free_tables <- mem :: pool.free_tables
+    pool.free_tables <- t.mem :: pool.free_tables
 
 let peek t addr =
   if addr < 0 || addr >= t.mem_words then
@@ -571,18 +566,20 @@ let load_fast t addr =
 let store_fast t addr v =
   if addr < 0 || addr >= t.mem_words then trap "memory write at %d" addr;
   charge_fast t addr;
-  let page = Array.unsafe_get t.mem (addr lsr page_bits) in
-  if page != zero_page && (addr < t.sc_base || addr - t.sc_base >= t.sc_size)
-  then Array.unsafe_set page (addr land page_mask) v
+  let pi = addr lsr page_bits in
+  if Bytes.unsafe_get t.owned pi = owned_byte
+     && (addr < t.sc_base || addr - t.sc_base >= t.sc_size)
+  then Array.unsafe_set (Array.unsafe_get t.mem pi) (addr land page_mask) v
   else mem_set t addr v
 
 let push_op_fast t v =
   let sp = Array.unsafe_get t.regs H.Regs.sp in
   if sp < 0 || sp >= t.mem_words then trap "memory write at %d" sp;
   charge_fast t sp;
-  (let page = Array.unsafe_get t.mem (sp lsr page_bits) in
-   if page != zero_page && (sp < t.sc_base || sp - t.sc_base >= t.sc_size)
-   then Array.unsafe_set page (sp land page_mask) v
+  (let pi = sp lsr page_bits in
+   if Bytes.unsafe_get t.owned pi = owned_byte
+      && (sp < t.sc_base || sp - t.sc_base >= t.sc_size)
+   then Array.unsafe_set (Array.unsafe_get t.mem pi) (sp land page_mask) v
    else mem_set t sp v);
   t.stats.stack_cycles <- t.stats.stack_cycles + t.timing.Timing.t1;
   Array.unsafe_set t.regs H.Regs.sp (sp + 1)
@@ -601,9 +598,10 @@ let push_ret_fast t v =
   let rsp = Array.unsafe_get t.regs H.Regs.rsp in
   if rsp < 0 || rsp >= t.mem_words then trap "memory write at %d" rsp;
   charge_fast t rsp;
-  (let page = Array.unsafe_get t.mem (rsp lsr page_bits) in
-   if page != zero_page && (rsp < t.sc_base || rsp - t.sc_base >= t.sc_size)
-   then Array.unsafe_set page (rsp land page_mask) v
+  (let pi = rsp lsr page_bits in
+   if Bytes.unsafe_get t.owned pi = owned_byte
+      && (rsp < t.sc_base || rsp - t.sc_base >= t.sc_size)
+   then Array.unsafe_set (Array.unsafe_get t.mem pi) (rsp land page_mask) v
    else mem_set t rsp v);
   t.stats.stack_cycles <- t.stats.stack_cycles + t.timing.Timing.t1;
   Array.unsafe_set t.regs H.Regs.rsp (rsp + 1)
@@ -1431,15 +1429,19 @@ let snapshot t =
   }
 
 (* -- Checkpoints --------------------------------------------------------------
-   Full-state capture for the resilience layer's rollback-and-replay: every
-   non-zero memory page (deep copy), the register file, the pc, the status,
-   the output length and the IFU's buffered unit.  Statistics are
-   deliberately NOT captured or restored — replayed instructions are
-   re-charged, so the cycle cost of a rollback stays visible in the
-   accounts, exactly like the retranslation cost after an invalidate. *)
+   Full-state capture for the resilience layer's rollback-and-replay: the
+   page table, the register file, the pc, the status, the output length
+   and the IFU's buffered unit.  Memory is copy-on-write: the checkpoint
+   shares the machine's pages and disowns them, so taking one copies no
+   page, and a page is copied only when the machine next writes it.
+   Statistics are deliberately NOT captured or restored — replayed
+   instructions are re-charged, so the cycle cost of a rollback stays
+   visible in the accounts, exactly like the retranslation cost after an
+   invalidate. *)
 
 type checkpoint = {
-  ck_pages : (int * int array) list;
+  ck_mem : int array array;  (* never written: every page is unowned *)
+  ck_pages : int;            (* non-zero pages, what the checkpoint costs *)
   ck_regs : int array;
   ck_pc_short : bool;
   ck_pc_addr : int;
@@ -1449,12 +1451,11 @@ type checkpoint = {
 }
 
 let checkpoint t =
-  let pages = ref [] in
-  Array.iteri
-    (fun i page ->
-      if page != zero_page then pages := (i, Array.copy page) :: !pages)
-    t.mem;
+  let pages = ref 0 in
+  Array.iter (fun page -> if page != zero_page then incr pages) t.mem;
+  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
   {
+    ck_mem = Array.copy t.mem;
     ck_pages = !pages;
     ck_regs = Array.copy t.regs;
     ck_pc_short = t.pc_short;
@@ -1464,37 +1465,13 @@ let checkpoint t =
     ck_buffered = t.dir_buffered_unit;
   }
 
-let checkpoint_pages ck = List.length ck.ck_pages
+let checkpoint_pages ck = ck.ck_pages
 
 let restore t ck =
-  (* pages written since the checkpoint but absent from it go back to the
-     shared zero page (pooled, as in [recycle]) *)
-  let pool = Domain.DLS.get pool_key in
-  Array.iteri
-    (fun i page ->
-      if page != zero_page && not (List.mem_assoc i ck.ck_pages) then begin
-        if pool.free_page_count < max_pooled_pages then begin
-          pool.free_pages <- page :: pool.free_pages;
-          pool.free_page_count <- pool.free_page_count + 1
-        end;
-        Array.unsafe_set t.mem i zero_page
-      end)
-    t.mem;
-  List.iter
-    (fun (i, saved) ->
-      let page =
-        let cur = t.mem.(i) in
-        if cur == zero_page then begin
-          let fresh = alloc_page () in
-          t.mem.(i) <- fresh;
-          fresh
-        end
-        else cur
-      in
-      Array.blit saved 0 page 0 page_words)
-    ck.ck_pages;
-  (* page blits above bypass [mem_set]: conservatively drop every compiled
-     short closure so no slot can disagree with the restored memory *)
+  release_pages t;
+  Array.blit ck.ck_mem 0 t.mem 0 (Array.length t.mem);
+  (* the page swap bypasses [mem_set]: drop every compiled short closure
+     so no slot can disagree with the restored memory *)
   if t.sc_size > 0 then
     Array.fill t.sc_table 0 (Array.length t.sc_table) !cold_chunk_cell;
   Array.blit ck.ck_regs 0 t.regs 0 (Array.length t.regs);

@@ -84,17 +84,13 @@ val enable_short_compile : t -> base:int -> size:int -> unit
 (** Open the threaded backend's short-word compile window over
     [base, base+size): short words executed inside it are compiled to
     closures on their second execution (the first interprets the word, as
-    [`Decode] does) and cached until the word is overwritten,
-    {!drop_short_range} covers it, or {!restore} rewinds memory.  A no-op
-    on [`Decode] machines or when [size <= 0]; raises [Invalid_argument]
-    if the window exceeds memory. *)
-
-val drop_short_range : t -> addr:int -> len:int -> unit
-(** Drop any compiled closures for short words in [addr, addr+len) — the
-    DTB lifecycle tap (entry eviction, flush, ASID invalidation, aborted
-    translation).  Clamped to the compile window; no-op when none is
-    open.  Dropping is always safe: a dropped word is simply re-compiled
-    (or decoded) on next execution. *)
+    [`Decode] does) and cached until the word is overwritten or
+    {!restore} rewinds memory.  Every write to memory (guest stores,
+    {!poke}, DTB emission) goes through one funnel that resets the
+    written word's slot, and a closure depends only on its word and
+    address, so no other event (a DTB entry's eviction, say) needs to
+    drop anything.  A no-op on [`Decode] machines or when [size <= 0];
+    raises [Invalid_argument] if the window exceeds memory. *)
 
 val set_hooks : t -> hooks -> unit
 val set_dir_stream : t -> bits:string -> mode:dir_fetch_mode -> unit
@@ -189,34 +185,40 @@ val snapshot : t -> snapshot
     Full-state capture for the resilience layer's rollback-and-replay
     recovery (fault injection on level-1 memory).  Unlike {!snapshot},
     which is an inspection record, a {!checkpoint} can be {!restore}d:
-    it deep-copies every written memory page plus the register file, pc,
-    status, output length and the IFU's buffered unit. *)
+    it captures every written memory page plus the register file, pc,
+    status, output length and the IFU's buffered unit.  Memory is
+    copy-on-write: a checkpoint shares the machine's pages instead of
+    copying them, and the machine copies a shared page before it next
+    writes it, so a checkpoint never changes after it is taken. *)
 
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** Capture restorable state; charges no cycles.  Statistics are
-    deliberately {e not} captured: a later {!restore} leaves the cycle and
-    instruction counters running forward, so replayed work is re-charged
-    and the cost of a rollback stays visible in the accounts. *)
+(** Capture restorable state; charges no cycles and copies no page.
+    Statistics are deliberately {e not} captured: a later {!restore}
+    leaves the cycle and instruction counters running forward, so
+    replayed work is re-charged and the cost of a rollback stays visible
+    in the accounts. *)
 
 val restore : t -> checkpoint -> unit
 (** Rewind the machine to the captured state: memory pages (pages written
     since the checkpoint revert to zero), registers, pc, status, buffered
     IFU unit, and the output buffer (truncated to its checkpointed
-    length).  Statistics are left untouched — see {!checkpoint}.  Only
-    meaningful on the machine the checkpoint was taken from. *)
+    length).  The machine shares the checkpoint's pages again, copying
+    each on its next write, so one checkpoint can be restored any number
+    of times; every compiled short-word closure is reset.  Statistics
+    are left untouched — see {!checkpoint}.  Meant for the machine the
+    checkpoint was taken from (or a fresh one of the same program and
+    memory size). *)
 
 val checkpoint_pages : checkpoint -> int
-(** Number of memory pages the checkpoint copied (its cost driver). *)
-
-val on_recycle : t -> (unit -> unit) -> unit
-(** Register [f] to run when the machine is {!recycle}d (after any
-    earlier registrations) — e.g. to unregister an observer that holds
-    the machine. *)
+(** Number of non-zero memory pages the checkpoint captured, which sets
+    its cost: the resilience layer charges a level-2 transfer per page,
+    as if each were copied. *)
 
 val recycle : t -> unit
-(** Return the machine's copy-on-write pages and page table to a
+(** Return the machine's own pages (a page it shares with a
+    {!checkpoint} stays with the checkpoint) and its page table to a
     domain-local pool reused by subsequent {!create} calls on the same
     domain (grid sweeps build thousands of machines; pooling keeps that
     churn out of the GC).  The machine must not be used afterwards.

@@ -201,35 +201,38 @@ let prop_backend_sliced_invalidation =
 
 (* -- Stale-closure regression -------------------------------------------------
 
-   A tag upset leaves the buffer words untouched, so no closures retire;
-   the guard-detected recovery ([Dtb.invalidate]) is the moment the entry
-   — and its closures — must die.  Pinned at two levels: the DTB drop
-   hook's firing discipline, and a machine-level differential where both
-   backends suffer the identical corrupt-then-invalidate sequence. *)
+   A tag upset leaves the buffer words untouched, so every compiled
+   closure still agrees with memory; the guard-detected recovery
+   ([Dtb.invalidate]) is the moment the entry must die.  Pinned at two
+   levels: the directory's invalidation discipline, and a machine-level
+   differential where both backends suffer the identical
+   corrupt-then-invalidate sequence. *)
 
 let test_corruption_drop_discipline () =
   let config = { Dtb.sets = 8; assoc = 2; unit_words = 4; overflow_blocks = 8 } in
   let dtb = Dtb.create config ~buffer_base:100 in
-  let fired = ref [] in
-  Dtb.add_drop_hook dtb (fun ~addr ~words -> fired := (addr, words) :: !fired);
-  (match Dtb.lookup dtb ~tag:7 with `Hit _ -> () | `Miss -> ());
+  let hits tag = match Dtb.lookup dtb ~tag with `Hit _ -> true | `Miss -> false in
+  check_bool "cold tag misses" false (hits 7);
   Dtb.begin_translation dtb ~tag:7;
   ignore (Dtb.emit dtb 1);
   ignore (Dtb.emit dtb 2);
   ignore (Dtb.end_translation dtb);
-  check_int "install fires nothing" 0 (List.length !fired);
+  check_bool "installed tag hits" true (hits 7);
   (* flip a bit above the set-index field: the corrupted key then hashes
      to the entry's own set, i.e. a lookup of it falsely hits — the case
      the guards catch and recover via [invalidate] *)
-  (match Dtb.corrupt_resident_tag dtb ~pick:0 ~flip:10 with
+  match Dtb.corrupt_resident_tag dtb ~pick:0 ~flip:10 with
   | None -> Alcotest.fail "one entry is resident; corruption must land"
-  | Some (_old_key, new_key) ->
-      check_int "tag upset leaves words valid: no drop" 0 (List.length !fired);
+  | Some (old_key, new_key) ->
+      check_int "the upset hits the installed key" 7 old_key;
+      check_bool "the original tag is lost" false (hits 7);
+      check_bool "the corrupted key falsely hits" true (hits new_key);
       (* the guard path detects the bogus hit and invalidates the key *)
       check_bool "invalidate drops the corrupted entry" true
         (Dtb.invalidate dtb ~tag:new_key);
-      check_bool "drop hook fired for the entry's unit" true
-        (List.exists (fun (_, words) -> words = config.Dtb.unit_words) !fired))
+      check_bool "the corrupted key then misses" false (hits new_key);
+      check_bool "nothing is left to drop" false
+        (Dtb.invalidate dtb ~tag:new_key)
 
 let test_corruption_differential () =
   let p = compile "fib_rec" in
@@ -384,38 +387,6 @@ let test_long_cache_across_timings () =
         ])
     [ "fact_iter"; "flat_straightline" ]
 
-(* -- Drop hooks die with their machine ----------------------------------------
-
-   Each threaded machine registers a closure-retiring drop hook on its
-   DTB.  On a shared DTB that outlives its tenants (the serve kernel's),
-   a hook left behind by a recycled machine keeps the machine reachable
-   and is called on every later entry death.  Recycling must detach it:
-   the hook count never exceeds the live machines. *)
-
-let test_drop_hooks_follow_machines () =
-  let _, encoded = encode "fact_iter" in
-  let layout = Layout.default in
-  let dtb =
-    Dtb.create_shared ~policy:Dtb.Flush_on_switch ~programs:3 Dtb.paper_config
-      ~buffer_base:(layout.Layout.dtb_buffer_base + 1)
-  in
-  let live = Queue.create () in
-  for _ = 1 to 100 do
-    let m = U.prepare_dtb_shared ~layout ~backend:`Threaded ~dtb encoded in
-    Queue.push m live;
-    (* warm closures, then flush: every registered hook fires *)
-    ignore (Machine.run_dir_quantum m ~quantum:8);
-    Dtb.flush dtb;
-    if Queue.length live > 3 then Machine.recycle (Queue.pop live);
-    check_bool
-      (Printf.sprintf "%d hooks <= %d live machines" (Dtb.drop_hooks dtb)
-         (Queue.length live))
-      true
-      (Dtb.drop_hooks dtb <= Queue.length live)
-  done;
-  Queue.iter Machine.recycle live;
-  check_int "no hook outlives its machine" 0 (Dtb.drop_hooks dtb)
-
 (* -- Shared-DTB policies (the closed mix) ------------------------------------ *)
 
 let check_trace label (a : Trace.t) (b : Trace.t) =
@@ -502,8 +473,6 @@ let suite =
         test_self_modifying_short_loop;
       Alcotest.test_case "long-code cache across timings" `Quick
         test_long_cache_across_timings;
-      Alcotest.test_case "drop hooks follow recycled machines" `Quick
-        test_drop_hooks_follow_machines;
       Alcotest.test_case "mix policies, both backends" `Slow
         test_mix_policies_backends;
       Alcotest.test_case "zero-fault driver, both backends" `Slow

@@ -230,6 +230,19 @@ let test_dtb_abort_translation () =
 
 (* -- Checkpoint / restore roundtrip ------------------------------------------- *)
 
+(* Every word of memory, order-sensitive, read without charging cycles. *)
+let memory_digest m =
+  let h = ref 0 in
+  for a = 0 to Uhm_psder.Layout.default.Uhm_psder.Layout.mem_words - 1 do
+    h := ((!h * 1000003) + Machine.peek m a) land max_int
+  done;
+  !h
+
+(* A snapshot less its statistics, which a restore leaves running. *)
+let resume_state (s : Machine.snapshot) =
+  ( s.Machine.snap_pc, s.Machine.snap_status, s.Machine.snap_regs,
+    s.Machine.snap_op_stack, s.Machine.snap_ret_stack )
+
 let test_checkpoint_roundtrip () =
   let _, encoded = encode "fact_iter" in
   let m = U.prepare_interp encoded in
@@ -241,6 +254,7 @@ let test_checkpoint_roundtrip () =
     (Machine.checkpoint_pages ck > 0);
   let snap0 = Machine.snapshot m in
   let out0 = Machine.output m in
+  let mem0 = memory_digest m in
   ignore (Machine.run m);
   let final_out = Machine.output m in
   check_bool "the run kept writing after the checkpoint" true
@@ -255,8 +269,39 @@ let test_checkpoint_roundtrip () =
   check_bool "return stack restored" true
     (snap0.Machine.snap_ret_stack = snap1.Machine.snap_ret_stack);
   check_string "output truncated to the checkpoint" out0 (Machine.output m);
+  check_int "memory restored" mem0 (memory_digest m);
   ignore (Machine.run m);
-  check_string "replay reproduces the final output" final_out (Machine.output m)
+  check_string "replay reproduces the final output" final_out (Machine.output m);
+  (* copy-on-write: the replay wrote the checkpoint's pages again, so a
+     machine that wrote them in place (or gave them to the pool at the
+     first restore) has lost the checkpoint by now *)
+  Machine.restore m ck;
+  check_bool "second restore: same snapshot" true
+    (resume_state (Machine.snapshot m) = resume_state snap1);
+  check_int "second restore: same memory" mem0 (memory_digest m);
+  check_string "second restore: same output" out0 (Machine.output m);
+  ignore (Machine.run m);
+  check_string "second replay: same final output" final_out (Machine.output m);
+  (* the checkpoint outlives its machine: recycling [m] right after a
+     restore must not pool the pages it shares with [ck], which a fresh
+     machine on this domain would otherwise take and dirty *)
+  Machine.restore m ck;
+  Machine.recycle m;
+  let m2 = U.prepare_interp encoded in
+  ignore (Machine.run m2);
+  check_string "a new machine runs on the pooled pages" final_out
+    (Machine.output m2);
+  let m3 = U.prepare_interp encoded in
+  Machine.restore m3 ck;
+  check_int "restored into a fresh machine: same memory" mem0
+    (memory_digest m3);
+  check_bool "restored into a fresh machine: same snapshot" true
+    (resume_state (Machine.snapshot m3) = resume_state snap1);
+  ignore (Machine.run m3);
+  check_string "restored into a fresh machine: the rest of the output"
+    final_out (out0 ^ Machine.output m3);
+  Machine.recycle m2;
+  Machine.recycle m3
 
 (* -- The solo run -------------------------------------------------------------- *)
 
@@ -594,7 +639,11 @@ let test_mid_install_death_aborts () =
    (total cycles, switches, flushes, trace events recorded), then per
    program (cycles, injected, detected, retries, rollbacks, downgraded,
    arch hash).  Any drift in injection, detection, backoff, rollback,
-   downgrade or trace sequencing moves one of them. *)
+   downgrade or trace sequencing moves one of them.  The threaded backend
+   must reproduce every number: its compiled short words stay valid
+   through DTB evictions, flushes and invalidations with no drop hook,
+   because only a write to memory (which resets the word's slot) or a
+   restore (which resets them all) can change what a word means. *)
 let faulted_goldens =
   [
     ( Injector.Dtb_tag, Dtb.Tagged, (1867420, 150, 0, 2511),
@@ -639,13 +688,14 @@ let faulted_goldens =
       ] );
   ]
 
-let test_faulted_goldens () =
+let test_faulted_goldens backend () =
   List.iter
     (fun (cls, policy, (total, switches, flushes, recorded), programs) ->
       let injector = { Injector.seed = 7; rates = [ (cls, 1e-3) ]; explicit = [] } in
       let r =
-        Resilient.run_encoded ~policy ~quantum:32 ~config:Dtb.paper_config
-          ~fconfig:(Resilient.protected injector) (Lazy.force inv_programs)
+        Resilient.run_encoded ~backend ~policy ~quantum:32
+          ~config:Dtb.paper_config ~fconfig:(Resilient.protected injector)
+          (Lazy.force inv_programs)
       in
       let at = Printf.sprintf "%s/%s" (Injector.class_name cls) (Dtb.policy_name policy) in
       check_int (at ^ ": total cycles") total r.Resilient.rr_makespan;
@@ -758,7 +808,10 @@ let suite =
       Alcotest.test_case "fuel guard stops a runaway program" `Quick
         test_fuel_runaway_guard;
       Alcotest.test_case "faulted goldens: every class under tagged and flush"
-        `Slow test_faulted_goldens;
+        `Slow (test_faulted_goldens `Decode);
+      Alcotest.test_case
+        "faulted goldens, threaded: the same numbers with no drop hooks"
+        `Slow (test_faulted_goldens `Threaded);
       Alcotest.test_case "guards-off corruption traps instead of raising"
         `Quick test_guards_off_crash_traps;
     ] )
