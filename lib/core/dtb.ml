@@ -195,34 +195,37 @@ let touch t set way =
      installations are the only callers *)
   t.last_use.(t.current) <- t.clock
 
-let lookup t ~tag =
+let lookup_addr t ~tag =
   let key = key_of t tag in
   if t.use_last_cache && key = t.last_tag then begin
     (* shortcut hit: identical statistics and recency update to the full
        probe below, so hit/miss/eviction counts cannot drift *)
     t.hits <- t.hits + 1;
     touch t t.last_set t.last_way;
-    `Hit t.entries.(t.last_set).(t.last_way).unit_addr
+    t.entries.(t.last_set).(t.last_way).unit_addr
   end
-  else
+  else begin
     let set = set_of t tag in
     let ways = t.entries.(set) in
-    let rec find w =
-      if w >= Array.length ways then None
-      else if ways.(w).tag = key then Some w
-      else find (w + 1)
-    in
-    match find 0 with
-    | Some w ->
-        t.hits <- t.hits + 1;
-        touch t set w;
-        t.last_tag <- key;
-        t.last_set <- set;
-        t.last_way <- w;
-        `Hit ways.(w).unit_addr
-    | None ->
-        t.misses <- t.misses + 1;
-        `Miss
+    let n = Array.length ways in
+    let w = ref 0 in
+    while !w < n && (Array.unsafe_get ways !w).tag <> key do incr w done;
+    if !w < n then begin
+      t.hits <- t.hits + 1;
+      touch t set !w;
+      t.last_tag <- key;
+      t.last_set <- set;
+      t.last_way <- !w;
+      (Array.unsafe_get ways !w).unit_addr
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      -1
+    end
+  end
+
+let lookup t ~tag =
+  match lookup_addr t ~tag with -1 -> `Miss | addr -> `Hit addr
 
 let begin_translation t ~tag =
   if t.open_entry <> None then failwith "Dtb: translation already open";

@@ -78,11 +78,16 @@ val create_shared :
 
 val buffer_words : t -> int
 
+val lookup_addr : t -> tag:int -> int
+(** [lookup_addr t ~tag] searches the set selected by hashing [tag].  On a
+    hit, returns the buffer address of the translation (never negative)
+    and promotes the entry to most-recently-used; on a miss, returns [-1]
+    and installs nothing — call {!begin_translation}.  Allocates nothing,
+    so it is the call for per-INTERP paths. *)
+
 val lookup : t -> tag:int -> [ `Hit of int | `Miss ]
-(** [lookup t ~tag] searches the set selected by hashing [tag].  On a hit,
-    returns the buffer address of the translation and promotes the entry to
-    most-recently-used.  On a miss, nothing is installed —
-    call {!begin_translation}. *)
+(** {!lookup_addr} with the answer boxed: [`Hit addr] or [`Miss], the same
+    statistics and recency updates.  Allocates on every hit. *)
 
 val begin_translation : t -> tag:int -> unit
 (** Choose the LRU victim of [tag]'s set, release its overflow chain, store

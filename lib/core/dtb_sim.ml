@@ -54,16 +54,15 @@ let replay ?(addr_of = fun i -> i) ~config (p : Program.t) =
   let on_step i _instr =
     incr refs;
     let tag = addr_of i in
-    match Dtb.lookup dtb ~tag with
-    | `Hit _ -> ()
-    | `Miss ->
-        Dtb.begin_translation dtb ~tag;
-        let words = translation_words code.(i) in
-        emitted := !emitted + words;
-        for _ = 1 to words do
-          ignore (Dtb.emit dtb 0)
-        done;
-        ignore (Dtb.end_translation dtb)
+    if Dtb.lookup_addr dtb ~tag < 0 then begin
+      Dtb.begin_translation dtb ~tag;
+      let words = translation_words code.(i) in
+      emitted := !emitted + words;
+      for _ = 1 to words do
+        ignore (Dtb.emit dtb 0)
+      done;
+      ignore (Dtb.end_translation dtb)
+    end
   in
   let r = Uhm_dir.Interp.run ~on_step p in
   (match r.Uhm_dir.Interp.status with

@@ -377,8 +377,7 @@ let dtb_emit_hooks ~dtb ~emitted_words ~h_interp ~h_decode_assist =
             Machine.poke m a w;
             Machine.charge_mem m a)
           chain_writes);
-    h_end_trans =
-      (fun m -> Machine.set_pc m (Machine.Short (Dtb.end_translation dtb)));
+    h_end_trans = (fun m -> Machine.set_short_pc m (Dtb.end_translation dtb));
     h_decode_assist;
   }
 
@@ -388,13 +387,14 @@ let dtb_emit_hooks ~dtb ~emitted_words ~h_interp ~h_decode_assist =
 let plain_dtb_interp ~t_dtb ~dtb ~translator_entry =
   fun m ~dir_addr ~dctx ->
     Machine.add_cycles m t_dtb;
-    match Dtb.lookup dtb ~tag:dir_addr with
-    | `Hit buffer_addr -> Machine.set_pc m (Machine.Short buffer_addr)
-    | `Miss ->
-        Dtb.begin_translation dtb ~tag:dir_addr;
-        Machine.set_reg m R.dpc dir_addr;
-        Machine.set_reg m R.dctx dctx;
-        Machine.set_pc m (Machine.Long translator_entry)
+    let buffer_addr = Dtb.lookup_addr dtb ~tag:dir_addr in
+    if buffer_addr >= 0 then Machine.set_short_pc m buffer_addr
+    else begin
+      Dtb.begin_translation dtb ~tag:dir_addr;
+      Machine.set_reg m R.dpc dir_addr;
+      Machine.set_reg m R.dctx dctx;
+      Machine.set_pc m (Machine.Long translator_entry)
+    end
 
 let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
     ~block ?l2 cfg (encoded : Codec.encoded) =
@@ -438,35 +438,36 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
     | Some (cache, payload) ->
         fun m ~dir_addr ~dctx ->
           Machine.add_cycles m t_dtb;
-          (match Dtb.lookup dtb ~tag:dir_addr with
-          | `Hit buffer_addr -> Machine.set_pc m (Machine.Short buffer_addr)
-          | `Miss -> (
-              (* the replacement logic installs the tag and traps to the
-                 dynamic translation routine (paper Figure 4) *)
-              Dtb.begin_translation dtb ~tag:dir_addr;
-              Machine.set_reg m R.dpc dir_addr;
-              Machine.set_reg m R.dctx dctx;
-              Machine.add_cycles m t_dtb;
-              match Cache.access cache dir_addr with
-              | `Hit when Hashtbl.mem payload dir_addr ->
-                  (* decode skipped: the stored fields are presented to
-                     the translator's dispatch directly *)
-                  let raw : Codec.raw_instr = Hashtbl.find payload dir_addr in
-                  Machine.set_reg m 8 (Isa.opcode_to_enum raw.Codec.op);
-                  Machine.set_reg m 9 raw.Codec.ra;
-                  Machine.set_reg m 10 raw.Codec.rb;
-                  Machine.set_reg m 11 raw.Codec.rc;
-                  Machine.set_reg m R.dpc raw.Codec.next_addr;
-                  Machine.set_pc m
-                    (Machine.Long gen.Translate_gen.dispatch_entry)
-              | `Hit | `Miss ->
-                  (* record this decode for later re-translations *)
-                  Hashtbl.replace payload dir_addr
-                    (Codec.decode_at encoded
-                       ~contour:(Machine.reg m R.ctx) ~digram_ctx:dctx
-                       ~addr:dir_addr);
-                  Machine.set_pc m
-                    (Machine.Long gen.Translate_gen.translator_entry)))
+          let buffer_addr = Dtb.lookup_addr dtb ~tag:dir_addr in
+          if buffer_addr >= 0 then Machine.set_short_pc m buffer_addr
+          else begin
+            (* the replacement logic installs the tag and traps to the
+               dynamic translation routine (paper Figure 4) *)
+            Dtb.begin_translation dtb ~tag:dir_addr;
+            Machine.set_reg m R.dpc dir_addr;
+            Machine.set_reg m R.dctx dctx;
+            Machine.add_cycles m t_dtb;
+            match Cache.access cache dir_addr with
+            | `Hit when Hashtbl.mem payload dir_addr ->
+                (* decode skipped: the stored fields are presented to
+                   the translator's dispatch directly *)
+                let raw : Codec.raw_instr = Hashtbl.find payload dir_addr in
+                Machine.set_reg m 8 (Isa.opcode_to_enum raw.Codec.op);
+                Machine.set_reg m 9 raw.Codec.ra;
+                Machine.set_reg m 10 raw.Codec.rb;
+                Machine.set_reg m 11 raw.Codec.rc;
+                Machine.set_reg m R.dpc raw.Codec.next_addr;
+                Machine.set_pc m
+                  (Machine.Long gen.Translate_gen.dispatch_entry)
+            | `Hit | `Miss ->
+                (* record this decode for later re-translations *)
+                Hashtbl.replace payload dir_addr
+                  (Codec.decode_at encoded
+                     ~contour:(Machine.reg m R.ctx) ~digram_ctx:dctx
+                     ~addr:dir_addr);
+                Machine.set_pc m
+                  (Machine.Long gen.Translate_gen.translator_entry)
+          end
   in
   Machine.set_hooks m
     (dtb_emit_hooks ~dtb ~emitted_words ~h_interp
@@ -546,7 +547,7 @@ let prepare_dtb_custom ?(timing = Timing.paper) ?(fuel = default_fuel)
         (fun m ->
           let start_addr = Dtb.end_translation dtb in
           on_end_translation ~start_addr;
-          Machine.set_pc m (Machine.Short start_addr));
+          Machine.set_short_pc m start_addr);
       h_decode_assist = (fun _ -> ());
     };
   Machine.poke m bootstrap_addr

@@ -284,30 +284,28 @@ let create env ~asid ~stream ~interp0 encoded =
       | faults -> List.iter (apply_fault m) faults
     end;
     Machine.add_cycles m t_dtb;
-    match Dtb.lookup dtb ~tag:dir_addr with
-    | `Hit buffer_addr ->
-        if not guards then Machine.set_pc m (Machine.Short buffer_addr)
-        else begin
-          let t = t_of () in
-          match
-            Guard.check t.guard ~peek:!peek ~dir_addr
-              ~start_addr:buffer_addr
-          with
-          | `Ok words ->
-              Machine.add_cycles m (t_guard * words);
-              Machine.set_pc m (Machine.Short buffer_addr)
-          | `Mismatch | `Unguarded ->
-              (* a different (or no) DIR address answered: the tag array
-                 lied — drop the aliased entry and retranslate *)
-              Guard.drop t.guard ~start_addr:buffer_addr;
-              detect m ~translator_entry ~dir_addr ~dctx ~fclass:"dtb-tag"
-                ~checked_words:1
-          | `Corrupt words ->
-              Guard.drop t.guard ~start_addr:buffer_addr;
-              detect m ~translator_entry ~dir_addr ~dctx ~fclass:"psder-word"
-                ~checked_words:words
-        end
-    | `Miss -> start_translation m ~translator_entry ~dir_addr ~dctx
+    let buffer_addr = Dtb.lookup_addr dtb ~tag:dir_addr in
+    if buffer_addr < 0 then start_translation m ~translator_entry ~dir_addr ~dctx
+    else if not guards then Machine.set_short_pc m buffer_addr
+    else begin
+      let t = t_of () in
+      match
+        Guard.check t.guard ~peek:!peek ~dir_addr ~start_addr:buffer_addr
+      with
+      | `Ok words ->
+          Machine.add_cycles m (t_guard * words);
+          Machine.set_short_pc m buffer_addr
+      | `Mismatch | `Unguarded ->
+          (* a different (or no) DIR address answered: the tag array
+             lied — drop the aliased entry and retranslate *)
+          Guard.drop t.guard ~start_addr:buffer_addr;
+          detect m ~translator_entry ~dir_addr ~dctx ~fclass:"dtb-tag"
+            ~checked_words:1
+      | `Corrupt words ->
+          Guard.drop t.guard ~start_addr:buffer_addr;
+          detect m ~translator_entry ~dir_addr ~dctx ~fclass:"psder-word"
+            ~checked_words:words
+    end
   in
   let on_emit ~addr ~word =
     if guards then Guard.on_emit (t_of ()).guard ~addr ~word

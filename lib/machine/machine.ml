@@ -58,11 +58,19 @@ let category_index = function
    instead of zeroing megabytes.  The same copy-on-write makes checkpoints
    free: a machine writes in place only the pages it owns (one byte per
    page), a checkpoint shares the machine's pages and disowns them, and the
-   next write to a disowned page copies it first. *)
+   next write to a disowned page copies it first.  A page is 512 words, the
+   copy granule: between two checkpoints a machine writes its stack, data
+   and DTB-buffer pages again, and a small granule re-copies only the words
+   near each write.  A checkpoint is charged per [charge_page_bits] page
+   instead, so the granule is a host choice that no simulated number
+   sees. *)
 
-let page_bits = 12
+let page_bits = 9
 let page_words = 1 lsl page_bits
 let page_mask = page_words - 1
+
+(* The page a checkpoint is charged for: 4,096 words, eight copy pages. *)
+let charge_page_bits = 12
 
 (* Shared by every machine and never owned, so [mem_set] never writes it. *)
 let zero_page : int array = Array.make page_words 0
@@ -80,7 +88,10 @@ type page_pool = {
   mutable free_tables : int array array list;
 }
 
-let max_pooled_pages = 1024
+(* The pool holds at most 4M words (32 MB) of pages, whatever the page
+   size. *)
+let max_pooled_words = 1 lsl 22
+let max_pooled_pages = max_pooled_words / page_words
 let max_pooled_tables = 8
 
 let pool_key : page_pool Domain.DLS.key =
@@ -102,9 +113,13 @@ let alloc_page () =
   Array.fill page 0 page_words 0;
   page
 
-let copy_page src =
-  let page = pooled_page () in
-  Array.blit src 0 page 0 page_words;
+(* A typed loop, not [Array.blit]: the blit cannot know the words are
+   immediates and pays the write barrier on every one of them. *)
+let copy_page (src : int array) =
+  let page : int array = pooled_page () in
+  for i = 0 to page_words - 1 do
+    Array.unsafe_set page i (Array.unsafe_get src i)
+  done;
   page
 
 let alloc_page_table pages =
@@ -463,13 +478,15 @@ let poke t addr v =
     invalid_arg (Printf.sprintf "Machine.poke: address %d out of range" addr);
   mem_set t addr v
 
+let set_short_pc t a =
+  t.pc_short <- true;
+  t.pc_addr <- a
+
 let set_pc t = function
   | Long a ->
       t.pc_short <- false;
       t.pc_addr <- a
-  | Short a ->
-      t.pc_short <- true;
-      t.pc_addr <- a
+  | Short a -> set_short_pc t a
 
 let pc t = if t.pc_short then Short t.pc_addr else Long t.pc_addr
 let status t = t.status
@@ -1430,18 +1447,21 @@ let snapshot t =
 
 (* -- Checkpoints --------------------------------------------------------------
    Full-state capture for the resilience layer's rollback-and-replay: the
-   page table, the register file, the pc, the status, the output length
+   written pages, the register file, the pc, the status, the output length
    and the IFU's buffered unit.  Memory is copy-on-write: the checkpoint
    shares the machine's pages and disowns them, so taking one copies no
-   page, and a page is copied only when the machine next writes it.
+   page, and a page is copied only when the machine next writes it.  A
+   checkpoint lists only the non-zero pages, by index, so it costs what
+   the machine has written rather than a whole page table.
    Statistics are deliberately NOT captured or restored — replayed
    instructions are re-charged, so the cycle cost of a rollback stays
    visible in the accounts, exactly like the retranslation cost after an
    invalidate. *)
 
 type checkpoint = {
-  ck_mem : int array array;  (* never written: every page is unowned *)
-  ck_pages : int;            (* non-zero pages, what the checkpoint costs *)
+  ck_index : int array;       (* page-table index of each non-zero page *)
+  ck_page : int array array;  (* never written: every page is unowned *)
+  ck_pages : int;             (* charged pages, what the checkpoint costs *)
   ck_regs : int array;
   ck_pc_short : bool;
   ck_pc_addr : int;
@@ -1451,12 +1471,33 @@ type checkpoint = {
 }
 
 let checkpoint t =
-  let pages = ref 0 in
-  Array.iter (fun page -> if page != zero_page then incr pages) t.mem;
+  let mem = t.mem in
+  let n = ref 0 and charged = ref 0 and last = ref (-1) in
+  for i = 0 to Array.length mem - 1 do
+    if Array.unsafe_get mem i != zero_page then begin
+      incr n;
+      let c = i lsr (charge_page_bits - page_bits) in
+      if c <> !last then begin
+        incr charged;
+        last := c
+      end
+    end
+  done;
+  let ck_index = Array.make !n 0 and ck_page = Array.make !n zero_page in
+  let k = ref 0 in
+  for i = 0 to Array.length mem - 1 do
+    let page = Array.unsafe_get mem i in
+    if page != zero_page then begin
+      ck_index.(!k) <- i;
+      ck_page.(!k) <- page;
+      incr k
+    end
+  done;
   Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
   {
-    ck_mem = Array.copy t.mem;
-    ck_pages = !pages;
+    ck_index;
+    ck_page;
+    ck_pages = !charged;
     ck_regs = Array.copy t.regs;
     ck_pc_short = t.pc_short;
     ck_pc_addr = t.pc_addr;
@@ -1469,7 +1510,7 @@ let checkpoint_pages ck = ck.ck_pages
 
 let restore t ck =
   release_pages t;
-  Array.blit ck.ck_mem 0 t.mem 0 (Array.length t.mem);
+  Array.iteri (fun k i -> t.mem.(i) <- ck.ck_page.(k)) ck.ck_index;
   (* the page swap bypasses [mem_set]: drop every compiled short closure
      so no slot can disagree with the restored memory *)
   if t.sc_size > 0 then

@@ -123,6 +123,13 @@ val charge_mem : t -> int -> unit
     machine's behalf). *)
 
 val set_pc : t -> pc -> unit
+(** Set the pc.  The caller allocates the [pc] it passes; a per-INTERP
+    path uses {!set_short_pc}. *)
+
+val set_short_pc : t -> int -> unit
+(** [set_short_pc t a] is [set_pc t (Short a)] without the allocation:
+    the transfer an INTERP hit or a finished translation makes. *)
+
 val pc : t -> pc
 val status : t -> status
 val stats : t -> stats
@@ -189,7 +196,10 @@ val snapshot : t -> snapshot
     status, output length and the IFU's buffered unit.  Memory is
     copy-on-write: a checkpoint shares the machine's pages instead of
     copying them, and the machine copies a shared page before it next
-    writes it, so a checkpoint never changes after it is taken. *)
+    writes it, so a checkpoint never changes after it is taken.  A
+    checkpoint lists only the written pages; the copy granule is 512
+    words, finer than the 4,096-word page a checkpoint is charged for
+    (see {!checkpoint_pages}). *)
 
 type checkpoint
 
@@ -212,9 +222,10 @@ val restore : t -> checkpoint -> unit
     memory size). *)
 
 val checkpoint_pages : checkpoint -> int
-(** Number of non-zero memory pages the checkpoint captured, which sets
-    its cost: the resilience layer charges a level-2 transfer per page,
-    as if each were copied. *)
+(** Number of 4,096-word memory pages holding a word written before the
+    checkpoint, which sets its cost: the resilience layer charges a
+    level-2 transfer per page, as if each were copied.  The count does not
+    depend on the host's copy granule. *)
 
 val recycle : t -> unit
 (** Return the machine's own pages (a page it shares with a

@@ -460,6 +460,35 @@ let test_fault_injected_backends () =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* A DTB hit allocates nothing: [Dtb.lookup_addr] answers with an int and
+   [Machine.set_short_pc] sets the pc in place.  The second of two runs is
+   measured, so the memoised generators are warm; what is left (set-up,
+   the misses, threaded closures) stays far below half a word per INTERP,
+   where a boxed answer and a boxed pc alone would cost four. *)
+let test_dtb_hit_allocation () =
+  List.iter
+    (fun (label, backend) ->
+      List.iter
+        (fun name ->
+          let _, encoded = encode name in
+          let run () =
+            U.run_encoded ~backend ~strategy:(U.Dtb_strategy Dtb.paper_config)
+              encoded
+          in
+          ignore (run ());
+          let before = Gc.minor_words () in
+          let r = run () in
+          let words = Gc.minor_words () -. before in
+          let per =
+            words /. float_of_int r.U.machine_stats.Machine.interp_count
+          in
+          check_bool
+            (Printf.sprintf "%s, %s: %.3f minor words per INTERP < 0.5" name
+               label per)
+            true (per < 0.5))
+        [ "fib_rec"; "gcd" ])
+    [ ("decode", `Decode); ("threaded", `Threaded) ]
+
 let suite =
   ( "backend",
     [
@@ -473,6 +502,8 @@ let suite =
         test_self_modifying_short_loop;
       Alcotest.test_case "long-code cache across timings" `Quick
         test_long_cache_across_timings;
+      Alcotest.test_case "a DTB hit allocates nothing, both backends" `Quick
+        test_dtb_hit_allocation;
       Alcotest.test_case "mix policies, both backends" `Slow
         test_mix_policies_backends;
       Alcotest.test_case "zero-fault driver, both backends" `Slow

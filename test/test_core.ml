@@ -559,6 +559,64 @@ let prop_dtb_recency_matches_counter_lru =
           actual = Dtb_counter_ref.access reference tag)
         tags)
 
+(* [Dtb.lookup] and [Dtb.lookup_addr] are one probe: over a random stream
+   of (ASID, tag) references, installing on every miss, a DTB driven by
+   either — private or shared under each policy, with the last-translation
+   cache on or off — answers the same addresses and ends with the same
+   hits, misses and evictions. *)
+let prop_dtb_lookup_addr_matches_lookup =
+  let cfg = { Dtb.sets = 4; assoc = 2; unit_words = 4; overflow_blocks = 16 } in
+  let policies = [ None; Some Dtb.Flush_on_switch; Some Dtb.Tagged;
+                   Some Dtb.Partitioned ] in
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl policies)
+        (list_size (int_range 1 300)
+           (triple (int_bound 2) (int_bound 40) (int_range 1 5))))
+  in
+  let print (policy, refs) =
+    Printf.sprintf "%s [%s]"
+      (match policy with None -> "private" | Some p -> Dtb.policy_name p)
+      (String.concat ";"
+         (List.map (fun (a, t, n) -> Printf.sprintf "%d/%d/%d" a t n) refs))
+  in
+  QCheck.Test.make ~name:"dtb lookup_addr = lookup (private and shared)"
+    ~count:200 (QCheck.make ~print gen)
+    (fun (policy, refs) ->
+      let run ~boxed ~last_cache =
+        let dtb =
+          match policy with
+          | None -> Dtb.create ~last_cache cfg ~buffer_base:0
+          | Some policy ->
+              Dtb.create_shared ~last_cache ~policy ~programs:3 cfg
+                ~buffer_base:0
+        in
+        let log =
+          List.map
+            (fun (asid, tag, words) ->
+              if policy <> None then Dtb.switch_to dtb ~asid;
+              let addr =
+                if boxed then
+                  match Dtb.lookup dtb ~tag with `Hit a -> a | `Miss -> -1
+                else Dtb.lookup_addr dtb ~tag
+              in
+              if addr < 0 then begin
+                Dtb.begin_translation dtb ~tag;
+                for w = 1 to words do
+                  ignore (Dtb.emit dtb w)
+                done;
+                ignore (Dtb.end_translation dtb)
+              end;
+              addr)
+            refs
+        in
+        (log, Dtb.hits dtb, Dtb.misses dtb, Dtb.evictions dtb)
+      in
+      let reference = run ~boxed:true ~last_cache:false in
+      List.for_all
+        (fun (boxed, last_cache) -> run ~boxed ~last_cache = reference)
+        [ (false, false); (true, true); (false, true) ])
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -612,4 +670,5 @@ let suite =
         test_assoc_four_way_near_full;
       qcheck prop_machine_differential;
       qcheck prop_dtb_recency_matches_counter_lru;
+      qcheck prop_dtb_lookup_addr_matches_lookup;
     ] )

@@ -303,6 +303,39 @@ let test_checkpoint_roundtrip () =
   Machine.recycle m2;
   Machine.recycle m3
 
+(* A checkpoint is charged per 4,096-word page written, whatever the
+   granule copy-on-write copies in: two writes 512 words apart are one
+   charged page, a write in the next 4,096 words is a second.  A granule
+   first written after the checkpoint reads zero again after [restore]. *)
+let test_checkpoint_charge_granule () =
+  let b = Uhm_machine.Asm.create () in
+  let m =
+    Machine.create ~program:(Uhm_machine.Asm.finish b) ~mem_words:16384
+      ~regions:[ { Machine.rname = "ram"; base = 0; size = 16384; cost = 1 } ]
+      ()
+  in
+  check_int "nothing written: nothing charged" 0
+    (Machine.checkpoint_pages (Machine.checkpoint m));
+  Machine.poke m 100 1;
+  Machine.poke m 1000 2;
+  check_int "two granules of one page: one charged page" 1
+    (Machine.checkpoint_pages (Machine.checkpoint m));
+  Machine.poke m 4200 3;
+  let ck = Machine.checkpoint m in
+  check_int "a second page: two charged pages" 2 (Machine.checkpoint_pages ck);
+  Machine.poke m 100 7;
+  Machine.poke m 2100 4;
+  Machine.poke m 9000 5;
+  Machine.restore m ck;
+  check_int "a rewritten word reverts" 1 (Machine.peek m 100);
+  check_int "a word written alongside" 2 (Machine.peek m 1000);
+  check_int "a later granule of a charged page reads zero" 0
+    (Machine.peek m 2100);
+  check_int "a page first written after the checkpoint reads zero" 0
+    (Machine.peek m 9000);
+  check_int "restored pages: still two" 2
+    (Machine.checkpoint_pages (Machine.checkpoint m))
+
 (* -- The solo run -------------------------------------------------------------- *)
 
 (* The memo is keyed on the encoding, not the DIR program: one compiled
@@ -786,6 +819,8 @@ let suite =
         `Quick test_dtb_abort_translation;
       Alcotest.test_case "checkpoint/restore/replay roundtrip" `Quick
         test_checkpoint_roundtrip;
+      Alcotest.test_case "checkpoint charge ignores the copy granule" `Quick
+        test_checkpoint_charge_granule;
       Alcotest.test_case "solo memo keyed on the encoding" `Quick
         test_solo_keyed_on_encoding;
       Alcotest.test_case "solo run = single-program run" `Slow
