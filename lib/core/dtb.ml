@@ -1,5 +1,3 @@
-module SF = Uhm_machine.Short_format
-
 type config = {
   sets : int;
   assoc : int;
@@ -31,15 +29,25 @@ let policy_name = function
 type entry = {
   mutable tag : int;          (* lookup key; -1 invalid *)
   mutable stamp : int;        (* recency timestamp; larger = more recent *)
-  mutable chain : int list;   (* overflow block addresses owned *)
+  mutable chain : int;        (* overflow blocks owned: the index of the
+                                 most recently linked one, the rest
+                                 through [next]; -1 = none *)
   unit_addr : int;            (* primary unit address *)
 }
+
+(* The open-translation slot when no translation is open; never mutated. *)
+let closed = { tag = -1; stamp = 0; chain = -1; unit_addr = -1 }
 
 type t = {
   cfg : config;
   entries : entry array array; (* sets x ways *)
   mutable clock : int;         (* recency clock for the replacement array *)
-  mutable free_blocks : int list;
+  (* overflow blocks, by index: [next] links each owned chain and the free
+     list, -1 ending both; [free_canonical] is [next] as [create] builds
+     it, block 0 first, which [flush] restores without allocating *)
+  next : int array;
+  free_canonical : int array;
+  mutable free_head : int;
   overflow_base : int;         (* first overflow block address *)
   (* single-entry "last translation" cache in front of the tag array: the
      common hit-again-immediately case (a tight DIR loop re-entering the
@@ -67,10 +75,12 @@ type t = {
   last_use : int array;
   mutable flushes : int;
   (* open translation state *)
-  mutable open_entry : entry option;
+  mutable open_entry : entry;  (* [closed] when none is open *)
   mutable cursor : int;       (* next write address *)
   mutable block_end : int;    (* first address past the current block's
                                  payload (the reserved chain slot) *)
+  mutable chain_slot : int;   (* the slot the last [emit] linked through;
+                                 -1 if it stayed in its block *)
   mutable start_addr : int;
   (* statistics *)
   mutable hits : int;
@@ -94,21 +104,23 @@ let create ?(last_cache = true) cfg ~buffer_base =
               tag = -1;
               (* way 0 most recent, way [assoc-1] first victim *)
               stamp = -w;
-              chain = [];
+              chain = -1;
               unit_addr =
                 buffer_base + (((s * cfg.assoc) + w) * cfg.unit_words);
             }))
   in
   let overflow_base = buffer_base + (cfg.sets * cfg.assoc * cfg.unit_words) in
-  let free_blocks =
-    List.init cfg.overflow_blocks (fun i ->
-        overflow_base + (i * cfg.unit_words))
+  let free_canonical =
+    Array.init cfg.overflow_blocks (fun i ->
+        if i + 1 < cfg.overflow_blocks then i + 1 else -1)
   in
   {
     cfg;
     entries;
     clock = 0;
-    free_blocks;
+    next = Array.copy free_canonical;
+    free_canonical;
+    free_head = (if cfg.overflow_blocks > 0 then 0 else -1);
     overflow_base;
     use_last_cache = last_cache;
     last_tag = -1;
@@ -121,9 +133,10 @@ let create ?(last_cache = true) cfg ~buffer_base =
     current = 0;
     last_use = Array.make 1 0;
     flushes = 0;
-    open_entry = None;
+    open_entry = closed;
     cursor = 0;
     block_end = 0;
+    chain_slot = -1;
     start_addr = 0;
     hits = 0;
     misses = 0;
@@ -227,19 +240,33 @@ let lookup_addr t ~tag =
 let lookup t ~tag =
   match lookup_addr t ~tag with -1 -> `Miss | addr -> `Hit addr
 
+(* Return [e]'s overflow chain to the front of the free list, most
+   recently linked block first. *)
+let release_chain t e =
+  if e.chain >= 0 then begin
+    let b = ref e.chain in
+    while t.next.(!b) >= 0 do
+      b := t.next.(!b)
+    done;
+    t.next.(!b) <- t.free_head;
+    t.free_head <- e.chain;
+    e.chain <- -1
+  end
+
 let begin_translation t ~tag =
-  if t.open_entry <> None then failwith "Dtb: translation already open";
+  if t.open_entry != closed then failwith "Dtb: translation already open";
   let key = key_of t tag in
   let set = set_of t tag in
   let ways = t.entries.(set) in
   let victim = ref 0 in
-  Array.iteri (fun w e -> if e.stamp < ways.(!victim).stamp then victim := w) ways;
+  for w = 1 to Array.length ways - 1 do
+    if ways.(w).stamp < ways.(!victim).stamp then victim := w
+  done;
   let e = ways.(!victim) in
   if e.tag >= 0 then begin
     t.evictions <- t.evictions + 1;
     (* the replacement logic releases the victim's overflow chain *)
-    t.free_blocks <- e.chain @ t.free_blocks;
-    e.chain <- []
+    release_chain t e
   end;
   e.tag <- key;
   touch t set !victim;
@@ -248,44 +275,43 @@ let begin_translation t ~tag =
   t.last_tag <- key;
   t.last_set <- set;
   t.last_way <- !victim;
-  t.open_entry <- Some e;
+  t.open_entry <- e;
   t.cursor <- e.unit_addr;
   t.block_end <- e.unit_addr + t.cfg.unit_words - 1;
   t.start_addr <- e.unit_addr
 
 let emit t _word =
-  let e =
-    match t.open_entry with
-    | Some e -> e
-    | None -> failwith "Dtb.emit: no open translation"
-  in
+  let e = t.open_entry in
+  if e == closed then failwith "Dtb.emit: no open translation";
   if t.cursor < t.block_end then begin
     let addr = t.cursor in
     t.cursor <- addr + 1;
-    (addr, [])
+    t.chain_slot <- -1;
+    addr
   end
   else begin
     (* current block full: chain a fresh overflow block through the
        reserved slot *)
-    match t.free_blocks with
-    | [] -> failwith "Dtb.emit: overflow area exhausted"
-    | block :: rest ->
-        t.free_blocks <- rest;
-        t.overflow_allocs <- t.overflow_allocs + 1;
-        e.chain <- block :: e.chain;
-        let goto_addr = t.block_end in
-        let goto_word = SF.pack SF.Goto block in
-        t.cursor <- block + 1;
-        t.block_end <- block + t.cfg.unit_words - 1;
-        (block, [ (goto_addr, goto_word) ])
+    let b = t.free_head in
+    if b < 0 then failwith "Dtb.emit: overflow area exhausted";
+    t.free_head <- t.next.(b);
+    t.overflow_allocs <- t.overflow_allocs + 1;
+    t.next.(b) <- e.chain;
+    e.chain <- b;
+    t.chain_slot <- t.block_end;
+    let block = t.overflow_base + (b * t.cfg.unit_words) in
+    t.cursor <- block + 1;
+    t.block_end <- block + t.cfg.unit_words - 1;
+    block
   end
 
+let chain_slot t = t.chain_slot
+
 let end_translation t =
-  match t.open_entry with
-  | None -> failwith "Dtb.end_translation: no open translation"
-  | Some _ ->
-      t.open_entry <- None;
-      t.start_addr
+  if t.open_entry == closed then
+    failwith "Dtb.end_translation: no open translation";
+  t.open_entry <- closed;
+  t.start_addr
 
 (* A translation that will never complete — the translating machine
    stopped on a fault mid-install — must not leave the directory open:
@@ -294,14 +320,12 @@ let end_translation t =
    at [begin_translation]) and returns its overflow chain, leaving the
    directory exactly as if the miss had never been serviced. *)
 let abort_translation t =
-  match t.open_entry with
-  | None -> failwith "Dtb.abort_translation: no open translation"
-  | Some e ->
-      if t.last_tag = e.tag then t.last_tag <- -1;
-      e.tag <- -1;
-      t.free_blocks <- e.chain @ t.free_blocks;
-      e.chain <- [];
-      t.open_entry <- None
+  let e = t.open_entry in
+  if e == closed then failwith "Dtb.abort_translation: no open translation";
+  if t.last_tag = e.tag then t.last_tag <- -1;
+  e.tag <- -1;
+  release_chain t e;
+  t.open_entry <- closed
 
 (* -- Multiprogramming --------------------------------------------------------
 
@@ -312,19 +336,18 @@ let abort_translation t =
    bit for bit.  Cumulative statistics and the recency clock survive. *)
 
 let flush t =
-  if t.open_entry <> None then failwith "Dtb.flush: translation open";
-  Array.iter
-    (fun ways ->
-      Array.iteri
-        (fun w e ->
-          e.tag <- -1;
-          e.stamp <- -w;
-          e.chain <- [])
-        ways)
-    t.entries;
-  t.free_blocks <-
-    List.init t.cfg.overflow_blocks (fun i ->
-        t.overflow_base + (i * t.cfg.unit_words));
+  if t.open_entry != closed then failwith "Dtb.flush: translation open";
+  for s = 0 to Array.length t.entries - 1 do
+    let ways = t.entries.(s) in
+    for w = 0 to Array.length ways - 1 do
+      let e = ways.(w) in
+      e.tag <- -1;
+      e.stamp <- -w;
+      e.chain <- -1
+    done
+  done;
+  Array.blit t.free_canonical 0 t.next 0 (Array.length t.next);
+  t.free_head <- (if Array.length t.next > 0 then 0 else -1);
   (* PR 2's single-entry shortcut caches a (key, set, way) triple outside
      the tag array; clearing the array without clearing the shortcut would
      let a stale hit survive the flush *)
@@ -337,7 +360,8 @@ let invalidate_asid t ~asid =
   if t.sharing = None then invalid_arg "Dtb.invalidate_asid: private DTB";
   if asid < 0 || asid >= t.programs then
     invalid_arg "Dtb.invalidate_asid: ASID out of range";
-  if t.open_entry <> None then failwith "Dtb.invalidate_asid: translation open";
+  if t.open_entry != closed then
+    failwith "Dtb.invalidate_asid: translation open";
   let mask = (1 lsl t.asid_bits) - 1 in
   let dropped = ref 0 in
   Array.iter
@@ -347,8 +371,7 @@ let invalidate_asid t ~asid =
           if e.tag >= 0 && e.tag land mask = asid then begin
             incr dropped;
             e.tag <- -1;
-            t.free_blocks <- e.chain @ t.free_blocks;
-            e.chain <- []
+            release_chain t e
           end)
         ways)
     t.entries;
@@ -441,7 +464,7 @@ let reset_stats t =
    caches. *)
 
 let invalidate t ~tag =
-  if t.open_entry <> None then failwith "Dtb.invalidate: translation open";
+  if t.open_entry != closed then failwith "Dtb.invalidate: translation open";
   let key = key_of t tag in
   let set = set_of t tag in
   let dropped = ref false in
@@ -450,8 +473,7 @@ let invalidate t ~tag =
       if e.tag = key then begin
         dropped := true;
         e.tag <- -1;
-        t.free_blocks <- e.chain @ t.free_blocks;
-        e.chain <- []
+        release_chain t e
       end)
     t.entries.(set);
   if t.last_tag = key then t.last_tag <- -1;
@@ -462,7 +484,7 @@ let invalidate t ~tag =
 let key_flip_bits = 20
 
 let corrupt_resident_tag t ~pick ~flip =
-  if t.open_entry <> None then
+  if t.open_entry != closed then
     failwith "Dtb.corrupt_resident_tag: translation open";
   let resident = resident_entries t in
   if resident = 0 then None

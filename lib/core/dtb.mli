@@ -94,13 +94,19 @@ val begin_translation : t -> tag:int -> unit
     the new tag, and reset the emission cursor to the entry's primary
     unit. *)
 
-val emit : t -> int -> int * (int * int) list
-(** [emit t word] appends [word] to the open translation and returns
-    [(address_written, chain_writes)] where [chain_writes] are
-    [(address, goto_word)] pairs the hardware wrote to link an overflow
-    block.  The caller pokes all the words into the buffer region and
-    charges their write time.  Raises [Failure] if the overflow area is
-    exhausted or no translation is open. *)
+val emit : t -> int -> int
+(** [emit t word] appends [word] to the open translation and returns the
+    address it goes to.  When the current block is full, the hardware
+    links a fresh overflow block through the block's reserved last slot
+    ({!chain_slot}) and the word goes to the new block's first slot.  The
+    caller pokes the word (and the link) into the buffer region and
+    charges their write time.  Allocates nothing.  Raises [Failure] if
+    the overflow area is exhausted or no translation is open. *)
+
+val chain_slot : t -> int
+(** The reserved slot the last {!emit} linked an overflow block through,
+    or [-1] if that word stayed in its block.  The slot holds a [Goto] to
+    the address that {!emit} returned. *)
 
 val end_translation : t -> int
 (** Close the open translation and return its start address. *)

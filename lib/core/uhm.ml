@@ -356,35 +356,11 @@ let run_interpreted ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist
   finish ~runner ~strategy ~p ~static_size_bits:encoded.Codec.size_bits
     ~support_size_bits:support ?icache m
 
-(* -- The DTB hook set ---------------------------------------------------------
-   The IU2-side hooks every DTB configuration shares.  EmitShort appends
-   the word to the open translation (poking chain words when an overflow
-   block is linked in); EndTrans transfers to the finished translation.
-   Only the INTERP hook varies between the plain, two-level and shared
-   configurations. *)
-
-let dtb_emit_hooks ~dtb ~emitted_words ~h_interp ~h_decode_assist =
-  {
-    Machine.h_interp;
-    h_emit_short =
-      (fun m word ->
-        incr emitted_words;
-        let addr, chain_writes = Dtb.emit dtb word in
-        Machine.poke m addr word;
-        Machine.charge_mem m addr;
-        List.iter
-          (fun (a, w) ->
-            Machine.poke m a w;
-            Machine.charge_mem m a)
-          chain_writes);
-    h_end_trans = (fun m -> Machine.set_short_pc m (Dtb.end_translation dtb));
-    h_decode_assist;
-  }
-
 (* The plain INTERP hook (paper Figure 4): charge the DTB access, transfer
    on a hit; on a miss the replacement logic installs the tag and traps to
    the dynamic translation routine. *)
 let plain_dtb_interp ~t_dtb ~dtb ~translator_entry =
+  let translator = Machine.Long translator_entry in
   fun m ~dir_addr ~dctx ->
     Machine.add_cycles m t_dtb;
     let buffer_addr = Dtb.lookup_addr dtb ~tag:dir_addr in
@@ -393,13 +369,77 @@ let plain_dtb_interp ~t_dtb ~dtb ~translator_entry =
       Dtb.begin_translation dtb ~tag:dir_addr;
       Machine.set_reg m R.dpc dir_addr;
       Machine.set_reg m R.dctx dctx;
-      Machine.set_pc m (Machine.Long translator_entry)
+      Machine.set_pc m translator
     end
+
+(* -- The DTB machine ----------------------------------------------------------
+   Every DTB configuration — the private runs of [run_dtb] and the shared,
+   guarded machines of [prepare_dtb_custom] — runs on a machine built
+   here: the generated translator, its tables, the DIR stream, the
+   buffer's short-compile window, the bootstrap INTERP and one hook set.
+   EmitShort appends the word to the open translation (poking the chain
+   word too when an overflow block is linked in); EndTrans transfers to
+   the finished translation.  [on_emit] sees every buffer word written,
+   chain words included, and [on_end_translation] every completed
+   translation's start address.  Only the INTERP hook, built by
+   [make_interp] from the generated code, varies between
+   configurations. *)
+let dtb_machine ~timing ~fuel ~layout ~backend ~compound ~block ~assist
+    ~emitted_words ~on_emit ~on_end_translation ~make_interp ~dtb
+    (encoded : Codec.encoded) =
+  let gen = translate_gen_memoized ~compound ~block ~assist ~layout ~encoded in
+  let m =
+    setup_machine ~timing ~fuel ~layout ~backend
+      ~program:gen.Translate_gen.program encoded.Codec.program
+  in
+  Array.iteri
+    (fun i w -> Machine.poke m (layout.Layout.table_base + i) w)
+    gen.Translate_gen.table_image;
+  Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode:Machine.Dir_uncached;
+  let bootstrap_addr = layout.Layout.dtb_buffer_base in
+  if 1 + Dtb.buffer_words dtb > layout.Layout.dtb_buffer_size then
+    invalid_arg "Uhm: DTB buffer does not fit its memory region";
+  (* threaded machines may compile any word of the buffer region, the
+     bootstrap INTERP included (a no-op on decode machines); a closure
+     lives until its word is rewritten, so the DTB needs no reference to
+     the machine *)
+  Machine.enable_short_compile m ~base:layout.Layout.dtb_buffer_base
+    ~size:layout.Layout.dtb_buffer_size;
+  Machine.set_hooks m
+    {
+      Machine.h_interp = make_interp gen;
+      h_emit_short =
+        (fun m word ->
+          incr emitted_words;
+          let addr = Dtb.emit dtb word in
+          Machine.poke m addr word;
+          Machine.charge_mem m addr;
+          on_emit ~addr ~word;
+          let slot = Dtb.chain_slot dtb in
+          if slot >= 0 then begin
+            let goto = SF.pack SF.Goto addr in
+            Machine.poke m slot goto;
+            Machine.charge_mem m slot;
+            on_emit ~addr:slot ~word:goto
+          end);
+      h_end_trans =
+        (fun m ->
+          let start_addr = Dtb.end_translation dtb in
+          on_end_translation ~start_addr;
+          Machine.set_short_pc m start_addr);
+      h_decode_assist =
+        (if assist then assist_hook encoded else fun _ -> ());
+    };
+  Machine.poke m bootstrap_addr
+    (SF.pack ~ctx:Stats.start_context SF.Interp_imm encoded.Codec.entry_addr);
+  Machine.set_pc m (Machine.Short bootstrap_addr);
+  (m, gen)
+
+let no_emit_tap ~addr:_ ~word:_ = ()
+let no_end_tap ~start_addr:_ = ()
 
 let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
     ~block ?l2 cfg (encoded : Codec.encoded) =
-  let p = encoded.Codec.program in
-  let gen = translate_gen_memoized ~compound ~block ~assist ~layout ~encoded in
   (* second-level decoded-instruction store (multi-level translation,
      paper section 4): presence is a fully-associative LRU of [l2] entries;
      the decoded fields are the "hardware" payload *)
@@ -410,31 +450,12 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
          Hashtbl.create 256))
       l2
   in
-  let m =
-    setup_machine ~timing ~fuel ~layout ~backend
-      ~program:gen.Translate_gen.program p
-  in
-  Array.iteri
-    (fun i w -> Machine.poke m (layout.Layout.table_base + i) w)
-    gen.Translate_gen.table_image;
-  Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode:Machine.Dir_uncached;
-  let bootstrap_addr = layout.Layout.dtb_buffer_base in
-  let dtb = Dtb.create cfg ~buffer_base:(bootstrap_addr + 1) in
-  if 1 + Dtb.buffer_words dtb > layout.Layout.dtb_buffer_size then
-    invalid_arg "Uhm.run: DTB buffer does not fit its memory region";
-  (* threaded machines may compile any word of the buffer region, the
-     bootstrap INTERP included (a no-op on decode machines); a closure
-     lives until its word is rewritten, so the DTB needs no reference to
-     the machine *)
-  Machine.enable_short_compile m ~base:layout.Layout.dtb_buffer_base
-    ~size:layout.Layout.dtb_buffer_size;
+  let dtb = Dtb.create cfg ~buffer_base:(layout.Layout.dtb_buffer_base + 1) in
   let t_dtb = timing.Timing.t_dtb in
-  let emitted_words = ref 0 in
-  let h_interp =
+  let make_interp gen =
+    let translator_entry = gen.Translate_gen.translator_entry in
     match l2_cache with
-    | None ->
-        plain_dtb_interp ~t_dtb ~dtb
-          ~translator_entry:gen.Translate_gen.translator_entry
+    | None -> plain_dtb_interp ~t_dtb ~dtb ~translator_entry
     | Some (cache, payload) ->
         fun m ~dir_addr ~dctx ->
           Machine.add_cycles m t_dtb;
@@ -465,25 +486,24 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
                   (Codec.decode_at encoded
                      ~contour:(Machine.reg m R.ctx) ~digram_ctx:dctx
                      ~addr:dir_addr);
-                Machine.set_pc m
-                  (Machine.Long gen.Translate_gen.translator_entry)
+                Machine.set_pc m (Machine.Long translator_entry)
           end
   in
-  Machine.set_hooks m
-    (dtb_emit_hooks ~dtb ~emitted_words ~h_interp
-       ~h_decode_assist:(if assist then assist_hook encoded else fun _ -> ()));
-  Machine.poke m bootstrap_addr
-    (SF.pack ~ctx:Stats.start_context SF.Interp_imm encoded.Codec.entry_addr);
-  Machine.set_pc m (Machine.Short bootstrap_addr);
+  let emitted_words = ref 0 in
+  let m, gen =
+    dtb_machine ~timing ~fuel ~layout ~backend ~compound ~block ~assist
+      ~emitted_words ~on_emit:no_emit_tap ~on_end_translation:no_end_tap
+      ~make_interp ~dtb encoded
+  in
   let support =
     host_word_bits
     * (Array.length gen.Translate_gen.program.Asm.code
       + Array.length gen.Translate_gen.table_image)
     + (SF.bits_per_word * Dtb.buffer_words dtb)
   in
-  finish ~runner ~strategy ~p ~static_size_bits:encoded.Codec.size_bits
-    ~support_size_bits:support ~dtb ~emitted_words
-    ?l2_cache:(Option.map fst l2_cache) m
+  finish ~runner ~strategy ~p:encoded.Codec.program
+    ~static_size_bits:encoded.Codec.size_bits ~support_size_bits:support ~dtb
+    ~emitted_words ?l2_cache:(Option.map fst l2_cache) m
 
 (* A machine time-slicing over a *shared* DTB: everything [run_dtb] sets up
    except the run itself and the DTB, which the multiprogramming layer owns
@@ -503,57 +523,17 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
    no-op taps and [make_interp = plain_dtb_interp ...] the machine is
    cycle-identical to [prepare_dtb_shared]'s. *)
 let prepare_dtb_custom ?(timing = Timing.paper) ?(fuel = default_fuel)
-    ?(layout = Layout.default) ?(backend = `Decode)
-    ?(on_emit = fun ~addr:_ ~word:_ -> ())
-    ?(on_end_translation = fun ~start_addr:_ -> ()) ~make_interp ~dtb
+    ?(layout = Layout.default) ?(backend = `Decode) ?(on_emit = no_emit_tap)
+    ?(on_end_translation = no_end_tap) ~make_interp ~dtb
     (encoded : Codec.encoded) =
-  let p = encoded.Codec.program in
-  let gen =
-    translate_gen_memoized ~compound:false ~block:None ~assist:false ~layout
-      ~encoded
+  let m, gen =
+    dtb_machine ~timing ~fuel ~layout ~backend ~compound:false ~block:None
+      ~assist:false ~emitted_words:(ref 0) ~on_emit ~on_end_translation
+      ~make_interp:(fun gen ->
+        make_interp ~translator_entry:gen.Translate_gen.translator_entry)
+      ~dtb encoded
   in
-  let m =
-    setup_machine ~timing ~fuel ~layout ~backend
-      ~program:gen.Translate_gen.program p
-  in
-  Array.iteri
-    (fun i w -> Machine.poke m (layout.Layout.table_base + i) w)
-    gen.Translate_gen.table_image;
-  Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode:Machine.Dir_uncached;
-  let bootstrap_addr = layout.Layout.dtb_buffer_base in
-  if 1 + Dtb.buffer_words dtb > layout.Layout.dtb_buffer_size then
-    invalid_arg
-      "Uhm.prepare_dtb_custom: DTB buffer does not fit its memory region";
-  (* the buffer's compile window, as in [run_dtb] *)
-  Machine.enable_short_compile m ~base:layout.Layout.dtb_buffer_base
-    ~size:layout.Layout.dtb_buffer_size;
-  let translator_entry = gen.Translate_gen.translator_entry in
-  Machine.set_hooks m
-    {
-      Machine.h_interp = make_interp ~translator_entry;
-      h_emit_short =
-        (fun m word ->
-          let addr, chain_writes = Dtb.emit dtb word in
-          Machine.poke m addr word;
-          Machine.charge_mem m addr;
-          on_emit ~addr ~word;
-          List.iter
-            (fun (a, w) ->
-              Machine.poke m a w;
-              Machine.charge_mem m a;
-              on_emit ~addr:a ~word:w)
-            chain_writes);
-      h_end_trans =
-        (fun m ->
-          let start_addr = Dtb.end_translation dtb in
-          on_end_translation ~start_addr;
-          Machine.set_short_pc m start_addr);
-      h_decode_assist = (fun _ -> ());
-    };
-  Machine.poke m bootstrap_addr
-    (SF.pack ~ctx:Stats.start_context SF.Interp_imm encoded.Codec.entry_addr);
-  Machine.set_pc m (Machine.Short bootstrap_addr);
-  (m, translator_entry)
+  (m, gen.Translate_gen.translator_entry)
 
 let prepare_dtb_shared ?timing ?fuel ?layout ?backend ~dtb
     (encoded : Codec.encoded) =

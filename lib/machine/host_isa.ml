@@ -93,25 +93,6 @@ type instr =
   | Break of string                    (* runtime error: trap with message *)
 [@@deriving eq, show { with_path = false }]
 
-let eval_alu op x y =
-  match op with
-  | Add -> x + y
-  | Sub -> x - y
-  | Mul -> x * y
-  | Div -> if y = 0 then raise Division_by_zero else x / y
-  | Mod -> if y = 0 then raise Division_by_zero else x mod y
-  | And -> x land y
-  | Or -> x lor y
-  | Xor -> x lxor y
-  | Shl -> x lsl y
-  | Shr -> x asr y
-  | Slt -> if x < y then 1 else 0
-  | Sle -> if x <= y then 1 else 0
-  | Seq -> if x = y then 1 else 0
-  | Sne -> if x <> y then 1 else 0
-  | Sgt -> if x > y then 1 else 0
-  | Sge -> if x >= y then 1 else 0
-
 (* Size convention for the space axis of Figure 1: one long-format
    (horizontal) instruction occupies 32 bits. *)
 let bits_per_instr = 32

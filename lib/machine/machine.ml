@@ -131,10 +131,10 @@ let alloc_page_table pages =
         Some t
     | t :: rest -> take (t :: acc) rest
   in
+  (* a pooled table comes from [recycle], whose [release_pages] left every
+     entry at the zero page *)
   match take [] pool.free_tables with
-  | Some table ->
-      Array.fill table 0 pages zero_page;
-      table
+  | Some table -> table
   | None -> Array.make pages zero_page
 
 (* -- Region cost table --------------------------------------------------------
@@ -155,6 +155,11 @@ type t = {
       (* one byte per page: [owned_byte] when the page is this machine's
          private copy and may be written in place; anything else (the zero
          page, a page shared with a checkpoint) is copied on write *)
+  mutable used : int array;
+  mutable n_used : int;
+      (* [used.(0 .. n_used-1)]: the indices of the pages that are not the
+         zero page, ascending, so checkpoints, restores and recycling cost
+         what the machine has written rather than a whole page table *)
   mem_words : int;
   regions : region array;
   region_cost : int array;
@@ -335,6 +340,8 @@ let create ?(timing = Timing.paper) ?(fuel = 1_000_000_000)
     code_cat = code_cat_for program;
     mem = alloc_page_table pages;
     owned = Bytes.make pages '\000';
+    used = Array.make 16 0;
+    n_used = 0;
     mem_words;
     regions;
     region_cost;
@@ -413,11 +420,34 @@ let mem_get t addr =
     (Array.unsafe_get t.mem (addr lsr page_bits))
     (addr land page_mask)
 
+(* Add page index [pi] to [used], keeping it ascending. *)
+let note_used t pi =
+  let n = t.n_used in
+  if n = Array.length t.used then begin
+    let grown = Array.make (2 * n) 0 in
+    Array.blit t.used 0 grown 0 n;
+    t.used <- grown
+  end;
+  let used = t.used in
+  let j = ref n in
+  while !j > 0 && used.(!j - 1) > pi do
+    used.(!j) <- used.(!j - 1);
+    decr j
+  done;
+  used.(!j) <- pi;
+  t.n_used <- n + 1
+
 (* Make page [pi] this machine's private copy: a fresh zeroed page for the
    zero page, a copy for a page shared with a checkpoint. *)
 let own_page t pi =
   let page = Array.unsafe_get t.mem pi in
-  let fresh = if page == zero_page then alloc_page () else copy_page page in
+  let fresh =
+    if page == zero_page then begin
+      note_used t pi;
+      alloc_page ()
+    end
+    else copy_page page
+  in
   Array.unsafe_set t.mem pi fresh;
   Bytes.unsafe_set t.owned pi owned_byte;
   fresh
@@ -448,16 +478,18 @@ let mem_set t addr v =
 let release_pages t =
   let pool = Domain.DLS.get pool_key in
   let mem = t.mem in
-  for i = 0 to Array.length mem - 1 do
-    if Bytes.unsafe_get t.owned i = owned_byte
-       && pool.free_page_count < max_pooled_pages
-    then begin
-      pool.free_pages <- Array.unsafe_get mem i :: pool.free_pages;
-      pool.free_page_count <- pool.free_page_count + 1
+  for k = 0 to t.n_used - 1 do
+    let i = Array.unsafe_get t.used k in
+    if Bytes.unsafe_get t.owned i = owned_byte then begin
+      if pool.free_page_count < max_pooled_pages then begin
+        pool.free_pages <- Array.unsafe_get mem i :: pool.free_pages;
+        pool.free_page_count <- pool.free_page_count + 1
+      end;
+      Bytes.unsafe_set t.owned i '\000'
     end;
     Array.unsafe_set mem i zero_page
   done;
-  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000'
+  t.n_used <- 0
 
 (* Return the machine's pages and page table to the domain-local pool.
    The machine must not be used afterwards: its memory now aliases pool
@@ -514,61 +546,18 @@ let charge_mem t addr =
     trap "unmapped memory address %d" addr;
   charge_mem_checked t addr
 
-(* A memory access from executing code: charge its region cost and return /
-   store the value. *)
-let mem_read t addr =
-  if addr < 0 || addr >= t.mem_words then trap "memory read at %d" addr;
-  charge_mem_checked t addr;
-  mem_get t addr
-
-let mem_write t addr v =
-  if addr < 0 || addr >= t.mem_words then trap "memory write at %d" addr;
-  charge_mem_checked t addr;
-  mem_set t addr v
-
-(* Operand/return stack accesses are counted separately so the short-format
-   overhead is visible in reports. *)
-let stack_read t addr =
-  let v = mem_read t addr in
-  t.stats.stack_cycles <- t.stats.stack_cycles + t.timing.Timing.t1;
-  v
-
-let stack_write t addr v =
-  mem_write t addr v;
-  t.stats.stack_cycles <- t.stats.stack_cycles + t.timing.Timing.t1
-
-let push_op t v =
-  let sp = t.regs.(H.Regs.sp) in
-  stack_write t sp v;
-  t.regs.(H.Regs.sp) <- sp + 1
-
-let pop_op t =
-  let sp = t.regs.(H.Regs.sp) - 1 in
-  if sp < 0 then trap "operand stack underflow";
-  t.regs.(H.Regs.sp) <- sp;
-  stack_read t sp
-
-let push_ret t v =
-  let rsp = t.regs.(H.Regs.rsp) in
-  stack_write t rsp v;
-  t.regs.(H.Regs.rsp) <- rsp + 1
-
-let pop_ret t =
-  let rsp = t.regs.(H.Regs.rsp) - 1 in
-  if rsp < 0 then trap "return stack underflow";
-  t.regs.(H.Regs.rsp) <- rsp;
-  stack_read t rsp
-
-(* -- Flattened access paths for the threaded closures ------------------------
-   Same checks, same charges, same traps, in the same order as the
-   reference chains above ([push_op] -> [stack_write] -> [mem_write] ->
-   [charge_mem_checked] -> [mem_set], etc.), but with the calls collapsed
-   into one body: without flambda every hop in that chain is an out-of-line
-   call, and the chain sits on the hottest path of the simulator.  The
-   rare branches — mixed cost pages, unmapped pages, writes that land in
-   the short-compile window — fall back to the reference helpers, so the
-   semantics (including the window-invalidation funnel) stay in one
-   place. *)
+(* -- Flattened access paths ----------------------------------------------------
+   Every memory, operand-stack and return-stack access made by executing
+   code, on both backends.  Each body spells out its whole path — bounds
+   check, region charge, ownership test, store — instead of calling a
+   chain of small helpers: without flambda every hop in such a chain is
+   an out-of-line call, and these accesses sit on the hottest path of the
+   simulator.  The rare branches — mixed cost pages, unmapped pages,
+   writes to unowned pages or into the short-compile window — fall back
+   to [charge_mem_checked] and [mem_set], so the semantics (including the
+   window-invalidation funnel) stay in one place.  Operand/return stack
+   accesses also charge [stack_cycles], so the short-format overhead is
+   visible in reports. *)
 
 let charge_fast t addr =
   let c = Array.unsafe_get t.region_cost (addr lsr cost_page_bits) in
@@ -690,6 +679,27 @@ let hooks_exn t =
   | Some h -> h
   | None -> trap "IU2 feature used with no hooks installed"
 
+(* The ALU.  A zero divisor traps in place, so no dispatch needs an
+   exception handler of its own. *)
+let alu op x y =
+  match op with
+  | H.Add -> x + y
+  | H.Sub -> x - y
+  | H.Mul -> x * y
+  | H.Div -> if y = 0 then trap "division by zero" else x / y
+  | H.Mod -> if y = 0 then trap "division by zero" else x mod y
+  | H.And -> x land y
+  | H.Or -> x lor y
+  | H.Xor -> x lxor y
+  | H.Shl -> x lsl y
+  | H.Shr -> x asr y
+  | H.Slt -> if x < y then 1 else 0
+  | H.Sle -> if x <= y then 1 else 0
+  | H.Seq -> if x = y then 1 else 0
+  | H.Sne -> if x <> y then 1 else 0
+  | H.Sgt -> if x > y then 1 else 0
+  | H.Sge -> if x >= y then 1 else 0
+
 let exec_long t addr =
   if addr < 0 || addr >= Array.length t.code then trap "host pc out of range: %d" addr;
   let stats = t.stats in
@@ -714,37 +724,32 @@ let exec_long t addr =
   (match Array.unsafe_get t.code addr with
   | H.Li (rd, v) -> regs.(rd) <- v
   | H.Mv (rd, rs) -> regs.(rd) <- regs.(rs)
-  | H.Alu (op, rd, rs1, rs2) -> (
-      try regs.(rd) <- H.eval_alu op regs.(rs1) regs.(rs2)
-      with Division_by_zero -> trap "division by zero")
-  | H.Alui (op, rd, rs, v) -> (
-      try regs.(rd) <- H.eval_alu op regs.(rs) v
-      with Division_by_zero -> trap "division by zero")
-  | H.Alu2i (op1, op2, rd, rs1, rs2, v) -> (
-      try regs.(rd) <- H.eval_alu op2 (H.eval_alu op1 regs.(rs1) regs.(rs2)) v
-      with Division_by_zero -> trap "division by zero")
-  | H.Load (rd, rs, off) -> regs.(rd) <- mem_read t (regs.(rs) + off)
-  | H.Store (rs, rbase, off) -> mem_write t (regs.(rbase) + off) regs.(rs)
+  | H.Alu (op, rd, rs1, rs2) -> regs.(rd) <- alu op regs.(rs1) regs.(rs2)
+  | H.Alui (op, rd, rs, v) -> regs.(rd) <- alu op regs.(rs) v
+  | H.Alu2i (op1, op2, rd, rs1, rs2, v) ->
+      regs.(rd) <- alu op2 (alu op1 regs.(rs1) regs.(rs2)) v
+  | H.Load (rd, rs, off) -> regs.(rd) <- load_fast t (regs.(rs) + off)
+  | H.Store (rs, rbase, off) -> store_fast t (regs.(rbase) + off) regs.(rs)
   | H.Jmp a -> t.pc_addr <- a
   | H.Jz (r, a) -> if regs.(r) = 0 then t.pc_addr <- a
   | H.Jnz (r, a) -> if regs.(r) <> 0 then t.pc_addr <- a
   | H.Jneg (r, a) -> if regs.(r) < 0 then t.pc_addr <- a
   | H.JmpR r -> t.pc_addr <- regs.(r)
   | H.CallL a ->
-      push_ret t (addr + 1);
+      push_ret_fast t (addr + 1);
       t.pc_addr <- a
   | H.CallR r ->
-      push_ret t (addr + 1);
+      push_ret_fast t (addr + 1);
       t.pc_addr <- regs.(r)
   | H.Ret ->
-      let v = pop_ret t in
+      let v = pop_ret_fast t in
       if v land short_tag <> 0 then begin
         t.pc_short <- true;
         t.pc_addr <- v land short_mask
       end
       else t.pc_addr <- v
-  | H.PushOp r -> push_op t regs.(r)
-  | H.PopOp r -> regs.(r) <- pop_op t
+  | H.PushOp r -> push_op_fast t regs.(r)
+  | H.PopOp r -> regs.(r) <- pop_op_fast t
   | H.GetBits (rd, width) -> regs.(rd) <- get_bits t width
   | H.GetBitsR (rd, rw) -> regs.(rd) <- get_bits t regs.(rw)
   | H.DecodeAssist -> (hooks_exn t).h_decode_assist t
@@ -775,7 +780,7 @@ let exec_long t addr =
 let exec_short t addr =
   let stats = t.stats in
   let before = stats.cycles in
-  let word = mem_read t addr in
+  let word = load_fast t addr in
   (* batched flush: fetch charge attribution, the instruction cycle and
      the count in one group of writes (totals identical to incrementing
      each field as it accrues) *)
@@ -788,14 +793,14 @@ let exec_short t addr =
   let operand = Short_format.unpack_operand word in
   t.pc_addr <- addr + 1;
   match Short_format.op_of_int (Short_format.unpack_op word) with
-  | Short_format.Push_imm -> push_op t operand
-  | Short_format.Push_dir -> push_op t (mem_read t operand)
-  | Short_format.Push_ind -> push_op t (mem_read t (mem_read t operand))
+  | Short_format.Push_imm -> push_op_fast t operand
+  | Short_format.Push_dir -> push_op_fast t (load_fast t operand)
+  | Short_format.Push_ind -> push_op_fast t (load_fast t (load_fast t operand))
   | Short_format.Pop_dir ->
-      let v = pop_op t in
-      mem_write t operand v
+      let v = pop_op_fast t in
+      store_fast t operand v
   | Short_format.Call_long ->
-      push_ret t ((addr + 1) lor short_tag);
+      push_ret_fast t ((addr + 1) lor short_tag);
       t.pc_short <- false;
       t.pc_addr <- operand
   | Short_format.Interp_imm ->
@@ -804,12 +809,12 @@ let exec_short t addr =
         ~dctx:(Short_format.unpack_ctx word)
   | Short_format.Interp_stk ->
       stats.interp_count <- stats.interp_count + 1;
-      let dir_addr = pop_op t in
-      let dctx = pop_op t in
+      let dir_addr = pop_op_fast t in
+      let dctx = pop_op_fast t in
       (hooks_exn t).h_interp t ~dir_addr ~dctx
   | Short_format.Goto -> t.pc_addr <- operand
   | Short_format.Goto_stk ->
-      let a = pop_op t in
+      let a = pop_op_fast t in
       t.pc_addr <- a
 
 let step t =
@@ -822,6 +827,23 @@ let step t =
         with Machine_trap msg -> t.status <- Trapped msg)
   | Halted | Trapped _ | Out_of_fuel -> ()
 
+(* Run [exec_long]/[exec_short] until the machine leaves [Running], [lim]
+   cycles have been charged, or [quantum] INTERP transfers have completed
+   since [qstart] — always stopping on an instruction boundary, with one
+   trap handler per span instead of one per instruction.  Callers ensure
+   [lim <= fuel], so the loop conditions establish everything [step]
+   checks and the span executes exactly the [step]s it replaces. *)
+let exec_decode_span t ~lim ~qstart ~quantum =
+  let stats = t.stats in
+  try
+    while
+      t.status == Running && stats.cycles < lim
+      && stats.interp_count - qstart < quantum
+    do
+      if t.pc_short then exec_short t t.pc_addr else exec_long t t.pc_addr
+    done
+  with Machine_trap msg -> t.status <- Trapped msg
+
 (* -- The threaded backend ----------------------------------------------------
    Each closure below is the exact image of one [exec_long]/[exec_short]
    dispatch for one fixed address: operands, category index, fall-through
@@ -832,13 +854,13 @@ let step t =
    of range pcs, words outside the compile window, opcodes that don't
    decode — without perturbing a single cycle. *)
 
-(* Pre-specialised ALU operators; Div and Mod are handled separately
-   because they can trap. *)
+(* Pre-specialised ALU operators; Div and Mod keep [alu]'s trap on a
+   zero divisor. *)
 let alu_fn : H.alu_op -> int -> int -> int = function
   | H.Add -> ( + )
   | H.Sub -> ( - )
   | H.Mul -> ( * )
-  | H.Div | H.Mod -> assert false
+  | (H.Div | H.Mod) as op -> fun x y -> alu op x y
   | H.And -> ( land )
   | H.Or -> ( lor )
   | H.Xor -> ( lxor )
@@ -911,56 +933,27 @@ let compile_long_one t addr =
               let regs = t.regs in
               regs.(rd) <- regs.(rs);
               bump1 t cat
-        | H.Alu (op, rd, rs1, rs2) -> (
-            match op with
-            | H.Div | H.Mod ->
-                fun t ->
-                  t.pc_addr <- next;
-                  let regs = t.regs in
-                  (try regs.(rd) <- H.eval_alu op regs.(rs1) regs.(rs2)
-                   with Division_by_zero -> trap "division by zero");
-                  bump1 t cat
-            | op ->
-                let f = alu_fn op in
-                fun t ->
-                  t.pc_addr <- next;
-                  let regs = t.regs in
-                  regs.(rd) <- f regs.(rs1) regs.(rs2);
-                  bump1 t cat)
-        | H.Alui (op, rd, rs, v) -> (
-            match op with
-            | H.Div | H.Mod ->
-                fun t ->
-                  t.pc_addr <- next;
-                  let regs = t.regs in
-                  (try regs.(rd) <- H.eval_alu op regs.(rs) v
-                   with Division_by_zero -> trap "division by zero");
-                  bump1 t cat
-            | op ->
-                let f = alu_fn op in
-                fun t ->
-                  t.pc_addr <- next;
-                  let regs = t.regs in
-                  regs.(rd) <- f regs.(rs) v;
-                  bump1 t cat)
-        | H.Alu2i (op1, op2, rd, rs1, rs2, v) -> (
-            match (op1, op2) with
-            | (H.Div | H.Mod), _ | _, (H.Div | H.Mod) ->
-                fun t ->
-                  t.pc_addr <- next;
-                  let regs = t.regs in
-                  (try
-                     regs.(rd) <-
-                       H.eval_alu op2 (H.eval_alu op1 regs.(rs1) regs.(rs2)) v
-                   with Division_by_zero -> trap "division by zero");
-                  bump1 t cat
-            | _ ->
-                let f1 = alu_fn op1 and f2 = alu_fn op2 in
-                fun t ->
-                  t.pc_addr <- next;
-                  let regs = t.regs in
-                  regs.(rd) <- f2 (f1 regs.(rs1) regs.(rs2)) v;
-                  bump1 t cat)
+        | H.Alu (op, rd, rs1, rs2) ->
+            let f = alu_fn op in
+            fun t ->
+              t.pc_addr <- next;
+              let regs = t.regs in
+              regs.(rd) <- f regs.(rs1) regs.(rs2);
+              bump1 t cat
+        | H.Alui (op, rd, rs, v) ->
+            let f = alu_fn op in
+            fun t ->
+              t.pc_addr <- next;
+              let regs = t.regs in
+              regs.(rd) <- f regs.(rs) v;
+              bump1 t cat
+        | H.Alu2i (op1, op2, rd, rs1, rs2, v) ->
+            let f1 = alu_fn op1 and f2 = alu_fn op2 in
+            fun t ->
+              t.pc_addr <- next;
+              let regs = t.regs in
+              regs.(rd) <- f2 (f1 regs.(rs1) regs.(rs2)) v;
+              bump1 t cat
         | H.Load (rd, rs, off) ->
             fun t ->
               let before = t.stats.cycles in
@@ -1311,27 +1304,26 @@ let exec_threaded_span t ~lim ~qstart ~quantum =
     end
   done
 
+(* One span on the machine's backend: the only place the run loops below
+   look at which backend they drive. *)
+let exec_span t ~lim ~qstart ~quantum =
+  if t.threaded then exec_threaded_span t ~lim ~qstart ~quantum
+  else exec_decode_span t ~lim ~qstart ~quantum
+
 let run t =
-  if t.threaded then begin
-    while t.status = Running do
-      exec_threaded_span t ~lim:t.fuel ~qstart:0 ~quantum:max_int;
-      (* still running => cycles >= fuel; one [step] marks Out_of_fuel *)
-      if t.status = Running then step t
-    done;
-    t.status
-  end
-  else begin
-    while t.status = Running do
-      step t
-    done;
-    t.status
-  end
+  while t.status = Running do
+    exec_span t ~lim:t.fuel ~qstart:0 ~quantum:max_int;
+    (* still running => cycles >= fuel; one [step] marks Out_of_fuel *)
+    if t.status = Running then step t
+  done;
+  t.status
 
 (* -- Resumable execution -----------------------------------------------------
    The multiprogramming scheduler runs each program in slices on its own
-   machine.  Because both entry points below execute exactly the [step]s
-   that [run] would and stop only between instructions, running a program
-   in K slices (for any K and any slice boundaries) produces bit-identical
+   machine.  Both entry points below, like [run], drive [exec_span] with
+   limits that make it execute exactly the [step]s a plain [step] loop
+   would, and stop only between instructions, so running a program in K
+   slices (for any K and any slice boundaries) produces bit-identical
    final state, statistics and output to one [run] call. *)
 
 type run_outcome =
@@ -1346,18 +1338,12 @@ let run_for t ~budget =
     if budget > max_int - t.stats.cycles then max_int
     else t.stats.cycles + budget
   in
-  if t.threaded then begin
-    let lim = if stop < t.fuel then stop else t.fuel in
-    exec_threaded_span t ~lim ~qstart:0 ~quantum:max_int;
-    (* still running with budget left => the span stopped at the fuel
-       limit; one [step] marks Out_of_fuel, exactly as the decode loop
-       would on its next iteration *)
-    if t.status = Running && t.stats.cycles < stop then step t
-  end
-  else
-    while t.status = Running && t.stats.cycles < stop do
-      step t
-    done;
+  exec_span t ~lim:(if stop < t.fuel then stop else t.fuel) ~qstart:0
+    ~quantum:max_int;
+  (* still running with budget left => the span stopped at the fuel limit;
+     one [step] marks Out_of_fuel, as a [step] loop would on its next
+     iteration *)
+  if t.status = Running && t.stats.cycles < stop then step t;
   if t.status = Running then Yielded else Done t.status
 
 let interp_imm_op = Short_format.op_to_int Short_format.Interp_imm
@@ -1380,28 +1366,19 @@ let at_interp_boundary t =
 let run_dir_quantum t ~quantum =
   if quantum < 1 then
     invalid_arg "Machine.run_dir_quantum: quantum must be >= 1";
-  let start = t.stats.interp_count in
-  if t.threaded then begin
-    let stats = t.stats in
-    while
-      t.status = Running
-      && not (stats.interp_count - start >= quantum && at_interp_boundary t)
-    do
-      (* past the quota but not yet at an INTERP boundary (or out of
-         fuel): finish the translation unit one reference step at a
-         time; otherwise burn a compiled span up to the quota *)
-      if stats.cycles >= t.fuel || stats.interp_count - start >= quantum then
-        step t
-      else exec_threaded_span t ~lim:t.fuel ~qstart:start ~quantum
-    done
-  end
-  else
-    while
-      t.status = Running
-      && not (t.stats.interp_count - start >= quantum && at_interp_boundary t)
-    do
+  let stats = t.stats in
+  let start = stats.interp_count in
+  while
+    t.status = Running
+    && not (stats.interp_count - start >= quantum && at_interp_boundary t)
+  do
+    (* past the quota but not yet at an INTERP boundary (or out of fuel):
+       finish the translation unit one [step] at a time; otherwise run a
+       span up to the quota *)
+    if stats.cycles >= t.fuel || stats.interp_count - start >= quantum then
       step t
-    done;
+    else exec_span t ~lim:t.fuel ~qstart:start ~quantum
+  done;
   if t.status = Running then Yielded else Done t.status
 
 (* -- Snapshots --------------------------------------------------------------- *)
@@ -1471,29 +1448,20 @@ type checkpoint = {
 }
 
 let checkpoint t =
-  let mem = t.mem in
-  let n = ref 0 and charged = ref 0 and last = ref (-1) in
-  for i = 0 to Array.length mem - 1 do
-    if Array.unsafe_get mem i != zero_page then begin
-      incr n;
-      let c = i lsr (charge_page_bits - page_bits) in
-      if c <> !last then begin
-        incr charged;
-        last := c
-      end
+  let n = t.n_used in
+  let ck_index = Array.sub t.used 0 n and ck_page = Array.make n zero_page in
+  (* [used] is ascending, so the pages of one charged page are adjacent *)
+  let charged = ref 0 and last = ref (-1) in
+  for k = 0 to n - 1 do
+    let i = ck_index.(k) in
+    ck_page.(k) <- t.mem.(i);
+    Bytes.unsafe_set t.owned i '\000';
+    let c = i lsr (charge_page_bits - page_bits) in
+    if c <> !last then begin
+      incr charged;
+      last := c
     end
   done;
-  let ck_index = Array.make !n 0 and ck_page = Array.make !n zero_page in
-  let k = ref 0 in
-  for i = 0 to Array.length mem - 1 do
-    let page = Array.unsafe_get mem i in
-    if page != zero_page then begin
-      ck_index.(!k) <- i;
-      ck_page.(!k) <- page;
-      incr k
-    end
-  done;
-  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
   {
     ck_index;
     ck_page;
@@ -1510,6 +1478,10 @@ let checkpoint_pages ck = ck.ck_pages
 
 let restore t ck =
   release_pages t;
+  let n = Array.length ck.ck_index in
+  if n > Array.length t.used then t.used <- Array.make n 0;
+  Array.blit ck.ck_index 0 t.used 0 n;
+  t.n_used <- n;
   Array.iteri (fun k i -> t.mem.(i) <- ck.ck_page.(k)) ck.ck_index;
   (* the page swap bypasses [mem_set]: drop every compiled short closure
      so no slot can disagree with the restored memory *)

@@ -139,11 +139,15 @@ val run : t -> status
 
 (** {2 Resumable execution}
 
-    Slice-wise execution for the multiprogramming scheduler.  Both entry
-    points execute exactly the {!step}s that {!run} would and stop only on
-    instruction boundaries, so running a program in K slices — for any K
-    and any mix of slice boundaries — leaves bit-identical state,
-    statistics and output to a single {!run}. *)
+    Slice-wise execution for the multiprogramming scheduler.  {!run} and
+    both entry points below execute in spans on the machine's backend:
+    runs of instructions with one trap handler per span, bounded by the
+    fuel, the slice's cycle budget or its INTERP quota.  A span stops only
+    on an instruction boundary and executes exactly the {!step}s a plain
+    [step] loop would (pinned by [test/test_machine.ml] on programs that
+    trap or run out of fuel mid-span), so running a program in K slices —
+    for any K and any mix of slice boundaries — leaves bit-identical
+    state, statistics and output to a single {!run}. *)
 
 type run_outcome =
   | Done of status (** the program left [Running] during this slice *)

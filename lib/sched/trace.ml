@@ -70,6 +70,10 @@ type t = {
   ring : event array;
   mutable recorded : int;   (* total events ever recorded *)
   tallies : (int, tally) Hashtbl.t;
+  (* the tally of the ASID [record] last touched: consecutive events
+     mostly concern one ASID, so the table is probed only on a change *)
+  mutable last_asid : int;
+  mutable last_tally : tally;
   (* exact per-fault-class rollups, across all ASIDs *)
   injected_classes : (string, int) Hashtbl.t;
   detected_classes : (string, int) Hashtbl.t;
@@ -85,6 +89,12 @@ type t = {
 
 let dummy = { at_cycle = -1; kind = Quantum_expiry { asid = -1 } }
 
+let zero_tally () =
+  { dispatches = 0; flushes = 0; translations = 0; expiries = 0;
+    injections = 0; detections = 0; retries = 0; rollbacks = 0;
+    downgrades = 0; admits = 0; evicts = 0; deadline_misses = 0;
+    job_retries = 0; job_failures = 0; interp_admits = 0; quarantines = 0 }
+
 let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
   {
@@ -92,6 +102,8 @@ let create ?(capacity = 65536) () =
     ring = Array.make capacity dummy;
     recorded = 0;
     tallies = Hashtbl.create 8;
+    last_asid = min_int;
+    last_tally = zero_tally ();
     injected_classes = Hashtbl.create 8;
     detected_classes = Hashtbl.create 8;
     queued_total = 0;
@@ -105,18 +117,20 @@ let recorded t = t.recorded
 let dropped t = max 0 (t.recorded - t.capacity)
 
 let tally_for t asid =
-  match Hashtbl.find_opt t.tallies asid with
-  | Some y -> y
-  | None ->
-      let y =
-        { dispatches = 0; flushes = 0; translations = 0; expiries = 0;
-          injections = 0; detections = 0; retries = 0; rollbacks = 0;
-          downgrades = 0; admits = 0; evicts = 0; deadline_misses = 0;
-          job_retries = 0; job_failures = 0; interp_admits = 0;
-          quarantines = 0 }
-      in
-      Hashtbl.add t.tallies asid y;
-      y
+  if asid = t.last_asid then t.last_tally
+  else begin
+    let y =
+      match Hashtbl.find_opt t.tallies asid with
+      | Some y -> y
+      | None ->
+          let y = zero_tally () in
+          Hashtbl.add t.tallies asid y;
+          y
+    in
+    t.last_asid <- asid;
+    t.last_tally <- y;
+    y
+  end
 
 let bump_class tbl fclass =
   Hashtbl.replace tbl fclass

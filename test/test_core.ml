@@ -54,18 +54,97 @@ let test_dtb_overflow_chaining () =
   let dtb = Dtb.create small_config ~buffer_base:0 in
   Dtb.begin_translation dtb ~tag:7;
   (* unit_words = 4 -> payload 3 per block; 5 words need one overflow block *)
-  let writes = List.init 5 (fun i -> Dtb.emit dtb i) in
-  ignore (Dtb.end_translation dtb);
+  let writes =
+    List.init 5 (fun i ->
+        let addr = Dtb.emit dtb i in
+        (addr, Dtb.chain_slot dtb))
+  in
+  let start = Dtb.end_translation dtb in
   check_int "overflow blocks used" 1 (Dtb.overflow_allocations dtb);
-  let chain_writes = List.concat_map snd writes in
-  check_int "one chain word written" 1 (List.length chain_writes);
-  (* the chain word is a Goto to the overflow block *)
-  let _, goto_word = List.hd chain_writes in
-  let op, _, target = Uhm_machine.Short_format.unpack goto_word in
-  check_bool "goto op" true (op = Uhm_machine.Short_format.Goto);
-  (* fourth write landed at the goto target *)
-  let fourth_addr = fst (List.nth writes 3) in
-  check_int "chained payload address" target fourth_addr
+  let chains = List.filter (fun (_, slot) -> slot >= 0) writes in
+  check_int "one chain word written" 1 (List.length chains);
+  (* the fourth word opens the overflow block; the chain word linking it
+     sits at the old block's last slot *)
+  let fourth_addr, slot = List.nth writes 3 in
+  check_int "chain word at the old block's last slot"
+    (start + small_config.Dtb.unit_words - 1) slot;
+  let overflow_base =
+    small_config.Dtb.sets * small_config.Dtb.assoc * small_config.Dtb.unit_words
+  in
+  check_int "chained payload address: the overflow block's first slot"
+    overflow_base fourth_addr;
+  check_int "fifth word follows it" (fourth_addr + 1) (fst (List.nth writes 4))
+
+(* The chain word the machine writes is a [Goto] to the block [Dtb.emit]
+   just opened: every buffer word written at a block's reserved last slot
+   is one, pointing at the word written just before it, and there is one
+   per overflow block. *)
+let test_dtb_chain_words_are_gotos () =
+  let module SF = Uhm_machine.Short_format in
+  let module R = Uhm_machine.Host_isa.Regs in
+  let layout = Uhm_psder.Layout.default in
+  let cfg = Dtb.paper_config in
+  let base = layout.Uhm_psder.Layout.dtb_buffer_base + 1 in
+  let dtb = Dtb.create cfg ~buffer_base:base in
+  let writes = ref [] in
+  let make_interp ~translator_entry m ~dir_addr ~dctx =
+    let a = Dtb.lookup_addr dtb ~tag:dir_addr in
+    if a >= 0 then Machine.set_short_pc m a
+    else begin
+      Dtb.begin_translation dtb ~tag:dir_addr;
+      Machine.set_reg m R.dpc dir_addr;
+      Machine.set_reg m R.dctx dctx;
+      Machine.set_pc m (Machine.Long translator_entry)
+    end
+  in
+  let m, _ =
+    U.prepare_dtb_custom ~layout
+      ~on_emit:(fun ~addr ~word -> writes := (addr, word) :: !writes)
+      ~make_interp ~dtb
+      (Codec.encode Kind.Huffman (Suite.compile (Suite.find "fib_rec")))
+  in
+  check_bool "halts" true (Machine.run m = Machine.Halted);
+  check_bool "some translation overflowed" true
+    (Dtb.overflow_allocations dtb > 0);
+  let rec links acc = function
+    | (slot, word) :: ((prev, _) :: _ as rest)
+      when (slot - base) mod cfg.Dtb.unit_words = cfg.Dtb.unit_words - 1 ->
+        check_bool "chain word is Goto to the new block" true
+          (SF.unpack word = (SF.Goto, 0, prev));
+        links (acc + 1) rest
+    | _ :: rest -> links acc rest
+    | [] -> acc
+  in
+  check_int "one chain word per overflow block"
+    (Dtb.overflow_allocations dtb) (links 0 !writes)
+
+(* Installing translations allocates nothing: victim choice, emission,
+   overflow chaining and chain release on eviction all reuse the DTB's
+   own arrays. *)
+let test_dtb_emit_allocates_nothing () =
+  let dtb = Dtb.create small_config ~buffer_base:0 in
+  let emitted = ref 0 in
+  let install_all () =
+    for tag = 0 to 999 do
+      Dtb.begin_translation dtb ~tag;
+      (* five words: one overflow chain per translation *)
+      for w = 0 to 4 do
+        ignore (Sys.opaque_identity (Dtb.emit dtb w));
+        incr emitted
+      done;
+      ignore (Sys.opaque_identity (Dtb.end_translation dtb))
+    done
+  in
+  install_all ();
+  emitted := 0;
+  let before = Gc.minor_words () in
+  install_all ();
+  let per = (Gc.minor_words () -. before) /. float_of_int !emitted in
+  check_bool "overflow chains were linked" true
+    (Dtb.overflow_allocations dtb >= 2000);
+  check_bool
+    (Printf.sprintf "%.3f minor words per emitted word < 0.5" per)
+    true (per < 0.5)
 
 let test_dtb_eviction_releases_chain () =
   let dtb =
@@ -671,4 +750,8 @@ let suite =
       qcheck prop_machine_differential;
       qcheck prop_dtb_recency_matches_counter_lru;
       qcheck prop_dtb_lookup_addr_matches_lookup;
+      Alcotest.test_case "dtb chain words are Gotos" `Quick
+        test_dtb_chain_words_are_gotos;
+      Alcotest.test_case "dtb emit allocates nothing" `Quick
+        test_dtb_emit_allocates_nothing;
     ] )

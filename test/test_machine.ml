@@ -517,6 +517,159 @@ let test_engine_category_attribution () =
   check_bool "semantic cycles counted" true (semantic >= 3);
   check_int "all cycles attributed" stats.Machine.cycles (decode + semantic)
 
+(* -- Spans = steps -------------------------------------------------------------
+   [run], [run_for] and [run_dir_quantum] execute in spans with one trap
+   handler each; a span must leave exactly what a plain [Machine.step]
+   loop leaves, on programs that trap mid-span, halt, or run out of fuel
+   mid-span, under any slice boundaries. *)
+
+(* [work]: [iters] rounds of ALU work, loads and stores in both regions,
+   operand- and return-stack traffic and output, then [Ret].  [main] sets
+   up the stacks, calls [work], then runs [ending]. *)
+let span_program ~iters ending =
+  let b = Asm.create () in
+  let work = Asm.new_label b and loop = Asm.new_label b in
+  let dbl = Asm.new_label b and main = Asm.new_label b in
+  Asm.jmp b main;
+  Asm.place b work;
+  Asm.li b 0 iters;
+  Asm.place b loop;
+  Asm.alui b H.Add 1 1 3;
+  Asm.store b 1 0 10;
+  Asm.load b 2 0 1030;
+  Asm.push_op b 1;
+  Asm.call b dbl;
+  Asm.pop_op b 2;
+  Asm.out b 2;
+  Asm.alui b H.Sub 0 0 1;
+  Asm.jnz b 0 loop;
+  Asm.ret b;
+  Asm.place b dbl;
+  Asm.pop_op b 5;
+  Asm.alu b H.Add 5 5 5;
+  Asm.push_op b 5;
+  Asm.ret b;
+  Asm.place b main;
+  Asm.li b R.sp 100;
+  Asm.li b R.rsp 200;
+  Asm.call b work;
+  ending b;
+  Asm.halt b;
+  (Asm.finish b, Asm.resolve b work)
+
+(* name, fuel, start in short code, ending, and the status a plain
+   [step] loop must end in *)
+let span_cases =
+  [
+    ("halt", None, false, (fun _ -> ()), Machine.Halted);
+    ("division by zero", None, false,
+     (fun b -> Asm.li b 3 0; Asm.alu b H.Div 4 0 3),
+     Machine.Trapped "division by zero");
+    ("unmapped read", None, false,
+     (fun b -> Asm.li b 3 3000; Asm.load b 4 3 0),
+     Machine.Trapped "unmapped memory address 3000");
+    ("unmapped write", None, false,
+     (fun b -> Asm.li b 3 3000; Asm.store b 0 3 0),
+     Machine.Trapped "unmapped memory address 3000");
+    ("read out of memory", None, false,
+     (fun b -> Asm.li b 3 5000; Asm.load b 4 3 0),
+     Machine.Trapped "memory read at 5000");
+    ("write out of memory", None, false,
+     (fun b -> Asm.li b 3 5000; Asm.store b 0 3 0),
+     Machine.Trapped "memory write at 5000");
+    ("OutC out of range", None, false,
+     (fun b -> Asm.li b 3 300; Asm.out_c b 3),
+     Machine.Trapped "OutC out of range: 300");
+    ("Break", None, false, (fun b -> Asm.break b "boom"), Machine.Trapped "boom");
+    ("operand stack underflow", None, false,
+     (fun b -> Asm.li b R.sp 0; Asm.pop_op b 4),
+     Machine.Trapped "operand stack underflow");
+    ("return stack underflow", None, false,
+     (fun b -> Asm.li b R.rsp 0; Asm.ret b),
+     Machine.Trapped "return stack underflow");
+    ("out of fuel", Some 2_345, false,
+     (fun b ->
+       let l = Asm.new_label b in
+       Asm.place b l;
+       Asm.alui b H.Add 6 6 1;
+       Asm.jmp b l),
+     Machine.Out_of_fuel);
+    (* short code calls [work], then underflows its operand stack *)
+    ("short code underflow", None, true, (fun _ -> ()),
+     Machine.Trapped "operand stack underflow");
+  ]
+
+let span_machine ~backend (_, fuel, short, ending, _) =
+  let program, work = span_program ~iters:40 ending in
+  let m =
+    Machine.create ?fuel ~backend ~program ~mem_words:4096
+      ~regions:default_regions ()
+  in
+  if short then begin
+    Machine.set_reg m R.sp 0;
+    Machine.set_reg m R.rsp 200;
+    List.iteri
+      (fun i w -> Machine.poke m (300 + i) w)
+      [ SF.pack SF.Push_imm 9; SF.pack SF.Pop_dir 40;
+        SF.pack SF.Call_long work; SF.pack SF.Push_dir 40;
+        SF.pack SF.Goto 306; SF.pack SF.Push_imm 999;
+        SF.pack SF.Pop_dir 41; SF.pack SF.Pop_dir 42 ];
+    Machine.set_pc m (Machine.Short 300)
+  end;
+  m
+
+let span_observe m =
+  (Machine.status m, Machine.output m, Machine.pc m, Machine.stats m)
+
+(* Slice until [Done]; a slicing entry point that stops making progress
+   fails instead of hanging. *)
+let drive_slices slice =
+  let rec go n =
+    if n >= 100_000 then Alcotest.fail "slicing did not finish in 100,000 slices";
+    match slice () with Machine.Done _ -> () | Machine.Yielded -> go (n + 1)
+  in
+  go 0
+
+let test_spans_equal_steps () =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun ((name, _, _, _, status) as case) ->
+          let reference = span_machine ~backend:`Decode case in
+          while Machine.status reference = Machine.Running do
+            Machine.step reference
+          done;
+          check_bool (name ^ ": stepped status") true
+            (Machine.status reference = status);
+          check_bool (name ^ ": the stop comes after the work") true
+            ((Machine.stats reference).Machine.cycles > 1_000);
+          let expected = span_observe reference in
+          let agree driver m =
+            if span_observe m <> expected then
+              Alcotest.failf "%s, %s backend, %s: spans diverge from steps"
+                name
+                (match backend with
+                | `Decode -> "decode"
+                | `Threaded -> "threaded")
+                driver
+          in
+          let m = span_machine ~backend case in
+          ignore (Machine.run m);
+          agree "run" m;
+          for seed = 1 to 8 do
+            let rng = Random.State.make [| seed |] in
+            let m = span_machine ~backend case in
+            drive_slices (fun () ->
+                Machine.run_for m ~budget:(Random.State.int rng (40 * seed)));
+            agree (Printf.sprintf "run_for, seed %d" seed) m;
+            let m = span_machine ~backend case in
+            drive_slices (fun () ->
+                Machine.run_dir_quantum m ~quantum:(1 + Random.State.int rng 4));
+            agree (Printf.sprintf "run_dir_quantum, seed %d" seed) m
+          done)
+        span_cases)
+    [ `Decode; `Threaded ]
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -543,6 +696,8 @@ let suite =
         test_engine_emit_and_end_trans_hooks;
       Alcotest.test_case "engine category attribution" `Quick
         test_engine_category_attribution;
+      Alcotest.test_case "spans equal steps, every entry point" `Quick
+        test_spans_equal_steps;
       qcheck prop_cache_matches_reference;
       qcheck prop_timestamp_lru_matches_counter_lru;
       qcheck prop_mem_cost_matches_linear_scan;
