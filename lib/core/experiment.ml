@@ -24,12 +24,11 @@ let expect_halted what (r : Uhm.result) =
 
 let measure ?timing ?backend ?(dtb_config = Dtb.paper_config)
     ?(icache_bytes = 4096) ~kind ~name (p : Program.t) =
-  let encoded = Codec.encode kind p in
   let run strategy =
     expect_halted
       (Printf.sprintf "%s/%s/%s" name (Kind.name kind)
          (Uhm.strategy_name strategy))
-      (Uhm.run_encoded ?timing ?backend ~strategy encoded)
+      (Uhm.run ?timing ?backend ~strategy ~kind p)
   in
   let interp = run Uhm.Interp in
   let cached = run (Uhm.Cached icache_bytes) in

@@ -1,7 +1,7 @@
 (** The experiment harness: measured quantities behind every reproduced
     table and figure (see DESIGN.md's experiment index).
 
-    All functions are deterministic and pure up to memoisation; bench
+    All functions are deterministic and pure up to caching; bench
     targets format the returned records with [Uhm_report.Table]. *)
 
 module Model := Uhm_perfmodel.Model
@@ -77,10 +77,10 @@ val encode_programs :
   (string * Uhm_encoding.Codec.encoded * int) list
 (** The encode pre-pass every grid shares: each named program encoded
     with [kind], with its reference DIR step count
-    ({!Uhm.dir_steps_memoized}, so later lookups are memo hits) — the
-    SRTF estimate and the grids' cost hint.  One {!Sweep.map} over the
-    programs ([?domains] as there), unsupervised: it is a grid's input,
-    not a cell. *)
+    ({!Uhm.dir_steps_memoized}, cached on the program, so later lookups
+    are hits) — the SRTF estimate and the grids' cost hint.  One
+    {!Sweep.map} over the programs ([?domains] as there), unsupervised:
+    it is a grid's input, not a cell. *)
 
 val dtb_grid_slots :
   ?domains:int ->

@@ -8,7 +8,6 @@
    across PRs. *)
 
 module Kind = Uhm_encoding.Kind
-module Codec = Uhm_encoding.Codec
 module Suite = Uhm_workload.Suite
 module Table = Uhm_report.Table
 
@@ -50,12 +49,9 @@ let measure ?(min_runs = 5) ?(min_seconds = 0.2) ?(backend = `Decode)
   (* at least one timed run, so the rates are always finite *)
   let min_runs = max 1 min_runs in
   let p = Suite.compile (Suite.find workload) in
-  let encoded = Codec.encode kind p in
-  let run () =
-    match strategy with
-    | Uhm.Psder_static | Uhm.Der _ -> Uhm.run ~backend ~strategy ~kind p
-    | _ -> Uhm.run_encoded ~backend ~strategy encoded
-  in
+  (* the encoding and the generated code are cached on [p]: timed runs
+     reuse what the warm-up built *)
+  let run () = Uhm.run ~backend ~strategy ~kind p in
   (* one warm-up run, also the source of the per-run counters *)
   let r = run () in
   let stats = r.Uhm.machine_stats in

@@ -16,6 +16,7 @@ module Interp_gen = Uhm_psder.Interp_gen
 module Translate_gen = Uhm_psder.Translate_gen
 module Static_gen = Uhm_psder.Static_gen
 module Der_gen = Uhm_psder.Der_gen
+module Derived = Uhm_derived.Derived
 
 type der_residence =
   | Der_level1
@@ -79,32 +80,6 @@ let default_fuel = 2_000_000_000
    16 bits. *)
 let host_word_bits = 32
 
-(* The region list is a pure function of (timing, layout); handing
-   [Machine.create] the same list object run after run lets its derived-
-   table memos hit (both inputs are immutable and callers reuse them). *)
-let regions_memo :
-    ((Timing.t * Layout.t) * Machine.region list) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let regions_memo_max = 16
-
-let regions_memoized timing layout =
-  let cache = Domain.DLS.get regions_memo in
-  match
-    List.find_opt (fun ((t', l'), _) -> t' == timing && l' == layout) !cache
-  with
-  | Some (_, v) -> v
-  | None ->
-      let v = Layout.regions timing layout in
-      let entries = !cache in
-      let entries =
-        if List.length entries >= regions_memo_max then
-          List.filteri (fun i _ -> i < regions_memo_max - 1) entries
-        else entries
-      in
-      cache := ((timing, layout), v) :: entries;
-      v
-
 (* Machine with registers and the main frame initialised (the paper's
    link-editing/loading step; charged no cycles). *)
 let setup_machine ~timing ~fuel ~layout ~backend ~(program : Asm.program)
@@ -112,7 +87,7 @@ let setup_machine ~timing ~fuel ~layout ~backend ~(program : Asm.program)
   let m =
     Machine.create ~timing ~fuel ~backend ~program
       ~mem_words:layout.Layout.mem_words
-      ~regions:(regions_memoized timing layout) ()
+      ~regions:(Layout.regions timing layout) ()
   in
   let data_base = layout.Layout.data_base in
   let main = p.Program.contours.(0) in
@@ -132,127 +107,41 @@ let setup_machine ~timing ~fuel ~layout ~backend ~(program : Asm.program)
 let dir_steps_reference p =
   (Uhm_dir.Interp.run p).Uhm_dir.Interp.steps
 
-(* Memo for the reference pre-pass: every [run]/[run_encoded] reports
-   [dir_steps], which re-executes the whole reference interpreter — once
-   per strategy in a sweep, on the same program.  Keyed by physical
-   identity (programs are immutable once built and sweeps reuse the same
-   value across strategies); bounded; mutex-protected so parallel sweep
-   workers share it.  The interpreter run happens outside the lock —
-   two workers may race to fill the same entry, computing the same value
-   twice, which is wasted work but never wrong. *)
-let dir_steps_mutex = Mutex.create ()
-let dir_steps_memo : (Program.t * int) list ref = ref []
-let dir_steps_memo_max = 128
+(* -- Derived products ---------------------------------------------------------
+   What a run builds before its first cycle is a pure function of its
+   program or encoding, and hangs on that value: every caller holding it,
+   on any domain, shares one copy, and a one-off run leaves nothing
+   behind.  Machines only read the products (host code, table images and
+   static words are poked into per-machine memory). *)
 
-let dir_steps_memoized p =
-  let cached =
-    Mutex.lock dir_steps_mutex;
-    let r = List.find_opt (fun (q, _) -> q == p) !dir_steps_memo in
-    Mutex.unlock dir_steps_mutex;
-    r
-  in
-  match cached with
-  | Some (_, steps) -> steps
-  | None ->
-      let steps = dir_steps_reference p in
-      Mutex.lock dir_steps_mutex;
-      let rest = List.filter (fun (q, _) -> q != p) !dir_steps_memo in
-      let rest =
-        if List.length rest >= dir_steps_memo_max then
-          List.filteri (fun i _ -> i < dir_steps_memo_max - 1) rest
-        else rest
-      in
-      dir_steps_memo := (p, steps) :: rest;
-      Mutex.unlock dir_steps_mutex;
-      steps
+let dir_steps_key = Derived.key ()
+let encoding_key = Derived.key ()
+let interp_gen_key = Derived.key ()
+let translate_gen_key = Derived.key ()
+let der_gen_key = Derived.key ()
+let psder_key = Derived.key ()
 
-let dir_steps_of = dir_steps_memoized
+let dir_steps_memoized (p : Program.t) =
+  Derived.get p.Program.derived dir_steps_key () (fun () ->
+      dir_steps_reference p)
 
-(* -- Build-product memos ------------------------------------------------------
-   Everything a [run] assembles before the first simulated cycle — the
-   DIR encoding, the generated interpreter/translator programs, the DER
-   expansion, the PSDER runtime and static image — is a pure function of
-   immutable inputs, yet was rebuilt from scratch on every run.  Sweep
-   grids and the bench harness execute the same (program, strategy) cell
-   hundreds of times, so on short workloads the rebuild dominated the
-   run.  Each product is memoized per domain (workers re-derive their
-   own copies, so nothing is ever shared across domains), keyed on the
-   physical identity of its inputs: programs, encodings and layouts are
-   immutable once built, and callers naturally pass the same values run
-   after run.  Sharing the products across runs on a domain is safe
-   because machines only read them — the host code array, table images
-   and static words are poked into per-machine memory, never written in
-   place.  Bounded: a full table drops its oldest entry. *)
+let encoding kind (p : Program.t) =
+  Derived.get p.Program.derived encoding_key kind (fun () -> Codec.encode kind p)
 
-let build_memo_max = 64
-
-let build_memoized key ~eq k compute =
-  let cache = Domain.DLS.get key in
-  match List.find_opt (fun (k', _) -> eq k k') !cache with
-  | Some (_, v) -> v
-  | None ->
-      let v = compute () in
-      let entries = !cache in
-      let entries =
-        if List.length entries >= build_memo_max then
-          List.filteri (fun i _ -> i < build_memo_max - 1) entries
-        else entries
-      in
-      cache := (k, v) :: entries;
-      v
-
-let encode_memo : ((Kind.t * Program.t) * Codec.encoded) list ref Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let encode_memoized kind p =
-  build_memoized encode_memo
-    ~eq:(fun (k1, p1) (k2, p2) -> k1 = k2 && p1 == p2)
-    (kind, p)
-    (fun () -> Codec.encode kind p)
-
-let interp_gen_memo :
-    ((bool * bool * Layout.t * Codec.encoded) * Interp_gen.t) list ref
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let interp_gen_memoized ~compound ~assist ~layout ~encoded =
-  build_memoized interp_gen_memo
-    ~eq:(fun (c1, a1, l1, e1) (c2, a2, l2, e2) ->
-      c1 = c2 && a1 = a2 && l1 == l2 && e1 == e2)
-    (compound, assist, layout, encoded)
+let interp_gen ~compound ~assist ~layout (encoded : Codec.encoded) =
+  Derived.get encoded.Codec.derived interp_gen_key (compound, assist, layout)
     (fun () -> Interp_gen.build ~compound ~assist ~layout ~encoded)
 
-let translate_gen_memo :
-    ((bool * int option * bool * Layout.t * Codec.encoded) * Translate_gen.t)
-    list
-    ref
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let translate_gen ~compound ~block ~assist ~layout (encoded : Codec.encoded) =
+  Derived.get encoded.Codec.derived translate_gen_key
+    (compound, block, assist, layout) (fun () ->
+      Translate_gen.build ~compound ~block ~assist ~layout ~encoded)
 
-let translate_gen_memoized ~compound ~block ~assist ~layout ~encoded =
-  build_memoized translate_gen_memo
-    ~eq:(fun (c1, b1, a1, l1, e1) (c2, b2, a2, l2, e2) ->
-      c1 = c2 && b1 = b2 && a1 = a2 && l1 == l2 && e1 == e2)
-    (compound, block, assist, layout, encoded)
-    (fun () -> Translate_gen.build ~compound ~block ~assist ~layout ~encoded)
+let der_gen (p : Program.t) =
+  Derived.get p.Program.derived der_gen_key () (fun () -> Der_gen.build p)
 
-let der_gen_memo : (Program.t * Der_gen.t) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let der_gen_memoized p =
-  build_memoized der_gen_memo ~eq:( == ) p (fun () -> Der_gen.build p)
-
-let psder_memo :
-    ((bool * Layout.t * Program.t) * (Asm.program * Static_gen.t)) list ref
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let psder_memoized ~compound ~layout p =
-  build_memoized psder_memo
-    ~eq:(fun (c1, l1, p1) (c2, l2, p2) -> c1 = c2 && l1 == l2 && p1 == p2)
-    (compound, layout, p)
-    (fun () ->
+let psder ~compound ~layout (p : Program.t) =
+  Derived.get p.Program.derived psder_key (compound, layout) (fun () ->
       let b = Asm.create () in
       let rt = Runtime.build ~compound b ~layout in
       let program = Asm.finish b in
@@ -269,7 +158,7 @@ let finish ~runner ~strategy ~p ~static_size_bits ~support_size_bits ?dtb
       output = Machine.output m;
       cycles = stats.Machine.cycles;
       machine_stats = stats;
-      dir_steps = dir_steps_of p;
+      dir_steps = dir_steps_memoized p;
       dtb_hit_ratio = Option.map Dtb.hit_ratio dtb;
       dtb_misses = Option.map Dtb.misses dtb;
       dtb_evictions = Option.map Dtb.evictions dtb;
@@ -324,44 +213,55 @@ let icache_for_bytes bytes =
   (* DIR units are 16 bits, so an icache of [bytes] holds bytes/2 units *)
   Cache.create ~assoc:4 ~block_words:4 ~capacity_words:(bytes / 2) ()
 
-let run_interpreted ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist
-    ~compound (encoded : Codec.encoded) =
-  let p = encoded.Codec.program in
-  let gen = interp_gen_memoized ~compound ~assist ~layout ~encoded in
+(* An interpreter machine over [encoded], suspended at the interpreter's
+   entry with dpc at the program's entry. *)
+let interp_machine ~timing ~fuel ~layout ~backend ~assist ~compound ~mode
+    (encoded : Codec.encoded) =
+  let gen = interp_gen ~compound ~assist ~layout encoded in
   let m =
     setup_machine ~timing ~fuel ~layout ~backend ~program:gen.Interp_gen.program
-      p
+      encoded.Codec.program
   in
   Array.iteri
     (fun i w -> Machine.poke m (layout.Layout.table_base + i) w)
     gen.Interp_gen.table_image;
+  Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode;
+  Machine.set_hooks m (interp_hooks ~assist encoded);
+  Machine.set_reg m R.dpc encoded.Codec.entry_addr;
+  Machine.set_pc m (Machine.Long gen.Interp_gen.entry);
+  (m, gen)
+
+let run_interpreted ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist
+    ~compound (encoded : Codec.encoded) =
   let icache =
     match strategy with
     | Cached bytes -> Some (icache_for_bytes bytes)
     | _ -> None
   in
-  Machine.set_dir_stream m ~bits:encoded.Codec.bits
-    ~mode:
-      (match icache with
-      | Some c -> Machine.Dir_cached c
-      | None -> Machine.Dir_uncached);
-  Machine.set_hooks m (interp_hooks ~assist encoded);
-  Machine.set_reg m R.dpc encoded.Codec.entry_addr;
-  Machine.set_pc m (Machine.Long gen.Interp_gen.entry);
+  let m, gen =
+    interp_machine ~timing ~fuel ~layout ~backend ~assist ~compound
+      ~mode:
+        (match icache with
+        | Some c -> Machine.Dir_cached c
+        | None -> Machine.Dir_uncached)
+      encoded
+  in
   let support =
     host_word_bits
     * (Array.length gen.Interp_gen.program.Asm.code
       + Array.length gen.Interp_gen.table_image)
   in
-  finish ~runner ~strategy ~p ~static_size_bits:encoded.Codec.size_bits
-    ~support_size_bits:support ?icache m
+  finish ~runner ~strategy ~p:encoded.Codec.program
+    ~static_size_bits:encoded.Codec.size_bits ~support_size_bits:support
+    ?icache m
 
-(* The plain INTERP hook (paper Figure 4): charge the DTB access, transfer
-   on a hit; on a miss the replacement logic installs the tag and traps to
-   the dynamic translation routine. *)
-let plain_dtb_interp ~t_dtb ~dtb ~translator_entry =
-  let translator = Machine.Long translator_entry in
-  fun m ~dir_addr ~dctx ->
+(* The INTERP hook (paper Figure 4): charge the DTB access, transfer on a
+   hit; on a miss the replacement logic installs the tag and traps to the
+   dynamic translation routine, which [on_miss] enters.  The hook is a
+   closure of its own, not a partial application, so a hit is one direct
+   call that allocates nothing. *)
+let dtb_interp ~t_dtb ~dtb ~on_miss =
+  let hook m ~dir_addr ~dctx =
     Machine.add_cycles m t_dtb;
     let buffer_addr = Dtb.lookup_addr dtb ~tag:dir_addr in
     if buffer_addr >= 0 then Machine.set_short_pc m buffer_addr
@@ -369,8 +269,15 @@ let plain_dtb_interp ~t_dtb ~dtb ~translator_entry =
       Dtb.begin_translation dtb ~tag:dir_addr;
       Machine.set_reg m R.dpc dir_addr;
       Machine.set_reg m R.dctx dctx;
-      Machine.set_pc m translator
+      on_miss m ~dir_addr ~dctx
     end
+  in
+  hook
+
+let plain_dtb_interp ~t_dtb ~dtb ~translator_entry =
+  let translator = Machine.Long translator_entry in
+  dtb_interp ~t_dtb ~dtb ~on_miss:(fun m ~dir_addr:_ ~dctx:_ ->
+      Machine.set_pc m translator)
 
 (* -- The DTB machine ----------------------------------------------------------
    Every DTB configuration — the private runs of [run_dtb] and the shared,
@@ -387,7 +294,7 @@ let plain_dtb_interp ~t_dtb ~dtb ~translator_entry =
 let dtb_machine ~timing ~fuel ~layout ~backend ~compound ~block ~assist
     ~emitted_words ~on_emit ~on_end_translation ~make_interp ~dtb
     (encoded : Codec.encoded) =
-  let gen = translate_gen_memoized ~compound ~block ~assist ~layout ~encoded in
+  let gen = translate_gen ~compound ~block ~assist ~layout encoded in
   let m =
     setup_machine ~timing ~fuel ~layout ~backend
       ~program:gen.Translate_gen.program encoded.Codec.program
@@ -411,7 +318,11 @@ let dtb_machine ~timing ~fuel ~layout ~backend ~compound ~block ~assist
       h_emit_short =
         (fun m word ->
           incr emitted_words;
-          let addr = Dtb.emit dtb word in
+          (* a translation longer than the overflow area can hold is the
+             guest's doing: the run ends trapped, on either backend *)
+          let addr =
+            try Dtb.emit dtb word with Failure msg -> Machine.trap "%s" msg
+          in
           Machine.poke m addr word;
           Machine.charge_mem m addr;
           on_emit ~addr ~word;
@@ -457,16 +368,9 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
     match l2_cache with
     | None -> plain_dtb_interp ~t_dtb ~dtb ~translator_entry
     | Some (cache, payload) ->
-        fun m ~dir_addr ~dctx ->
-          Machine.add_cycles m t_dtb;
-          let buffer_addr = Dtb.lookup_addr dtb ~tag:dir_addr in
-          if buffer_addr >= 0 then Machine.set_short_pc m buffer_addr
-          else begin
-            (* the replacement logic installs the tag and traps to the
-               dynamic translation routine (paper Figure 4) *)
-            Dtb.begin_translation dtb ~tag:dir_addr;
-            Machine.set_reg m R.dpc dir_addr;
-            Machine.set_reg m R.dctx dctx;
+        let translator = Machine.Long translator_entry
+        and dispatch = Machine.Long gen.Translate_gen.dispatch_entry in
+        dtb_interp ~t_dtb ~dtb ~on_miss:(fun m ~dir_addr ~dctx ->
             Machine.add_cycles m t_dtb;
             match Cache.access cache dir_addr with
             | `Hit when Hashtbl.mem payload dir_addr ->
@@ -478,16 +382,14 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
                 Machine.set_reg m 10 raw.Codec.rb;
                 Machine.set_reg m 11 raw.Codec.rc;
                 Machine.set_reg m R.dpc raw.Codec.next_addr;
-                Machine.set_pc m
-                  (Machine.Long gen.Translate_gen.dispatch_entry)
+                Machine.set_pc m dispatch
             | `Hit | `Miss ->
                 (* record this decode for later re-translations *)
                 Hashtbl.replace payload dir_addr
                   (Codec.decode_at encoded
                      ~contour:(Machine.reg m R.ctx) ~digram_ctx:dctx
                      ~addr:dir_addr);
-                Machine.set_pc m (Machine.Long translator_entry)
-          end
+                Machine.set_pc m translator)
   in
   let emitted_words = ref 0 in
   let m, gen =
@@ -556,24 +458,13 @@ let prepare_dtb_shared ?timing ?fuel ?layout ?backend ~dtb
 let prepare_interp ?(timing = Timing.paper) ?(fuel = default_fuel)
     ?(layout = Layout.default) ?(backend = `Decode)
     (encoded : Codec.encoded) =
-  let p = encoded.Codec.program in
-  let gen = interp_gen_memoized ~compound:false ~assist:false ~layout ~encoded in
-  let m =
-    setup_machine ~timing ~fuel ~layout ~backend ~program:gen.Interp_gen.program
-      p
-  in
-  Array.iteri
-    (fun i w -> Machine.poke m (layout.Layout.table_base + i) w)
-    gen.Interp_gen.table_image;
-  Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode:Machine.Dir_uncached;
-  Machine.set_hooks m (interp_hooks ~assist:false encoded);
-  Machine.set_reg m R.dpc encoded.Codec.entry_addr;
-  Machine.set_pc m (Machine.Long gen.Interp_gen.entry);
-  m
+  fst
+    (interp_machine ~timing ~fuel ~layout ~backend ~assist:false
+       ~compound:false ~mode:Machine.Dir_uncached encoded)
 
 let run_psder_static ~timing ~fuel ~layout ~backend ~runner ~strategy ~compound
     (p : Program.t) =
-  let program, static = psder_memoized ~compound ~layout p in
+  let program, static = psder ~compound ~layout p in
   let m = setup_machine ~timing ~fuel ~layout ~backend ~program p in
   Array.iteri
     (fun i w -> Machine.poke m (layout.Layout.psder_static_base + i) w)
@@ -592,7 +483,7 @@ let run_psder_static ~timing ~fuel ~layout ~backend ~runner ~strategy ~compound
 
 let run_der ~timing ~fuel ~layout ~backend ~runner ~strategy residence
     (p : Program.t) =
-  let der = der_gen_memoized p in
+  let der = der_gen p in
   let m =
     setup_machine ~timing ~fuel ~layout ~backend ~program:der.Der_gen.program p
   in
@@ -646,7 +537,7 @@ let run ?(timing = Timing.paper) ?(fuel = default_fuel)
   match strategy with
   | Interp | Cached _ | Dtb_strategy _ | Dtb_blocks _ | Dtb_two_level _ ->
       run_encoded ~timing ~fuel ~layout ~backend ~decode_assist
-        ~compound_datapath ~runner ~strategy (encode_memoized kind p)
+        ~compound_datapath ~runner ~strategy (encoding kind p)
   | Psder_static ->
       run_psder_static ~timing ~fuel ~layout ~backend ~runner ~strategy
         ~compound:compound_datapath p

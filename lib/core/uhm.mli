@@ -73,10 +73,10 @@ val dir_steps_reference : Uhm_dir.Program.t -> int
     behind every result's [dir_steps] field). *)
 
 val dir_steps_memoized : Uhm_dir.Program.t -> int
-(** Like {!dir_steps_reference}, but served from a bounded, physically
-    keyed, mutex-protected memo shared across strategies and sweep
-    workers — a sweep re-simulates each program once per strategy but
-    pays the reference pre-pass only once per program. *)
+(** Like {!dir_steps_reference}, but cached on the program and shared
+    across strategies and sweep workers — a sweep re-simulates each
+    program once per strategy but pays the reference pre-pass only once
+    per program, and the count is freed with the program. *)
 
 val run : ?timing:Timing.t -> ?fuel:int -> ?layout:Uhm_psder.Layout.t
   -> ?backend:Machine.backend -> ?decode_assist:bool -> ?compound_datapath:bool
@@ -85,6 +85,12 @@ val run : ?timing:Timing.t -> ?fuel:int -> ?layout:Uhm_psder.Layout.t
 (** [run ~strategy ~kind p] encodes [p] with [kind] (ignored by
     {!Psder_static} and {!Der}, which work from the decoded program) and
     executes it to completion.
+
+    What a run builds before its first cycle — the encoding, the
+    generated interpreter or translator, the DER expansion, the PSDER
+    image, the reference step count — is cached on [p] (or its encoding)
+    and shared by every later run of the same value, on any domain; it
+    is freed with the value.
 
     [backend] (default [`Decode]) selects the host execution backend; see
     {!Machine.backend}.  [`Threaded] produces identical results and

@@ -13,10 +13,12 @@ type t = {
   entry : int;
   contours : contour array;
   contour_map : int array option;
+  derived : Uhm_derived.Derived.t;
 }
 
 let make ?contour_map ~name ~code ~entry ~contours () =
-  { name; code; entry; contours; contour_map }
+  { name; code; entry; contours; contour_map;
+    derived = Uhm_derived.Derived.create () }
 
 let size_instructions t = Array.length t.code
 

@@ -25,6 +25,9 @@ type t = {
   (** exact contour id per instruction, when the producer (the compiler)
       knows it; [None] falls back to the scan heuristic of
       {!contour_of_instr} *)
+  derived : Uhm_derived.Derived.t;
+  (** what is built from this program — its encodings, its DER expansion,
+      its reference step count — lives here, and goes when it goes *)
 }
 
 val make : ?contour_map:int array -> name:string -> code:Isa.instr array

@@ -38,6 +38,7 @@ type encoded = {
   entry_addr : int;
   size_bits : int;
   tables : tables;
+  derived : Uhm_derived.Derived.t;
 }
 
 exception Unencodable of string
@@ -244,6 +245,7 @@ let encode kind (p : Program.t) =
         entry_addr = offsets.(p.Program.entry);
         size_bits = !total;
         tables = T_word16 widths;
+        derived = Uhm_derived.Derived.create ();
       }
   | Kind.Packed | Kind.Contextual | Kind.Huffman | Kind.Huffman_b1700
   | Kind.Digram ->
@@ -381,6 +383,7 @@ let encode kind (p : Program.t) =
         entry_addr = offsets.(p.Program.entry);
         size_bits = total;
         tables;
+        derived = Uhm_derived.Derived.create ();
       }
 
 (* -- Decoding ---------------------------------------------------------------- *)

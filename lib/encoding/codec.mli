@@ -44,6 +44,9 @@ type encoded = {
   entry_addr : int;              (** bit address of the entry instruction *)
   size_bits : int;
   tables : tables;
+  derived : Uhm_derived.Derived.t;
+  (** the interpreters and translators generated for this encoding, and
+      the runs measured on it, live here and go when it goes *)
 }
 
 exception Unencodable of string

@@ -10,7 +10,7 @@
 
     Every cell runs the same program mix to completion under time-slicing
     and reports per-program cycles and DTB statistics
-    ({!Resilient.result}) plus each program's memoised solo cycles
+    ({!Resilient.result}) plus each program's solo cycles
     ({!Resilient.solo}), the denominator of {!Resilient.slowdown}.
     Cells are independent (each builds its own shared DTB and machines),
     so the grid parallelises like any other sweep and the result list is

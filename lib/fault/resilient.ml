@@ -169,12 +169,11 @@ let run ?timing ?fuel ?layout ?backend ?trace_capacity ?scheduler ~policy
 (* -- The solo run ------------------------------------------------------------
 
    One program alone on the machine: the reference every multiprogrammed
-   figure is measured against.  Memoised like [Uhm.dir_steps_memoized] —
-   bounded, mutex-protected, shared across domains — keyed physically on
-   the encoding (re-encoding the same source gives a new key) and
-   structurally on everything the run depends on.  The backend is not in
-   the key: the two backends are pinned result-identical.  Races fill the
-   same entry twice, which is wasted work but never wrong. *)
+   figure is measured against.  Cached on the encoding (re-encoding the
+   same source gives a new cache), keyed structurally on everything else
+   the run depends on, so every caller that holds the encoding, on any
+   domain, simulates it once.  The backend is not in the key: the two
+   backends are pinned result-identical. *)
 
 let solo_quantum = max_int
 
@@ -185,22 +184,12 @@ type solo_result = {
   sr_cycles : int;
 }
 
-(* entries are ((encoding, settings), result), the encoding compared
-   physically *)
-let solo_mutex = Mutex.create ()
-let solo_memo = ref []
-let solo_memo_max = 128
+let solo_key = Uhm_derived.Derived.key ()
 
 let solo ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
-    ~config encoded =
-  let settings = (config, timing, fuel, layout) in
-  let same ((e, s), _) = e == encoded && s = settings in
-  Mutex.lock solo_mutex;
-  let cached = List.find_opt same !solo_memo in
-  Mutex.unlock solo_mutex;
-  match cached with
-  | Some (_, r) -> r
-  | None ->
+    ~config (encoded : Codec.encoded) =
+  Uhm_derived.Derived.get encoded.Codec.derived solo_key
+    (config, timing, fuel, layout) (fun () ->
       let p =
         List.hd
           (run_encoded ~timing ?fuel ~layout ?backend ~trace_capacity:16
@@ -208,17 +197,8 @@ let solo ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
              ~fconfig:zero [ ("solo", encoded) ])
             .rr_programs
       in
-      let r =
-        { sr_status = p.pr_status; sr_output = p.pr_output;
-          sr_arch_hash = p.pr_arch_hash; sr_cycles = p.pr_cycles }
-      in
-      Mutex.lock solo_mutex;
-      let others = List.filter (fun e -> not (same e)) !solo_memo in
-      solo_memo :=
-        ((encoded, settings), r)
-        :: List.filteri (fun i _ -> i < solo_memo_max - 1) others;
-      Mutex.unlock solo_mutex;
-      r
+      { sr_status = p.pr_status; sr_output = p.pr_output;
+        sr_arch_hash = p.pr_arch_hash; sr_cycles = p.pr_cycles })
 
 let slowdown ~cycles ~solo =
   if solo = 0 then 1. else float_of_int cycles /. float_of_int solo

@@ -196,12 +196,12 @@ val solo :
     and arch fingerprint the reference every served answer is verified
     against.  It equals the single-program
     [Uhm.run_encoded ~strategy:(Dtb_strategy config)] run in cycles,
-    status and output.  Memoised (bounded, mutex-protected, shared
-    across domains), keyed physically on the encoding and structurally
-    on [config], [timing], [fuel] and [layout] after defaults are
-    applied; [backend] is not in the key because the two backends are
+    status and output.  Cached on the encoding, keyed structurally on
+    [config], [timing], [fuel] and [layout] after defaults are applied;
+    [backend] is not in the key because the two backends are
     result-identical.  A grid or a service thus pays for each distinct
-    solo run once per process. *)
+    solo run once for as long as it holds the encoding, on any domain,
+    and the result is freed with the encoding. *)
 
 val slowdown : cycles:int -> solo:int -> float
 (** [cycles / solo], the price of sharing the machine; [1.0] when [solo]

@@ -153,7 +153,7 @@ type t = {
   watchdog : int Queue.t;         (* steps of recent recovery events *)
   mutable machine : Machine.t;
   mutable mode : mode;
-  mutable translating : int option; (* dir_addr of the open install *)
+  mutable translating : int;        (* open install's dir_addr, or -1 *)
   mutable doomed : bool;            (* armed translator fault *)
   mutable ck : Machine.checkpoint option;
   mutable ck_step : int;
@@ -240,20 +240,20 @@ let create env ~asid ~stream ~interp0 encoded =
            { asid = t.asid; fclass = Injector.class_name f.Injector.f_class })
     end
   in
-  let start_translation m ~translator_entry ~dir_addr ~dctx =
+  let start_translation m ~translator ~dir_addr ~dctx =
     let t = t_of () in
     tell_v env t (Trace.Translation { asid = t.asid; dir_addr });
     if guards then begin
       Guard.begin_install t.guard;
       Machine.add_cycles m t_guard (* flat checksum-seed cost at install *)
     end;
-    t.translating <- Some dir_addr;
+    t.translating <- dir_addr;
     Dtb.begin_translation dtb ~tag:dir_addr;
     Machine.set_reg m R.dpc dir_addr;
     Machine.set_reg m R.dctx dctx;
-    Machine.set_pc m (Machine.Long translator_entry)
+    Machine.set_pc m translator
   in
-  let detect m ~translator_entry ~dir_addr ~dctx ~fclass ~checked_words =
+  let detect m ~translator ~dir_addr ~dctx ~fclass ~checked_words =
     let t = t_of () in
     Machine.add_cycles m (t_guard * max 1 checked_words);
     t.detected <- t.detected + 1;
@@ -271,51 +271,54 @@ let create env ~asid ~stream ~interp0 encoded =
     tell_v env t
       (Trace.Recovery_retry { asid = t.asid; dir_addr; attempt = attempts });
     ignore (Dtb.invalidate dtb ~tag:dir_addr);
-    start_translation m ~translator_entry ~dir_addr ~dctx
+    start_translation m ~translator ~dir_addr ~dctx
   in
   (* the hot path: with the injector silent and guards off (every
-     zero-config run) a hit costs what the plain INTERP hook's does *)
-  let make_interp ~translator_entry m ~dir_addr ~dctx =
-    if armed then begin
-      match
-        Injector.due (t_of ()).inj ~step:(Machine.stats m).Machine.interp_count
-      with
-      | [] -> ()
-      | faults -> List.iter (apply_fault m) faults
-    end;
-    Machine.add_cycles m t_dtb;
-    let buffer_addr = Dtb.lookup_addr dtb ~tag:dir_addr in
-    if buffer_addr < 0 then start_translation m ~translator_entry ~dir_addr ~dctx
-    else if not guards then Machine.set_short_pc m buffer_addr
-    else begin
-      let t = t_of () in
-      match
-        Guard.check t.guard ~peek:!peek ~dir_addr ~start_addr:buffer_addr
-      with
-      | `Ok words ->
-          Machine.add_cycles m (t_guard * words);
-          Machine.set_short_pc m buffer_addr
-      | `Mismatch | `Unguarded ->
-          (* a different (or no) DIR address answered: the tag array
-             lied — drop the aliased entry and retranslate *)
-          Guard.drop t.guard ~start_addr:buffer_addr;
-          detect m ~translator_entry ~dir_addr ~dctx ~fclass:"dtb-tag"
-            ~checked_words:1
-      | `Corrupt words ->
-          Guard.drop t.guard ~start_addr:buffer_addr;
-          detect m ~translator_entry ~dir_addr ~dctx ~fclass:"psder-word"
-            ~checked_words:words
-    end
+     zero-config run) a hit costs what the plain INTERP hook's does, and
+     a miss allocates no pc *)
+  let make_interp ~translator_entry =
+    let translator = Machine.Long translator_entry in
+    fun m ~dir_addr ~dctx ->
+      if armed then begin
+        match
+          Injector.due (t_of ()).inj
+            ~step:(Machine.stats m).Machine.interp_count
+        with
+        | [] -> ()
+        | faults -> List.iter (apply_fault m) faults
+      end;
+      Machine.add_cycles m t_dtb;
+      let buffer_addr = Dtb.lookup_addr dtb ~tag:dir_addr in
+      if buffer_addr < 0 then start_translation m ~translator ~dir_addr ~dctx
+      else if not guards then Machine.set_short_pc m buffer_addr
+      else begin
+        let t = t_of () in
+        match
+          Guard.check t.guard ~peek:!peek ~dir_addr ~start_addr:buffer_addr
+        with
+        | `Ok words ->
+            Machine.add_cycles m (t_guard * words);
+            Machine.set_short_pc m buffer_addr
+        | `Mismatch | `Unguarded ->
+            (* a different (or no) DIR address answered: the tag array
+               lied — drop the aliased entry and retranslate *)
+            Guard.drop t.guard ~start_addr:buffer_addr;
+            detect m ~translator ~dir_addr ~dctx ~fclass:"dtb-tag"
+              ~checked_words:1
+        | `Corrupt words ->
+            Guard.drop t.guard ~start_addr:buffer_addr;
+            detect m ~translator ~dir_addr ~dctx ~fclass:"psder-word"
+              ~checked_words:words
+      end
   in
   let on_emit ~addr ~word =
     if guards then Guard.on_emit (t_of ()).guard ~addr ~word
   in
   let on_end_translation ~start_addr =
     let t = t_of () in
-    let dir_addr =
-      match t.translating with Some d -> d | None -> assert false
-    in
-    t.translating <- None;
+    let dir_addr = t.translating in
+    assert (dir_addr >= 0);
+    t.translating <- -1;
     if t.doomed then begin
       (* translator failure mid-install: the words are in the buffer and
          the current transfer still executes them, but the directory
@@ -350,7 +353,7 @@ let create env ~asid ~stream ~interp0 encoded =
       watchdog = Queue.create ();
       machine;
       mode;
-      translating = None;
+      translating = -1;
       doomed = false;
       ck = None;
       ck_step = 0;
@@ -460,13 +463,12 @@ let slice env t ~clock ~quantum =
      directory's translation open.  Close it here so flush/invalidate
      (rollback below, or the next Flush_on_switch switch) find the DTB
      quiescent. *)
-  (match t.translating with
-  | Some _ ->
-      Dtb.abort_translation env.dtb;
-      if env.fc.guards then Guard.abandon t.guard;
-      t.translating <- None;
-      t.doomed <- false
-  | None -> ());
+  if t.translating >= 0 then begin
+    Dtb.abort_translation env.dtb;
+    if env.fc.guards then Guard.abandon t.guard;
+    t.translating <- -1;
+    t.doomed <- false
+  end;
   if t.mode = Translating then begin
     scrub_and_rollback env t;
     if t.finished = None then

@@ -20,7 +20,7 @@
     program runs next, switch to it with {!Uhm_sched.Scheduler.switch}
     and hand it to {!slice}.  [Resilient.run_encoded] slices a fixed
     mix (at the zero config, the plain multiprogrammed mix and, for one
-    program, the memoised [Resilient.solo] run); the serve kernel slices
+    program, the [Resilient.solo] run); the serve kernel slices
     one attempt per admitted job. *)
 
 module Machine := Uhm_machine.Machine
@@ -106,7 +106,8 @@ type t = private {
   watchdog : int Queue.t;
   mutable machine : Machine.t;
   mutable mode : mode;
-  mutable translating : int option;
+  mutable translating : int;
+  (** DIR address of the open install; [-1] when none is open *)
   mutable doomed : bool;
   mutable ck : Machine.checkpoint option;
   mutable ck_step : int;

@@ -14,6 +14,13 @@ let category_name = function
 
 let all_categories = [ Startup; Decode; Semantic; Translate; Der ]
 
+let category_index = function
+  | Startup -> 0
+  | Decode -> 1
+  | Semantic -> 2
+  | Translate -> 3
+  | Der -> 4
+
 type label = int
 
 (* Branch-target instructions are stored with the label id in the target
@@ -109,12 +116,12 @@ let resolve t label =
 
 type program = {
   code : Host_isa.instr array;
-  categories : category array;
+  category_of : int array;
+  derived : Uhm_derived.Derived.t;
 }
 
 let finish t =
   let instrs = Array.of_list (List.rev t.instrs) in
-  let cats = Array.of_list (List.rev t.cats) in
   let code =
     Array.map
       (function
@@ -125,4 +132,6 @@ let finish t =
             f a)
       instrs
   in
-  { code; categories = cats }
+  { code;
+    category_of = Array.of_list (List.rev_map category_index t.cats);
+    derived = Uhm_derived.Derived.create () }

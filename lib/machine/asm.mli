@@ -16,6 +16,9 @@ type category =
 val category_name : category -> string
 val all_categories : category list
 
+val category_index : category -> int
+(** A category's position in {!all_categories}. *)
+
 type t
 type label
 
@@ -73,7 +76,11 @@ val break : t -> string -> unit
 
 type program = {
   code : Host_isa.instr array;
-  categories : category array;
+  category_of : int array;
+  (** the {!category_index} of each instruction's category *)
+  derived : Uhm_derived.Derived.t;
+  (** products built from this code — the threaded backend's closure
+      table — shared by every machine that runs it *)
 }
 
 val finish : t -> program

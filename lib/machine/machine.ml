@@ -44,12 +44,7 @@ type stats = {
   mutable interp_count : int;
 }
 
-let category_index = function
-  | Asm.Startup -> 0
-  | Asm.Decode -> 1
-  | Asm.Semantic -> 2
-  | Asm.Translate -> 3
-  | Asm.Der -> 4
+let category_index = Asm.category_index
 
 (* -- Paged memory ------------------------------------------------------------
    Simulated memory is sparse: the default layout spans ~1.6M words but a run
@@ -148,6 +143,7 @@ let cost_page_words = 1 lsl cost_page_bits
 let cost_mixed = -1
 
 type t = {
+  program : Asm.program;
   code : H.instr array;
   code_cat : int array;
   mem : int array array;
@@ -181,12 +177,12 @@ type t = {
   threaded : bool;
   mutable lc : (t -> unit) array;
       (* long-format code compiled to closures, one slot per code address,
-         filled lazily as addresses get warm ([| |] until the first
-         threaded span; dropped when the code-fetch hook changes).  A cold
-         slot holds [cold_long]; a once-executed slot holds a per-address
-         warm closure that compiles on its second execution, so run-once
-         code (straight-line DER expansions, cold library routines) never
-         pays the compiler. *)
+         filled lazily as addresses get warm: the program's shared table
+         ([| |] on decode machines, private once a code-fetch hook is
+         set).  A cold slot holds [cold_long]; a once-executed slot holds
+         a per-address warm closure that compiles on its second execution,
+         so run-once code (straight-line DER expansions, cold library
+         routines) never pays the compiler. *)
   mutable sc_base : int;  (* short-compile window base; max_int = disabled *)
   mutable sc_size : int;
   mutable sc_table : (t -> unit) array array;
@@ -271,34 +267,13 @@ let build_cost_table regions mem_words =
   done;
   tbl
 
-(* Per-domain memos of the tables [create] derives from its inputs: the
-   category indices are a pure function of the program, the region array
-   and cost table of the region list.  The layer above (Uhm's build
-   memos) hands repeated runs the same program and region-list objects, so keying on physical identity turns a per-run
-   recomputation — an [Array.map] over the whole host program and a
-   region scan per cost page — into a list probe.  All shared tables are
-   read-only for the machine's lifetime. *)
-let derived_memo_max = 64
-
-let code_cat_memo :
-    (Asm.category array * int array) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let code_cat_for (program : Asm.program) =
-  let cats = program.Asm.categories in
-  let cache = Domain.DLS.get code_cat_memo in
-  match List.find_opt (fun (c, _) -> c == cats) !cache with
-  | Some (_, v) -> v
-  | None ->
-      let v = Array.map category_index cats in
-      let entries = !cache in
-      let entries =
-        if List.length entries >= derived_memo_max then
-          List.filteri (fun i _ -> i < derived_memo_max - 1) entries
-        else entries
-      in
-      cache := (cats, v) :: entries;
-      v
+(* Per-domain memo of the tables [create] derives from the region list:
+   the region array and the cost table, a region scan per cost page.
+   Region lists come from a handful of (timing, layout) pairs, so
+   comparing them structurally turns the scan into a list probe.  The
+   tables are read-only for the machine's lifetime.  Bounded: a full memo
+   drops its oldest entry. *)
+let region_tables_memo_max = 16
 
 let region_tables_memo :
     ((region list * int) * (region array * int array)) list ref
@@ -307,12 +282,8 @@ let region_tables_memo :
 
 let region_tables_for regions_list mem_words =
   let cache = Domain.DLS.get region_tables_memo in
-  match
-    List.find_opt
-      (fun ((rl, mw), _) -> rl == regions_list && mw = mem_words)
-      !cache
-  with
-  | Some (_, v) -> v
+  match List.assoc_opt (regions_list, mem_words) !cache with
+  | Some v -> v
   | None ->
       let regions = Array.of_list regions_list in
       Array.iter
@@ -322,22 +293,32 @@ let region_tables_for regions_list mem_words =
               (Printf.sprintf "Machine.create: region %s out of range" r.rname))
         regions;
       let v = (regions, build_cost_table regions mem_words) in
-      let entries = !cache in
-      let entries =
-        if List.length entries >= derived_memo_max then
-          List.filteri (fun i _ -> i < derived_memo_max - 1) entries
-        else entries
-      in
-      cache := ((regions_list, mem_words), v) :: entries;
+      cache :=
+        ((regions_list, mem_words), v)
+        :: List.filteri (fun i _ -> i < region_tables_memo_max - 1) !cache;
       v
+
+(* -- The compiled-long-code table --------------------------------------------
+   A long closure depends only on the host code (see [compile_long_one]),
+   so the program carries one table that every threaded machine built
+   from it warms and reuses, on any domain.  A slot only ever holds
+   [cold_long], [warm_long a] or the closure compiled for [a], each exact
+   for that address, so a racing read runs a correct closure whichever
+   write it sees.  A code-fetch hook is baked into every closure, so a
+   machine with one keeps a private table. *)
+let lc_key : (unit, (t -> unit) array) Uhm_derived.Derived.key =
+  Uhm_derived.Derived.key ()
+
+let cold_lc code = Array.make (Array.length code) !cold_long_cell
 
 let create ?(timing = Timing.paper) ?(fuel = 1_000_000_000)
     ?(backend = `Decode) ~program ~mem_words ~regions () =
   let regions, region_cost = region_tables_for regions mem_words in
   let pages = (mem_words + page_words - 1) lsr page_bits in
   {
+    program;
     code = program.Asm.code;
-    code_cat = code_cat_for program;
+    code_cat = program.Asm.category_of;
     mem = alloc_page_table pages;
     owned = Bytes.make pages '\000';
     used = Array.make 16 0;
@@ -372,13 +353,18 @@ let create ?(timing = Timing.paper) ?(fuel = 1_000_000_000)
     dir_buffered_unit = -1;
     code_fetch_hook = None;
     threaded = (backend = `Threaded);
-    lc = [||];
+    lc =
+      (if backend = `Threaded then
+         Uhm_derived.Derived.get program.Asm.derived lc_key () (fun () ->
+             cold_lc program.Asm.code)
+       else [||]);
     sc_base = max_int;
     sc_size = 0;
     sc_table = [||];
   }
 
 let backend t : backend = if t.threaded then `Threaded else `Decode
+let program t = t.program
 
 let set_hooks t hooks = t.hooks <- Some hooks
 
@@ -390,8 +376,8 @@ let set_dir_stream t ~bits ~mode =
 
 let set_code_fetch_hook t f =
   t.code_fetch_hook <- Some f;
-  (* long-code closures bake the hook in; force a recompile *)
-  t.lc <- [||]
+  (* long-code closures bake the hook in: a private table *)
+  if t.threaded then t.lc <- cold_lc t.code
 
 (* Open a short-compile window over [base, base+size): the threaded
    backend may cache closures for short words in this range (compiled on
@@ -777,6 +763,10 @@ let exec_long t addr =
     (Array.unsafe_get cats cat + (cycles - before)
     - (stats.dir_fetch_cycles - fetch_before))
 
+(* The largest opcode a short word can decode to; the 4-bit field holds
+   larger values, which trap. *)
+let max_short_op = Short_format.op_to_int Short_format.Goto_stk
+
 let exec_short t addr =
   let stats = t.stats in
   let before = stats.cycles in
@@ -792,7 +782,9 @@ let exec_short t addr =
      IU2 dispatch loop *)
   let operand = Short_format.unpack_operand word in
   t.pc_addr <- addr + 1;
-  match Short_format.op_of_int (Short_format.unpack_op word) with
+  let opn = Short_format.unpack_op word in
+  if opn > max_short_op then trap "unknown short opcode %d" opn;
+  match Short_format.op_of_int opn with
   | Short_format.Push_imm -> push_op_fast t operand
   | Short_format.Push_dir -> push_op_fast t (load_fast t operand)
   | Short_format.Push_ind -> push_op_fast t (load_fast t (load_fast t operand))
@@ -912,8 +904,8 @@ let bump_full t cat before fetch_before =
    instruction, its cost category, the fall-through address; registers,
    counters, output, hooks and timing are all read through the machine
    argument.  A compiled closure is therefore valid for any machine
-   executing the same program object, which is what lets [lc_for] share
-   warmed closure arrays across runs.  The code-fetch-hook wrapper is
+   executing the same program, which is what lets a program share one
+   warmed closure table across runs.  The code-fetch-hook wrapper is
    the one exception: it bakes in the per-machine hook, and such
    machines keep a private array. *)
 let compile_long_one t addr =
@@ -1095,8 +1087,8 @@ let compile_long_one t addr =
         body t
 
 (* Compile the short word currently at [addr], or [None] when its opcode
-   doesn't decode (the fallback [step] then reproduces the decode path's
-   exception exactly).  The caller guarantees [addr] lies in the compile
+   doesn't decode (the fallback [exec_short] then traps exactly as the
+   decode path does).  The caller guarantees [addr] lies in the compile
    window, hence in a region, so the fetch cost is fixed and pre-bindable. *)
 let compile_short t addr =
   let stats = t.stats in
@@ -1104,7 +1096,7 @@ let compile_short t addr =
   let opn = Short_format.unpack_op word in
   match mem_cost t addr with
   | exception Not_found -> None  (* unmapped: let decode raise its trap *)
-  | _ when opn > Short_format.op_to_int Short_format.Goto_stk -> None
+  | _ when opn > max_short_op -> None
   | fetch ->
     let next = addr + 1 in
     let operand = Short_format.unpack_operand word in
@@ -1214,43 +1206,6 @@ let () =
   cold_long_cell := cold_long;
   cold_chunk_cell := Array.make sc_chunk_words cold_short
 
-(* -- The compiled-long-code cache ---------------------------------------------
-   Long-closure compilation bakes in only functions of the host code
-   itself — the decoded instruction, its cost category, the fall-through
-   address — and every closure reads its run state, timing and region
-   costs through the machine argument.  A warmed closure array is
-   therefore valid for any machine executing the same program object,
-   whatever its timing or region layout, so arrays are cached per
-   domain, keyed on the code array's physical identity (host programs
-   are immutable once assembled, and the generator layer above hands
-   repeated runs the same object).  Repeat runs start fully warm and
-   never touch the compiler.  Machines with a code-fetch hook bake the
-   per-machine hook into each closure and keep a private array instead.
-   Bounded: a full cache drops its oldest entry. *)
-let lc_cache_max = 64
-
-let lc_cache_key : (H.instr array * (t -> unit) array) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let lc_for t =
-  if t.code_fetch_hook <> None then
-    Array.make (Array.length t.code) cold_long
-  else begin
-    let cache = Domain.DLS.get lc_cache_key in
-    match List.find_opt (fun (c, _) -> c == t.code) !cache with
-    | Some (_, lc) -> lc
-    | None ->
-        let lc = Array.make (Array.length t.code) cold_long in
-        let entries = !cache in
-        let entries =
-          if List.length entries >= lc_cache_max then
-            List.filteri (fun i _ -> i < lc_cache_max - 1) entries
-          else entries
-        in
-        cache := (t.code, lc) :: entries;
-        lc
-  end
-
 (* Run compiled closures until the machine leaves [Running], [lim] cycles
    have been charged, or [quantum] INTERP transfers have completed since
    [qstart] — always stopping on an instruction boundary.  Anything the
@@ -1286,8 +1241,6 @@ let exec_threaded_span t ~lim ~qstart ~quantum =
       else step t
     end
     else begin
-      if Array.length t.lc = 0 && Array.length t.code > 0 then
-        t.lc <- lc_for t;
       let lc = t.lc in
       let n = Array.length lc in
       if t.pc_addr >= 0 && t.pc_addr < n then (

@@ -80,6 +80,9 @@ val create : ?timing:Timing.t -> ?fuel:int -> ?backend:backend
 
 val backend : t -> backend
 
+val program : t -> Asm.program
+(** The host program the machine was created with. *)
+
 val enable_short_compile : t -> base:int -> size:int -> unit
 (** Open the threaded backend's short-word compile window over
     [base, base+size): short words executed inside it are compiled to
@@ -129,6 +132,10 @@ val set_pc : t -> pc -> unit
 val set_short_pc : t -> int -> unit
 (** [set_short_pc t a] is [set_pc t (Short a)] without the allocation:
     the transfer an INTERP hit or a finished translation makes. *)
+
+val trap : ('a, unit, string, 'b) format4 -> 'a
+(** [trap fmt ...] abandons the instruction being executed: for hooks, to
+    end the run [Trapped msg] on a condition the guest caused. *)
 
 val pc : t -> pc
 val status : t -> status

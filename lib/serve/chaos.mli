@@ -152,9 +152,9 @@ val solo_reference :
 (** The fault-free solo run a completion is verified against — exposed so
     tests and experiment grids can re-verify end states independently of
     the driver's own bookkeeping.  It is {!Uhm_fault.Resilient.solo} of
-    the template's encoding (the name is ignored): memoised across runs
-    and domains, so the service and every caller share one solo
-    simulation per template and settings. *)
+    the template's encoding (the name is ignored), cached on the
+    encoding, so the service and every caller that holds it share one
+    solo simulation per template and settings. *)
 
 val run :
   ?timing:Uhm_machine.Timing.t ->

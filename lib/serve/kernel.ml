@@ -24,7 +24,7 @@
    at Resilient.zero bit for bit, which test/test_serve.ml pins.  The
    kernel runs no solo simulation of its own: a job's slowdown
    denominator and the reference its answer is verified against are the
-   one memoised Resilient.solo run of its template. *)
+   one Resilient.solo run of its template, cached on its encoding. *)
 
 module Machine = Uhm_machine.Machine
 module Timing = Uhm_machine.Timing
@@ -468,7 +468,7 @@ let run ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
   in
 
   (* The job record of a retired job, completed or failed, against the
-     memoised solo run. *)
+     template's solo run. *)
   let finish s (js : jstate) status =
     let solo = (solo js).Resilient.sr_cycles in
     let sojourn = !clock - js.js_arrival in

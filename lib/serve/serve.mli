@@ -29,7 +29,7 @@
     {!Uhm_fault.Resilient.zero}) dispatch sequence, cycle counts and
     trace rollups bit for bit — the regression anchor that pins the open
     system to the closed mix's goldens.  Each job's slowdown denominator
-    is its template's memoised {!Uhm_fault.Resilient.solo} run; the
+    is its template's {!Uhm_fault.Resilient.solo} run; the
     service runs no solo simulation of its own. *)
 
 module Dtb := Uhm_core.Dtb

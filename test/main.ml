@@ -20,6 +20,7 @@ let () =
       Test_chaos.suite;
       Test_fault.suite;
       Test_backend.suite;
+      Test_derived.suite;
       Test_workload.suite;
       Test_report.suite;
       Test_perf.suite;

@@ -352,6 +352,49 @@ let test_self_modifying_short_loop () =
   Alcotest.(check string) "output" (Machine.output md) (Machine.output mt);
   check_stats "self-modifying loop" (Machine.stats md) (Machine.stats mt)
 
+(* -- Guest faults trap on both backends ----------------------------------------
+
+   A short word whose 4-bit opcode field decodes to nothing (14 here) ends
+   the run trapped, with one message on both backends and whether or not
+   the threaded backend may compile the word. *)
+
+let test_unknown_short_opcode_traps () =
+  let b = Asm.create () in
+  Asm.halt b;
+  let program = Asm.finish b in
+  let s = 512 in
+  List.iter
+    (fun (label, backend, window) ->
+      let m =
+        Machine.create ~backend ~program ~mem_words:1024
+          ~regions:[ { Machine.rname = "ram"; base = 0; size = 1024; cost = 1 } ]
+          ()
+      in
+      if window then Machine.enable_short_compile m ~base:s ~size:16;
+      Machine.poke m s 14;
+      Machine.set_pc m (Machine.Short s);
+      Alcotest.(check string) label "trapped: unknown short opcode 14"
+        (status_str (Machine.run m)))
+    [
+      ("decode", `Decode, false);
+      ("threaded", `Threaded, false);
+      ("threaded, compile window", `Threaded, true);
+    ]
+
+(* Basic-block translation of a long straight-line program outgrows the
+   paper DTB's overflow area: the run ends trapped, the same on both
+   backends. *)
+let test_dtb_overflow_exhaustion_traps () =
+  let p = compile "flat_straightline" in
+  let run backend =
+    U.run ~backend ~strategy:(U.Dtb_blocks (Dtb.paper_config, 8))
+      ~kind:Kind.Huffman p
+  in
+  let d = run `Decode in
+  Alcotest.(check string) "decode" "trapped: Dtb.emit: overflow area exhausted"
+    (status_str d.U.status);
+  check_result "threaded" d (run `Threaded)
+
 (* -- Long-code cache across timings --------------------------------------------
 
    Compiled long closures read timing and region costs through the
@@ -462,9 +505,10 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 (* A DTB hit allocates nothing: [Dtb.lookup_addr] answers with an int and
    [Machine.set_short_pc] sets the pc in place.  The second of two runs is
-   measured, so the memoised generators are warm; what is left (set-up,
-   the misses, threaded closures) stays far below half a word per INTERP,
-   where a boxed answer and a boxed pc alone would cost four. *)
+   measured, so the generators cached on the encoding are warm; what is
+   left (set-up, the misses, threaded closures) stays far below half a
+   word per INTERP, where a boxed answer and a boxed pc alone would cost
+   four. *)
 let test_dtb_hit_allocation () =
   List.iter
     (fun (label, backend) ->
@@ -512,4 +556,8 @@ let suite =
         test_fault_injected_backends;
       qcheck prop_backend_differential;
       qcheck prop_backend_sliced_invalidation;
+      Alcotest.test_case "unknown short opcode traps, both backends" `Quick
+        test_unknown_short_opcode_traps;
+      Alcotest.test_case "DTB overflow exhaustion traps, both backends" `Quick
+        test_dtb_overflow_exhaustion_traps;
     ] )

@@ -750,9 +750,9 @@ let test_faulted_goldens backend () =
     faulted_goldens
 
 (* Guards off, PSDER words corrupted at a bruising rate: a corrupted
-   machine can decode a garbage opcode and die with a host exception.
-   That must end the program as a trap, not raise out of the driver, and
-   no corrupted program may pass for the fault-free answer. *)
+   machine can decode a garbage opcode.  That must end the program as a
+   trap, not raise out of the driver, and no corrupted program may pass
+   for the fault-free answer. *)
 let test_guards_off_crash_traps () =
   let programs = List.map (fun n -> (n, compile n)) [ "fact_iter"; "string_out" ] in
   let run fconfig =
@@ -780,11 +780,12 @@ let test_guards_off_crash_traps () =
         || p.Resilient.pr_status <> Machine.Halted
         || p.Resilient.pr_arch_hash <> c.Resilient.pr_arch_hash))
     clean.Resilient.rr_programs r.Resilient.rr_programs;
-  check_bool "a host exception became a machine-crash trap" true
+  check_bool "a garbage opcode became a machine trap" true
     (List.exists
        (fun (p : Resilient.program_report) ->
          match p.Resilient.pr_status with
-         | Machine.Trapped m -> Astring_contains.contains m "machine crash"
+         | Machine.Trapped m ->
+             Astring_contains.contains m "unknown short opcode"
          | _ -> false)
        r.Resilient.rr_programs)
 
